@@ -17,9 +17,6 @@ from .imaging import ImageF
 
 N_PANELS = 4
 
-# survey sensor coverage, visible through near-infrared; informational only
-SENSOR_SPECTRAL_RANGE_NM = (400, 1100)
-
 
 class CalibrationError(ValueError):
     """Panel extraction or fitting failed."""

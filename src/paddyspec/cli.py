@@ -25,6 +25,7 @@ from .config import (
     write_resolved_config,
 )
 from .imaging import (
+    ImageF,
     ImageFormatError,
     load_image,
     read_png,
@@ -35,7 +36,7 @@ from .imaging import (
 )
 from .model import build_resnet18
 from .registration import RegistrationError, register_pair
-from .spectral import SpectralError, compute_ndvi, fuse, save_fused
+from .spectral import FusedSample, SpectralError, compute_ndvi, fuse, save_fused
 from .training import FusedCacheSource, TrainingError
 
 EXIT_OK = 0
@@ -159,6 +160,15 @@ def cmd_calibrate(cfg: PipelineConfig, args) -> int:
 # -- ndvi / fusion -----------------------------------------------------------------
 
 
+def _fused_sample(rgb: ImageF, rgnir: ImageF, mask: np.ndarray,
+                  size: int) -> FusedSample:
+    """Network-resolution RGB + NDVI sample; the one path for ndvi and predict."""
+    rgb_small = resize_bilinear(rgb, size, size)
+    rgnir_small = resize_bilinear(rgnir, size, size)
+    ndvi = compute_ndvi(rgnir_small.band("R"), rgnir_small.band("NIR"))
+    return fuse(rgb_small, ndvi, resize_mask(mask, size, size))
+
+
 def cmd_ndvi(cfg: PipelineConfig, args) -> int:
     manifest = _read_pairs(args.pairs)
     reg_dir = _out_dir(cfg) / "registered"
@@ -184,11 +194,7 @@ def cmd_ndvi(cfg: PipelineConfig, args) -> int:
         rgnir = load_image(cal_dir / f"{record.id}_rgnir.png", "rgnir")
         mask = read_png(reg_dir / f"{record.id}_mask.png") > 127
         try:
-            rgb_small = resize_bilinear(rgb, size, size)
-            rgnir_small = resize_bilinear(rgnir, size, size)
-            mask_small = resize_mask(mask, size, size)
-            ndvi = compute_ndvi(rgnir_small.band("R"), rgnir_small.band("NIR"))
-            sample = fuse(rgb_small, ndvi, mask_small)
+            sample = _fused_sample(rgb, rgnir, mask, size)
         except (SpectralError, ImageFormatError) as exc:
             raise CommandFailure(f"sample {record.id}: {exc}") from exc
         save_fused(sample, cache_dir / f"{record.id}.pspec")
@@ -240,6 +246,7 @@ def _load_split(cfg: PipelineConfig, manifest_path, folds_path):
     folds_file = folds_path or str(_out_dir(cfg) / "folds.csv")
     try:
         folds = ds.read_folds_csv(folds_file, seed=cfg.seed)
+        folds.check_covers(manifest)
     except (OSError, ds.ManifestError) as exc:
         raise CommandFailure(f"cannot read folds {folds_file}: {exc}") from exc
     return manifest, folds
@@ -347,13 +354,7 @@ def cmd_predict(cfg: PipelineConfig, args) -> int:
         raise CommandFailure(str(exc)) from exc
     rgnir_refl, _ = cal.apply_calibration(rgnir_dn, calib)
 
-    size = meta["input_size"]
-    rgb_small = resize_bilinear(result.image, size, size)
-    rgnir_small = resize_bilinear(rgnir_refl, size, size)
-    mask_small = resize_mask(result.mask, size, size)
-    ndvi = compute_ndvi(rgnir_small.band("R"), rgnir_small.band("NIR"))
-    sample = fuse(rgb_small, ndvi, mask_small)
-
+    sample = _fused_sample(result.image, rgnir_refl, result.mask, meta["input_size"])
     channels = meta["arch"]["in_channels"]
     batch = sample.tensor[None, :channels].astype(model.dtype)
     probs = model.predict_proba(nn.Tensor(batch))[0]
@@ -440,7 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds")
     p.add_argument("--fold", default="all", help="fold id or 'all'")
     p.add_argument("--max-steps", type=int, default=None,
-                   help="optimizer step budget (testing aid)")
+                   help="optimizer step budget; overrides training.epochs, and the "
+                        "last, possibly partial, epoch is still validated and "
+                        "written to the history CSV")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on its held-out fold")

@@ -54,9 +54,6 @@ class Manifest:
     def __len__(self) -> int:
         return len(self.records)
 
-    def label_index(self, record: SampleRecord) -> int:
-        return LABELS.index(record.label)
-
 
 def _checksum(records: list[SampleRecord]) -> str:
     digest = hashlib.sha256()
@@ -128,6 +125,13 @@ class FoldAssignment:
     def fold_ids(self, manifest: Manifest, fold: int) -> list[str]:
         return [r.id for r in manifest.records if self.fold_of[r.id] == fold]
 
+    def check_covers(self, manifest: Manifest) -> None:
+        """Raise ManifestError naming manifest ids that have no fold."""
+        missing = [r.id for r in manifest.records if r.id not in self.fold_of]
+        if missing:
+            raise ManifestError(f"{len(missing)} manifest ids have no fold: "
+                                + ", ".join(missing[:8]))
+
 
 def stratified_kfold(manifest: Manifest, k: int = 5, seed: int = 0) -> FoldAssignment:
     """Per-class seeded shuffle followed by round-robin fold assignment.
@@ -184,14 +188,19 @@ def read_manifest_csv(path) -> Manifest:
         if header != MANIFEST_HEADER:
             raise ManifestError(f"{path}: unexpected manifest header {header}")
         for row in reader:
+            if len(row) != len(MANIFEST_HEADER):
+                raise ManifestError(f"{path}:{reader.line_num}: expected "
+                                    f"{len(MANIFEST_HEADER)} fields, got {len(row)}")
             sid, rgb, rgnir, label, session, lat, lon = row
             if label not in LABELS:
                 raise ManifestError(f"{path}: unknown label {label!r} for id {sid}")
+            try:
+                lat, lon = (float(v) if v else None for v in (lat, lon))
+            except ValueError as exc:
+                raise ManifestError(f"{path}:{reader.line_num}: {exc}") from None
             records.append(SampleRecord(
                 id=sid, rgb_path=rgb, rgnir_path=rgnir, label=label,
-                session_id=session,
-                lat=float(lat) if lat else None,
-                lon=float(lon) if lon else None))
+                session_id=session, lat=lat, lon=lon))
     counts = {label: 0 for label in LABELS}
     for r in records:
         counts[r.label] += 1
@@ -213,7 +222,10 @@ def read_folds_csv(path, k: int | None = None, seed: int = 0) -> FoldAssignment:
         header = next(reader, None)
         if header != ["id", "fold"]:
             raise ManifestError(f"{path}: unexpected folds header {header}")
-        for sid, fold in reader:
-            fold_of[sid] = int(fold)
+        for row in reader:
+            if len(row) != 2 or not (row[1].isascii() and row[1].isdigit()):
+                raise ManifestError(f"{path}:{reader.line_num}: expected "
+                                    f"'id,fold' with a fold >= 0, got {row}")
+            fold_of[row[0]] = int(row[1])
     inferred_k = (max(fold_of.values()) + 1) if fold_of else 0
     return FoldAssignment(k=k or inferred_k, seed=seed, fold_of=fold_of)

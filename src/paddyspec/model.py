@@ -200,14 +200,3 @@ def build_resnet18(in_channels: int = 3, num_classes: int = 3, seed: int = 0,
                    dtype=np.float32) -> ResNet18:
     return ResNet18(in_channels=in_channels, num_classes=num_classes,
                     seed=seed, dtype=dtype)
-
-
-def model_forward(model: ResNet18, batch: Tensor, mode: str = "eval") -> Tensor:
-    """Functional forward with an explicit mode string ("train" or "eval")."""
-    if mode not in ("train", "eval"):
-        raise ShapeError(f"mode must be 'train' or 'eval', got {mode!r}")
-    return model.forward(batch, train=(mode == "train"))
-
-
-def count_parameters(model: ResNet18) -> int:
-    return model.count_parameters()

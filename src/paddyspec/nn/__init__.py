@@ -7,7 +7,6 @@ from .tensor import (
     NonFiniteError,
     ShapeError,
     Tensor,
-    as_tensor,
     grad_enabled,
     no_grad,
     set_strict_finite,
@@ -22,7 +21,6 @@ from .ops import (
     global_avgpool,
     linear,
     maxpool2d,
-    maxpool2d_with_indices,
     relu,
     softmax,
     tensor_sum,
@@ -43,7 +41,6 @@ __all__ = [
     "ShapeError",
     "Tensor",
     "add",
-    "as_tensor",
     "batchnorm2d",
     "check_gradients",
     "conv2d",
@@ -52,7 +49,6 @@ __all__ = [
     "grad_enabled",
     "linear",
     "maxpool2d",
-    "maxpool2d_with_indices",
     "no_grad",
     "numeric_gradient",
     "read_checkpoint",

@@ -83,9 +83,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
     return Tensor.from_op(out, parents, backward, name="conv2d")
 
 
-def maxpool2d_with_indices(x: Tensor, kernel: int, stride: int,
-                           padding: int = 0) -> tuple[Tensor, np.ndarray]:
-    """Max pooling; also returns flat argmax indices into the unpadded input."""
+def maxpool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
+    """Max pooling; backward routes each gradient to its window's argmax."""
     if kernel < 1 or stride < 1:
         raise ShapeError(f"maxpool2d: kernel/stride must be positive, got {kernel}/{stride}")
     if padding < 0 or padding >= kernel:
@@ -120,12 +119,7 @@ def maxpool2d_with_indices(x: Tensor, kernel: int, stride: int,
                              minlength=b * c * h * w)
             x._accumulate(gx.reshape(b, c, h, w).astype(x.dtype))
 
-    return Tensor.from_op(out, (x,), backward, name="maxpool2d"), flat_idx
-
-
-def maxpool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
-    out, _ = maxpool2d_with_indices(x, kernel, stride, padding)
-    return out
+    return Tensor.from_op(out, (x,), backward, name="maxpool2d")
 
 
 def global_avgpool(x: Tensor) -> Tensor:

@@ -53,20 +53,26 @@ def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     if not raw.startswith(MAGIC):
         raise CheckpointError(f"{path}: bad magic")
     rest = raw[len(MAGIC):]
-    nl = rest.index(b"\n")
-    header_len = int(rest[:nl])
-    header_start = nl + 1
-    header = json.loads(rest[header_start:header_start + header_len].decode("utf-8"))
+    try:
+        nl = rest.index(b"\n")
+        header_len = int(rest[:nl])
+        header_start = nl + 1
+        header = json.loads(rest[header_start:header_start + header_len].decode("utf-8"))
+        meta, directory, blob_bytes = header["meta"], header["tensors"], header["blob_bytes"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"{path}: malformed header: {exc!r}") from None
     blob_start = header_start + header_len + 1
     blob = rest[blob_start:]
-    if len(blob) != header["blob_bytes"]:
+    if len(blob) != blob_bytes:
         raise CheckpointError(
-            f"{path}: blob is {len(blob)} bytes, header says {header['blob_bytes']}")
+            f"{path}: blob is {len(blob)} bytes, header says {blob_bytes}")
     tensors = {}
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=start)
-        tensors[entry["name"]] = arr.reshape(shape).copy()
-    return header["meta"], tensors
+    try:
+        for entry in directory:
+            shape = tuple(entry["shape"])
+            count = int(np.prod(shape)) if shape else 1
+            arr = np.frombuffer(blob, dtype="<f4", count=count, offset=entry["offset"])
+            tensors[entry["name"]] = arr.reshape(shape).copy()
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"{path}: malformed tensor entry: {exc!r}") from None
+    return meta, tensors

@@ -166,14 +166,6 @@ class Tensor:
                 node._backward_fn(node.grad)
 
 
-def as_tensor(value, dtype=None) -> Tensor:
-    """Coerce arrays or scalars to a non-grad Tensor."""
-    if isinstance(value, Tensor):
-        return value
-    arr = np.asarray(value, dtype=dtype)
-    return Tensor(arr)
-
-
 def same_dtype(op: str, *arrays: np.ndarray) -> None:
     """Enforce a single precision mode across an op's operands."""
     dtypes = {a.dtype for a in arrays}

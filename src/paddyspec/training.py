@@ -43,6 +43,8 @@ class TrainConfig:
     precision: str = "float32"
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise TrainingError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise TrainingError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.cycle_epochs < 1:
@@ -237,20 +239,25 @@ def fit(model: ResNet18, cfg: TrainConfig, arrays: np.ndarray, labels: np.ndarra
         shuffle_tag: int = 0, on_epoch=None) -> tuple[list[float], int]:
     """Optimize the model in place; returns per-step losses and step count.
 
-    ``on_epoch(model, steps_so_far)`` runs after each epoch; returning True
-    stops training early (convergence probes, overfit checks).
+    Runs ``cfg.epochs`` epochs. A step budget overrides that count: it runs
+    ``ceil(max_steps / steps_per_epoch)`` epochs, the last one cut short at
+    ``max_steps``. ``on_epoch(model, steps_so_far)`` runs after each epoch, a
+    cut-short one included; returning True stops training early (convergence
+    probes, overfit checks).
     """
+    if max_steps is not None and max_steps < 1:
+        raise TrainingError(f"max_steps must be >= 1, got {max_steps}")
     n = len(arrays)
     optimizer = Adam(model.parameters())
     steps_per_epoch = math.ceil(n / cfg.batch_size)
+    epochs = cfg.epochs if max_steps is None else math.ceil(max_steps / steps_per_epoch)
     weights = np.asarray(class_weights, dtype=cfg.dtype)
     losses: list[float] = []
-    step = 0
-    epoch = 0
-    while True:
-        rng = np.random.default_rng([cfg.seed, shuffle_tag, epoch])
-        order = rng.permutation(n)
+    for epoch in range(epochs):
+        order = np.random.default_rng([cfg.seed, shuffle_tag, epoch]).permutation(n)
         for i in range(steps_per_epoch):
+            if max_steps is not None and len(losses) >= max_steps:
+                break
             idx = order[i * cfg.batch_size:(i + 1) * cfg.batch_size]
             x = Tensor(arrays[idx].astype(cfg.dtype))
             logits = model.forward(x, train=True)
@@ -261,21 +268,14 @@ def fit(model: ResNet18, cfg: TrainConfig, arrays: np.ndarray, labels: np.ndarra
             if lr > 0.0:
                 optimizer.step(lr)
             losses.append(loss.item())
-            step += 1
-            if max_steps is not None and step >= max_steps:
-                return losses, step
-        epoch += 1
-        if on_epoch is not None and on_epoch(model, step):
-            return losses, step
-        if max_steps is None and epoch >= cfg.epochs:
-            return losses, step
-        if max_steps is not None and epoch >= 10 * cfg.epochs:
-            return losses, step
+        if on_epoch is not None and on_epoch(model, len(losses)):
+            break
+    return losses, len(losses)
 
 
 def train_fold(cfg: TrainConfig, manifest: Manifest, folds: FoldAssignment,
                fold_id: int, source, max_steps: int | None = None) -> TrainResult:
-    """Train on k-1 folds and validate on the held-out fold.
+    """Train on k-1 folds and validate on the held-out fold after every epoch.
 
     Class weights come from the training folds only; the model seed is
     derived from (cfg.seed, fold_id), making rgb and rgb_ndvi runs a paired
@@ -283,6 +283,7 @@ def train_fold(cfg: TrainConfig, manifest: Manifest, folds: FoldAssignment,
     """
     if not 0 <= fold_id < folds.k:
         raise TrainingError(f"fold_id {fold_id} out of range for k={folds.k}")
+    folds.check_covers(manifest)
     train_records = [r for r in manifest.records if folds.fold_of[r.id] != fold_id]
     val_records = [r for r in manifest.records if folds.fold_of[r.id] == fold_id]
     if not train_records or not val_records:
@@ -299,49 +300,29 @@ def train_fold(cfg: TrainConfig, manifest: Manifest, folds: FoldAssignment,
 
     model = build_resnet18(in_channels=cfg.channels, num_classes=len(LABELS),
                            seed=model_seed(cfg.seed, fold_id), dtype=cfg.dtype)
+    validated: list[tuple[int, EvalResult]] = []
 
-    n = len(train_x)
-    optimizer = Adam(model.parameters())
-    steps_per_epoch = math.ceil(n / cfg.batch_size)
-    weights_t = weights.astype(cfg.dtype)
+    def validate(trained: ResNet18, steps: int) -> bool:
+        validated.append((steps, evaluate_model(trained, val_x, val_y, cfg.batch_size)))
+        return False
+
+    losses, steps = fit(model, cfg, train_x, train_y, weights, max_steps=max_steps,
+                        shuffle_tag=fold_id, on_epoch=validate)
     history = RunHistory()
-    step = 0
-    val_result: EvalResult | None = None
-    # an explicit step budget overrides the epoch count
-    total_epochs = cfg.epochs if max_steps is None else math.ceil(
-        max_steps / steps_per_epoch)
-    for epoch in range(total_epochs):
-        rng = np.random.default_rng([cfg.seed, fold_id, epoch])
-        order = rng.permutation(n)
-        epoch_losses = []
-        stop = False
-        for i in range(steps_per_epoch):
-            idx = order[i * cfg.batch_size:(i + 1) * cfg.batch_size]
-            logits = model.forward(Tensor(train_x[idx]), train=True)
-            loss = nn.weighted_cross_entropy(logits, train_y[idx], weights_t)
-            optimizer.zero_grad()
-            loss.backward()
-            lr = lr_at(epoch + i / steps_per_epoch, cfg)
-            if lr > 0.0:
-                optimizer.step(lr)
-            epoch_losses.append(loss.item())
-            step += 1
-            if max_steps is not None and step >= max_steps:
-                stop = True
-                break
-        val_result = evaluate_model(model, val_x, val_y, cfg.batch_size)
+    start = 0
+    for epoch, (end, result) in enumerate(validated):
         history.epochs.append(EpochStats(
             epoch=epoch,
             lr=lr_at(float(epoch), cfg),
-            train_loss=float(np.mean(epoch_losses)),
-            val_macro_f1=val_result.macro_f1,
-            per_class_f1=tuple(float(v) for v in val_result.per_class_f1),
+            train_loss=float(np.mean(losses[start:end])),
+            val_macro_f1=result.macro_f1,
+            per_class_f1=tuple(float(v) for v in result.per_class_f1),
         ))
-        if stop:
-            break
-    history.final_confusion = val_result.confusion if val_result else None
+        start = end
+    val_result = validated[-1][1]
+    history.final_confusion = val_result.confusion
     return TrainResult(model=model, history=history, val_result=val_result,
-                       steps_taken=step, class_weights=weights)
+                       steps_taken=steps, class_weights=weights)
 
 
 # -- cross-validation -----------------------------------------------------------------

@@ -110,6 +110,52 @@ class TestRegisterErrors:
         assert "a_rgb.png" in capsys.readouterr().err
 
 
+class TestMalformedInputs:
+    """Bad folds, manifest and checkpoint files exit 1 with a one-line message."""
+
+    def _split_files(self, tmp_path, folds_rows):
+        from paddyspec import dataset as ds
+        records = [ds.SampleRecord(id=f"{label}0", rgb_path="", rgnir_path="", label=label)
+                   for label in ds.LABELS]
+        manifest = ds.Manifest(records=records, counts={}, checksum="")
+        ds.write_manifest_csv(manifest, tmp_path / "manifest.csv")
+        (tmp_path / "folds.csv").write_text("id,fold\n" + "".join(
+            row + "\n" for row in folds_rows))
+
+    def _fails_on_one_line(self, argv, capsys, needle):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("paddyspec: ") and err.count("\n") == 1, err
+        assert needle in err
+
+    def test_folds_missing_manifest_id(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        self._split_files(tmp_path, ["blast0,0", "healthy0,1"])
+        self._fails_on_one_line(["train", "--manifest", "manifest.csv",
+                                 "--folds", "folds.csv"], capsys, "brown_spot0")
+
+    @pytest.mark.parametrize("bad_row", ["healthy0", "healthy0,1,1", "healthy0,x"])
+    def test_malformed_folds_row(self, tmp_path, monkeypatch, capsys, bad_row):
+        monkeypatch.chdir(tmp_path)
+        self._split_files(tmp_path, ["blast0,0", "brown_spot0,1", bad_row])
+        self._fails_on_one_line(["train", "--manifest", "manifest.csv",
+                                 "--folds", "folds.csv"], capsys, "folds.csv:4")
+
+    def test_short_manifest_row(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        self._split_files(tmp_path, [])
+        with open(tmp_path / "manifest.csv", "a") as fh:
+            fh.write("x,x_rgb.png,x_rgnir.png,blast\n")
+        self._fails_on_one_line(["register", "--pairs", "manifest.csv"], capsys,
+                                "manifest.csv:5")
+
+    def test_malformed_checkpoint_header(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.ckpt").write_bytes(b"PSPECKPT1\nxx\n")
+        self._fails_on_one_line(["eval", "--checkpoint", "bad.ckpt"], capsys,
+                                "malformed header")
+
+
 @pytest.mark.slow
 class TestPipeline:
     def test_full_pipeline(self, fixture_workdir, monkeypatch, capsys):

@@ -68,6 +68,17 @@ class TestBuildManifest:
         assert back.checksum == manifest.checksum
         assert back.counts == manifest.counts
 
+    @pytest.mark.parametrize("row", [
+        "a,a_rgb.png,a_rgnir.png,blast,,",              # short
+        "a,a_rgb.png,a_rgnir.png,blast,,,,",            # long
+        "a,a_rgb.png,a_rgnir.png,blast,,north,",        # non-numeric latitude
+    ])
+    def test_malformed_row_is_manifest_error(self, tmp_path, row):
+        path = tmp_path / "manifest.csv"
+        path.write_text(",".join(ds.MANIFEST_HEADER) + "\n" + row + "\n")
+        with pytest.raises(ManifestError, match="manifest.csv:2"):
+            ds.read_manifest_csv(path)
+
 
 class TestStratifiedKfold:
     def _manifest(self, counts):
@@ -135,6 +146,22 @@ class TestStratifiedKfold:
         back = ds.read_folds_csv(path)
         assert back.fold_of == folds.fold_of
         assert back.k == 3
+
+    @pytest.mark.parametrize("row", ["a", "a,0,1", "a,one", "a,-1", "a,1.5", "a,"])
+    def test_malformed_folds_row_is_manifest_error(self, tmp_path, row):
+        path = tmp_path / "folds.csv"
+        path.write_text("id,fold\nb,0\n" + row + "\n")
+        with pytest.raises(ManifestError, match="folds.csv:3"):
+            ds.read_folds_csv(path)
+
+    def test_check_covers_names_missing_ids(self):
+        manifest = self._manifest((3, 3, 3))
+        folds = ds.stratified_kfold(manifest, k=3, seed=0)
+        folds.check_covers(manifest)
+        dropped = manifest.records[4].id
+        del folds.fold_of[dropped]
+        with pytest.raises(ManifestError, match=dropped):
+            folds.check_covers(manifest)
 
 
 class TestClassWeights:

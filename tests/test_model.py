@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 from paddyspec import nn
-from paddyspec.model import STAGE_WIDTHS, build_resnet18, count_parameters
+from paddyspec.model import STAGE_WIDTHS, build_resnet18
 from paddyspec.nn import Tensor
+from paddyspec.nn.serialize import MAGIC
 
 
 def tally_parameters(in_channels: int, num_classes: int) -> int:
@@ -50,7 +51,7 @@ class TestStructure:
     def test_count_is_structural(self):
         a = build_resnet18(seed=0)
         b = build_resnet18(seed=99)
-        assert count_parameters(a) == count_parameters(b)
+        assert a.count_parameters() == b.count_parameters()
 
     def test_same_seed_bit_identical(self):
         a = build_resnet18(in_channels=4, seed=7)
@@ -172,6 +173,25 @@ class TestCheckpoint:
             a = model.forward(x, train=False).data
             b = clone.forward(x, train=False).data
         assert a.tobytes() == b.tobytes()
+
+    @staticmethod
+    def framed(header: bytes, blob: bytes = b"") -> bytes:
+        return str(len(header)).encode() + b"\n" + header + b"\n" + blob
+
+    @pytest.mark.parametrize("body", [
+        b"xx\n",                                            # non-integer length
+        b"5",                                               # no length line
+        framed(b"{bad}"),                                   # bad JSON
+        framed(b'{"meta": {}}'),                            # no tensors/blob_bytes
+        framed(b"[]"),                                      # header is not an object
+        framed(b'{"blob_bytes": 4, "meta": {}, "tensors": [{"n": 1}]}',
+               b"\0\0\0\0"),                                # bad tensor entry
+    ])
+    def test_malformed_header_is_checkpoint_error(self, tmp_path, body):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(MAGIC + body)
+        with pytest.raises(nn.CheckpointError):
+            nn.read_checkpoint(path)
 
     def test_missing_tensor_rejected(self, tmp_path):
         model = build_resnet18(seed=9)

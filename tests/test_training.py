@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paddyspec import synthetic, training
-from paddyspec.dataset import LABELS, Manifest, SampleRecord, stratified_kfold
+from paddyspec.dataset import LABELS, Manifest, ManifestError, SampleRecord, stratified_kfold
+from paddyspec.model import build_resnet18
 from paddyspec.training import (
     ConfusionMatrix,
     InMemorySource,
@@ -18,6 +19,7 @@ from paddyspec.training import (
     evaluate_model,
     f1_scores,
     lr_at,
+    model_seed,
     train_fold,
 )
 
@@ -210,6 +212,73 @@ class TestTrainFold:
         assert lines[0] == "epoch,lr,train_loss,val_macro_f1,f1_blast,f1_spot,f1_healthy"
         assert len(lines) == 2
 
+    def test_folds_missing_an_id_fail_before_training(self):
+        manifest, source = tiny_dataset(n_per_class=2)
+        folds = stratified_kfold(manifest, k=2, seed=0)
+        del folds.fold_of[manifest.records[1].id]
+        with pytest.raises(ManifestError, match=manifest.records[1].id):
+            train_fold(small_cfg(), manifest, folds, 0, source)
+
+
+class TestSingleLoop:
+    """train_fold is fit() on the fold's data plus per-epoch validation."""
+
+    @staticmethod
+    def fold_data(cfg, manifest, source, folds, fold_id):
+        records = [r for r in manifest.records if folds.fold_of[r.id] != fold_id]
+        x = training.load_sample_batch(source, records, cfg)
+        y = np.array([LABELS.index(r.label) for r in records], dtype=np.int64)
+        return x, y
+
+    def test_step_budget_cuts_last_epoch_and_still_validates(self):
+        manifest, source = tiny_dataset(n_per_class=4)
+        folds = stratified_kfold(manifest, k=2, seed=0)
+        # 6 training samples at batch 3: two steps per epoch, so 3 steps end mid-epoch
+        cfg = small_cfg(epochs=5, batch_size=3, precision="float64")
+        result = train_fold(cfg, manifest, folds, 0, source, max_steps=3)
+        assert result.steps_taken == 3
+        assert [e.epoch for e in result.history.epochs] == [0, 1]
+        held_out = sum(1 for r in manifest.records if folds.fold_of[r.id] == 0)
+        assert result.history.final_confusion.total() == held_out
+        assert result.val_result.confusion is result.history.final_confusion
+
+    def test_train_fold_equals_fit_on_fold_data(self):
+        manifest, source = tiny_dataset(n_per_class=4)
+        folds = stratified_kfold(manifest, k=2, seed=0)
+        cfg = small_cfg(epochs=2, batch_size=3, precision="float64", seed=3)
+        fold_id = 1
+        result = train_fold(cfg, manifest, folds, fold_id, source)
+        x, y = self.fold_data(cfg, manifest, source, folds, fold_id)
+        direct = build_resnet18(in_channels=cfg.channels, seed=model_seed(cfg.seed, fold_id),
+                                dtype=cfg.dtype)
+        losses, steps = training.fit(direct, cfg, x, y, result.class_weights,
+                                     shuffle_tag=fold_id)
+        assert steps == result.steps_taken
+        for (name, a), (_, b) in zip(result.model.named_parameters(),
+                                     direct.named_parameters()):
+            assert a.data.tobytes() == b.data.tobytes(), name
+        per_epoch = [float(np.mean(losses[i:i + 2])) for i in (0, 2)]
+        assert [e.train_loss for e in result.history.epochs] == per_epoch
+
+    def test_step_budget_overrides_epochs(self):
+        manifest, source = tiny_dataset(n_per_class=4)
+        folds = stratified_kfold(manifest, k=2, seed=0)
+        cfg = small_cfg(epochs=1, batch_size=3)
+        x, y = self.fold_data(cfg, manifest, source, folds, 0)
+        seen = []
+        model = build_resnet18(in_channels=cfg.channels, seed=0, dtype=cfg.dtype)
+        losses, steps = training.fit(model, cfg, x, y, np.ones(3), max_steps=5,
+                                     on_epoch=lambda m, s: seen.append(s))
+        assert steps == len(losses) == 5
+        assert seen == [2, 4, 5]
+
+    def test_non_positive_budget_rejected(self):
+        cfg = small_cfg()
+        model = build_resnet18(in_channels=cfg.channels, seed=0)
+        with pytest.raises(TrainingError, match="max_steps"):
+            training.fit(model, cfg, np.zeros((2, 4, 16, 16), np.float32),
+                         np.zeros(2, np.int64), np.ones(3), max_steps=0)
+
 
 class TestCrossValidate:
     def test_protocol_shape_two_folds_two_modes(self):
@@ -232,6 +301,10 @@ class TestCrossValidate:
 
 
 class TestConfigValidation:
+    def test_rejects_zero_epochs(self):
+        with pytest.raises(TrainingError, match="epochs"):
+            TrainConfig(epochs=0)
+
     def test_rejects_unknown_mode(self):
         with pytest.raises(TrainingError):
             TrainConfig(input_mode="hyperspectral")
