@@ -256,11 +256,19 @@ def _checkpoint_name(fold: int, mode: str) -> str:
     return f"fold{fold}_{mode}"
 
 
+def _fold_arg(value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"--fold must be an integer, got {value!r}") from None
+
+
 def cmd_train(cfg: PipelineConfig, args) -> int:
+    fold = None if args.fold == "all" else _fold_arg(args.fold)
     manifest, folds = _load_split(cfg, args.manifest, args.folds)
     source = FusedCacheSource(cfg.paths.cache_dir)
     train_cfg = cfg.train_config()
-    fold_ids = list(range(folds.k)) if args.fold == "all" else [int(args.fold)]
+    fold_ids = list(range(folds.k)) if fold is None else [fold]
     if args.dry_run:
         print(f"train: folds {fold_ids} mode {train_cfg.input_mode} (dry run)")
         return EXIT_OK
@@ -297,7 +305,13 @@ def _load_checkpoint_model(path):
         meta, arrays = nn.read_checkpoint(path)
     except (OSError, nn.CheckpointError) as exc:
         raise CommandFailure(f"cannot read checkpoint {path}: {exc}") from exc
-    arch = meta["arch"]
+    arch = meta.get("arch") if isinstance(meta, dict) else None
+    if not (isinstance(arch, dict) and isinstance(meta.get("input_mode"), str)
+            and all(isinstance(v, int) for v in (arch.get("in_channels"),
+                                                  arch.get("num_classes"),
+                                                  meta.get("input_size")))):
+        raise CommandFailure(f"checkpoint {path}: meta needs arch.in_channels, "
+                             "arch.num_classes, input_mode and input_size")
     model = build_resnet18(in_channels=arch["in_channels"],
                            num_classes=arch["num_classes"], seed=meta.get("seed", 0))
     model.load_state_arrays(arrays)
@@ -305,9 +319,14 @@ def _load_checkpoint_model(path):
 
 
 def cmd_eval(cfg: PipelineConfig, args) -> int:
+    fold = _fold_arg(args.fold) if args.fold is not None else None
     meta, model = _load_checkpoint_model(args.checkpoint)
+    if fold is None:
+        fold = meta.get("fold")
+        if not isinstance(fold, int):
+            raise CommandFailure(f"checkpoint {args.checkpoint} names no fold; "
+                                 "pass --fold")
     manifest, folds = _load_split(cfg, args.manifest, args.folds)
-    fold = int(args.fold) if args.fold is not None else meta["fold"]
     records = [r for r in manifest.records if folds.fold_of[r.id] == fold]
     if not records:
         raise CommandFailure(f"fold {fold} holds no samples")

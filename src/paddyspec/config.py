@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .registration import RegistrationError, RegistrationParams
 from .training import TrainConfig, TrainingError
 
 CACHE_ENV_VAR = "PADDYSPEC_CACHE"
@@ -30,43 +31,23 @@ class PathsConfig:
 
 
 @dataclass
-class RegistrationConfig:
-    target_count: int = 10000
-    drop_fraction: float = 0.10
-    drop_best: bool = False
-    ransac_iters: int = 2000
-    inlier_px: float = 3.0
-    min_inliers: int = 10
-
-
-@dataclass
 class PipelineConfig:
     paths: PathsConfig = field(default_factory=PathsConfig)
-    registration: RegistrationConfig = field(default_factory=RegistrationConfig)
+    registration: RegistrationParams = field(default_factory=RegistrationParams)
     calibration_session: str = ""
     training: TrainConfig = field(default_factory=TrainConfig)
     seed: int = 0
 
     def train_config(self, **overrides) -> TrainConfig:
         """Training section with the pipeline seed folded in."""
-        values = dataclasses.asdict(self.training)
-        values["seed"] = self.seed
-        values.update(overrides)
         try:
-            return TrainConfig(**values)
+            return dataclasses.replace(self.training, **{"seed": self.seed, **overrides})
         except TrainingError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def registration_params(self):
-        from .registration import RansacParams, RegistrationParams
-        r = self.registration
-        return RegistrationParams(
-            target_count=r.target_count,
-            drop_fraction=r.drop_fraction,
-            drop_best=r.drop_best,
-            ransac=RansacParams(iters=r.ransac_iters, inlier_px=r.inlier_px,
-                                min_inliers=r.min_inliers, seed=self.seed),
-        )
+    def registration_params(self) -> RegistrationParams:
+        """Registration section with the pipeline seed folded in."""
+        return dataclasses.replace(self.registration, seed=self.seed)
 
 
 def default_config() -> PipelineConfig:
@@ -75,18 +56,38 @@ def default_config() -> PipelineConfig:
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
     d = dataclasses.asdict(cfg)
-    d["training"].pop("seed")  # the pipeline seed is the single source
+    for section in ("training", "registration"):
+        d[section].pop("seed")  # the pipeline seed is the single source
     return d
 
 
-def _apply_section(obj, values: dict, section: str, skip: tuple[str, ...] = ()):
-    allowed = {f.name for f in dataclasses.fields(obj)} - set(skip)
-    unknown = set(values) - allowed
+def _check_type(name: str, value, default) -> None:
+    """``value`` has the type of ``default``; an int may stand for a float, but a
+    bool never stands for a number."""
+    kind = type(default)
+    allowed = (int, float) if kind is float else kind
+    if not isinstance(value, allowed) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
+
+
+def _apply_section(obj, values, section: str, skip: tuple[str, ...] = ()):
+    """Copy of a config section with ``values`` applied, type-checked and validated."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"{section} must be an object, got {values!r}")
+    for key in skip:
+        if key in values:
+            raise ConfigError(f"{section}.{key} is not a key; set the top-level {key}")
+    defaults = {f.name: f.default for f in dataclasses.fields(obj) if f.name not in skip}
+    unknown = set(values) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown key(s) in {section}: {sorted(unknown)}; "
-                          f"allowed: {sorted(allowed)}")
+                          f"allowed: {sorted(defaults)}")
     for key, value in values.items():
-        setattr(obj, key, value)
+        _check_type(f"{section}.{key}", value, defaults[key])
+    try:
+        return dataclasses.replace(obj, **values)
+    except (RegistrationError, TrainingError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
@@ -99,18 +100,19 @@ def config_from_dict(data: dict) -> PipelineConfig:
         raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}; "
                           f"allowed: {sorted(top_allowed)}")
     if "paths" in data:
-        _apply_section(cfg.paths, data["paths"], "paths")
+        cfg.paths = _apply_section(cfg.paths, data["paths"], "paths")
     if "registration" in data:
-        _apply_section(cfg.registration, data["registration"], "registration")
+        cfg.registration = _apply_section(cfg.registration, data["registration"],
+                                          "registration", skip=("seed",))
     if "training" in data:
-        if "seed" in data["training"]:
-            raise ConfigError("training.seed is not a key; set the top-level seed")
-        _apply_section(cfg.training, data["training"], "training", skip=("seed",))
-        cfg.training = TrainConfig(**dataclasses.asdict(cfg.training))  # re-validate
+        cfg.training = _apply_section(cfg.training, data["training"], "training",
+                                      skip=("seed",))
     if "calibration_session" in data:
-        cfg.calibration_session = str(data["calibration_session"])
+        _check_type("calibration_session", data["calibration_session"], "")
+        cfg.calibration_session = data["calibration_session"]
     if "seed" in data:
-        cfg.seed = int(data["seed"])
+        _check_type("seed", data["seed"], 0)
+        cfg.seed = data["seed"]
     return cfg
 
 
@@ -121,10 +123,7 @@ def load_config(path) -> PipelineConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    try:
-        return config_from_dict(data)
-    except TrainingError as exc:
-        raise ConfigError(str(exc)) from exc
+    return config_from_dict(data)
 
 
 def resolve_config(config_path: str | None, seed: int | None = None,

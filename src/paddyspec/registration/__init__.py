@@ -6,7 +6,6 @@ from .descriptors import DESCRIPTOR_BITS, TEST_PATTERN, compute_descriptors
 from .matching import Match, filter_matches, hamming_distance, match_bruteforce
 from .homography import (
     Homography,
-    RansacParams,
     RansacResult,
     dlt_homography,
     estimate_homography,
@@ -28,7 +27,6 @@ __all__ = [
     "RGNIR_FOV_DEGREES",
     "Keypoint",
     "Match",
-    "RansacParams",
     "RansacResult",
     "RegistrationDiagnostics",
     "RegistrationError",

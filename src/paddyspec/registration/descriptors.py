@@ -10,14 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import RegistrationError
-from .keypoints import (
-    N_LEVELS,
-    SCALE_FACTOR,
-    Keypoint,
-    _coerce_gray,
-    build_pyramid,
-    gaussian_smooth,
-)
+from .keypoints import Keypoint, gaussian_smooth
 
 DESCRIPTOR_BITS = 256
 DESCRIPTOR_BYTES = DESCRIPTOR_BITS // 8
@@ -51,20 +44,16 @@ def _make_test_pattern(n_tests: int = DESCRIPTOR_BITS,
 TEST_PATTERN = _make_test_pattern()
 
 
-def compute_descriptors(img, keypoints: list[Keypoint],
-                        n_levels: int = N_LEVELS,
-                        scale_factor: float = SCALE_FACTOR,
-                        ) -> tuple[np.ndarray, list[int]]:
-    """Descriptors for keypoints at least 16 px inside their pyramid level.
+def compute_descriptors(levels: list[np.ndarray],
+                        keypoints: list[Keypoint]) -> tuple[np.ndarray, list[int]]:
+    """Descriptors for keypoints at least 16 px inside their level of the
+    ``build_pyramid`` pyramid they were detected on.
 
     Returns (packed descriptors (M, 32) uint8, kept original indices). Border
     keypoints are dropped and reported through the kept-index list.
     """
-    gray = _coerce_gray(img)
     if not keypoints:
         raise RegistrationError("describe", "no keypoints to describe")
-    levels = build_pyramid(gray, n_levels, scale_factor)
-    smoothed = {}
 
     ax = TEST_PATTERN[:, 0, 0].astype(np.float64)
     ay = TEST_PATTERN[:, 0, 1].astype(np.float64)
@@ -81,9 +70,7 @@ def compute_descriptors(img, keypoints: list[Keypoint],
 
     descs_by_index: dict[int, np.ndarray] = {}
     for lvl, indices in sorted(by_level.items()):
-        if lvl not in smoothed:
-            smoothed[lvl] = gaussian_smooth(levels[lvl])
-        img_l = smoothed[lvl]
+        img_l = gaussian_smooth(levels[lvl])
         h, w = img_l.shape
         xs = np.array([keypoints[i].x_lvl for i in indices], dtype=np.intp)
         ys = np.array([keypoints[i].y_lvl for i in indices], dtype=np.intp)

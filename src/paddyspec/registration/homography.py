@@ -107,14 +107,6 @@ def _collinear(points: np.ndarray, tol: float = 1e-6) -> bool:
 
 
 @dataclass
-class RansacParams:
-    iters: int = 2000
-    inlier_px: float = 3.0
-    min_inliers: int = 10
-    seed: int = 0
-
-
-@dataclass
 class RansacResult:
     homography: Homography
     inliers: list[Match]
@@ -123,15 +115,14 @@ class RansacResult:
 
 
 def estimate_homography(matches: list[Match], kps_a: list[Keypoint],
-                        kps_b: list[Keypoint],
-                        params: RansacParams | None = None) -> RansacResult:
+                        kps_b: list[Keypoint], *, iters: int = 2000,
+                        inlier_px: float = 3.0, min_inliers: int = 10,
+                        seed: int = 0) -> RansacResult:
     """Robustly fit the homography mapping keypoints A onto keypoints B.
 
     Sampling order is fixed by the seed over a canonically sorted copy of
     the match list, so any permutation of the input yields the same result.
     """
-    if params is None:
-        params = RansacParams()
     if len(matches) < 4:
         raise RegistrationError(
             "estimate", f"need >= 4 matches to estimate a homography, got {len(matches)}")
@@ -140,14 +131,14 @@ def estimate_homography(matches: list[Match], kps_a: list[Keypoint],
     src = np.array([[kps_a[m.index_a].x, kps_a[m.index_a].y] for m in canon])
     dst = np.array([[kps_b[m.index_b].x, kps_b[m.index_b].y] for m in canon])
     n = len(canon)
-    needed = min(params.min_inliers, n)
+    needed = min(min_inliers, n)
 
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(seed)
     best_mask: np.ndarray | None = None
     best_count = 0
     best_err = np.inf
     solved_any = False
-    for _ in range(params.iters):
+    for _ in range(iters):
         pick = rng.choice(n, size=4, replace=False)
         if _collinear(src[pick]) or _collinear(dst[pick]):
             continue
@@ -157,7 +148,7 @@ def estimate_homography(matches: list[Match], kps_a: list[Keypoint],
             continue
         solved_any = True
         err = symmetric_transfer_error(h, src, dst)
-        mask = err < params.inlier_px
+        mask = err < inlier_px
         count = int(mask.sum())
         total = float(err[mask].sum()) if count else np.inf
         if count > best_count or (count == best_count and total < best_err):

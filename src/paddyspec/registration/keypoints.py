@@ -159,18 +159,6 @@ class Keypoint:
     y_lvl: int
 
 
-def build_pyramid(gray: np.ndarray, n_levels: int = N_LEVELS,
-                  scale_factor: float = SCALE_FACTOR) -> list[np.ndarray]:
-    levels = [gray.astype(np.float64)]
-    for lvl in range(1, n_levels):
-        s = scale_factor ** lvl
-        w = max(8, int(round(gray.shape[1] / s)))
-        h = max(8, int(round(gray.shape[0] / s)))
-        img = ImageF(gray.astype(np.float32), ("G",))
-        levels.append(resize_bilinear(img, w, h).data[:, :, 0].astype(np.float64))
-    return levels
-
-
 def _coerce_gray(img) -> np.ndarray:
     if isinstance(img, ImageF):
         if img.channels != 1:
@@ -182,17 +170,28 @@ def _coerce_gray(img) -> np.ndarray:
     return arr
 
 
-def detect_keypoints(img, target_count: int = 10000,
-                     n_levels: int = N_LEVELS,
-                     scale_factor: float = SCALE_FACTOR) -> list[Keypoint]:
-    """Detect up to target_count corners, strongest Harris response first."""
+def build_pyramid(img) -> list[np.ndarray]:
+    """N_LEVELS float64 levels of a grayscale image, each SCALE_FACTOR smaller."""
     gray = _coerce_gray(img)
     if gray.shape[0] < 32 or gray.shape[1] < 32:
         raise RegistrationError("detect", f"image too small for detection: {gray.shape}")
+    levels = [gray]
+    src = ImageF(gray.astype(np.float32), ("G",))
+    for lvl in range(1, N_LEVELS):
+        s = SCALE_FACTOR ** lvl
+        w = max(8, int(round(gray.shape[1] / s)))
+        h = max(8, int(round(gray.shape[0] / s)))
+        levels.append(resize_bilinear(src, w, h).data[:, :, 0].astype(np.float64))
+    return levels
+
+
+def detect_keypoints(levels: list[np.ndarray],
+                     target_count: int = 10000) -> list[Keypoint]:
+    """Detect up to target_count corners over a ``build_pyramid`` pyramid,
+    strongest Harris response first."""
     if target_count < 4:
         raise RegistrationError("detect", f"target_count must be >= 4, got {target_count}")
 
-    levels = build_pyramid(gray, n_levels, scale_factor)
     areas = np.array([lv.size for lv in levels], dtype=np.float64)
     shares = target_count * areas / areas.sum()
     quotas = np.maximum(1, np.floor(shares).astype(int))
@@ -244,9 +243,9 @@ def detect_keypoints(img, target_count: int = 10000,
         xs = np.array([found[i][3] for i in indices], dtype=np.intp)
         angles[indices] = _orientations(levels[lvl], ys, xs)
 
-    h0, w0 = gray.shape
+    h0, w0 = levels[0].shape
     for idx, (score, lvl, y, x) in enumerate(found):
-        s = scale_factor ** lvl
+        s = SCALE_FACTOR ** lvl
         dx, dy = _subpixel_offset(responses[lvl], y, x)
         x0 = min(max((x + dx + 0.5) * s - 0.5, 0.0), w0 - 1.0)
         y0 = min(max((y + dy + 0.5) * s - 0.5, 0.0), h0 - 1.0)

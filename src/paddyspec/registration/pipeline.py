@@ -7,15 +7,15 @@ at the R-G-NIR resolution.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..imaging import ImageF, ImageFormatError, warp_perspective
 from .descriptors import compute_descriptors
 from .errors import RegistrationError
-from .homography import Homography, RansacParams, RansacResult, estimate_homography
-from .keypoints import detect_keypoints
+from .homography import Homography, RansacResult, estimate_homography
+from .keypoints import build_pyramid, detect_keypoints
 from .matching import filter_matches, match_bruteforce
 
 # capture hardware geometry: the survey camera sees a much narrower field
@@ -27,10 +27,29 @@ RGB_FOV_DEGREES = 123.0
 
 @dataclass
 class RegistrationParams:
+    """Every registration setting; ``seed`` drives RANSAC sampling."""
+
     target_count: int = 10000
     drop_fraction: float = 0.10
     drop_best: bool = False
-    ransac: RansacParams = field(default_factory=RansacParams)
+    ransac_iters: int = 2000
+    inlier_px: float = 3.0
+    min_inliers: int = 10
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.target_count < 4:
+            raise RegistrationError(
+                "params", f"target_count must be >= 4, got {self.target_count}")
+        if not 0.0 <= self.drop_fraction < 1.0:
+            raise RegistrationError(
+                "params", f"drop_fraction must lie in [0, 1), got {self.drop_fraction}")
+        if self.ransac_iters < 1:
+            raise RegistrationError(
+                "params", f"ransac_iters must be >= 1, got {self.ransac_iters}")
+        if not self.inlier_px > 0.0:
+            raise RegistrationError(
+                "params", f"inlier_px must be > 0, got {self.inlier_px}")
 
 
 @dataclass
@@ -73,20 +92,22 @@ def register_pair(rgb: ImageF, rgnir: ImageF,
         if not img.has_band(band):
             raise RegistrationError("detect", f"{name} image has no {band} band")
 
-    gray_a = rgb.band("G").astype(np.float64)
-    gray_b = rgnir.band("G").astype(np.float64)
+    levels_a = build_pyramid(rgb.band("G"))
+    levels_b = build_pyramid(rgnir.band("G"))
 
-    kps_a = detect_keypoints(gray_a, params.target_count)
-    kps_b = detect_keypoints(gray_b, params.target_count)
+    kps_a = detect_keypoints(levels_a, params.target_count)
+    kps_b = detect_keypoints(levels_b, params.target_count)
     n_detected_a, n_detected_b = len(kps_a), len(kps_b)
-    descs_a, kept_a = compute_descriptors(gray_a, kps_a)
-    descs_b, kept_b = compute_descriptors(gray_b, kps_b)
+    descs_a, kept_a = compute_descriptors(levels_a, kps_a)
+    descs_b, kept_b = compute_descriptors(levels_b, kps_b)
     kps_a = [kps_a[i] for i in kept_a]
     kps_b = [kps_b[i] for i in kept_b]
 
     matches = match_bruteforce(descs_a, descs_b)
     filtered = filter_matches(matches, params.drop_fraction, params.drop_best)
-    result: RansacResult = estimate_homography(filtered, kps_a, kps_b, params.ransac)
+    result: RansacResult = estimate_homography(
+        filtered, kps_a, kps_b, iters=params.ransac_iters, inlier_px=params.inlier_px,
+        min_inliers=params.min_inliers, seed=params.seed)
 
     try:
         warped, mask = warp_perspective(rgb, result.homography, rgnir.width, rgnir.height)

@@ -21,7 +21,6 @@ from paddyspec import dataset as ds
 from paddyspec.dataset import LABELS, Manifest, SampleRecord, stratified_kfold
 from paddyspec.model import build_resnet18
 from paddyspec.nn import Tensor
-from paddyspec.registration import RansacParams
 from paddyspec.training import InMemorySource, TrainConfig
 
 pytestmark = pytest.mark.slow
@@ -78,14 +77,14 @@ def test_gradient_suite():
 def test_registration_accuracy():
     """Known-homography recovery under outliers, plus matcher oracle equality."""
     rng = np.random.default_rng(31337)
-    params = RansacParams(iters=2000, inlier_px=3.0, seed=7)
+    params = dict(iters=2000, inlier_px=3.0, seed=7)
 
     hits = 0
     for trial in range(100):
         h_true = synthetic.random_projective_homography(rng)
         kps_a, kps_b, matches = synthetic.make_correspondences(
             rng, h_true, n=100, noise=0.3, outlier_fraction=0.30)
-        result = reg.estimate_homography(matches, kps_a, kps_b, params)
+        result = reg.estimate_homography(matches, kps_a, kps_b, **params)
         err = synthetic.corner_reprojection_error(result.homography.matrix, h_true)
         if err < 1.0:
             hits += 1
@@ -96,7 +95,7 @@ def test_registration_accuracy():
         h_true = synthetic.random_projective_homography(rng)
         kps_a, kps_b, matches = synthetic.make_correspondences(
             rng, h_true, n=80, noise=0.0, outlier_fraction=0.30)
-        result = reg.estimate_homography(matches, kps_a, kps_b, params)
+        result = reg.estimate_homography(matches, kps_a, kps_b, **params)
         worst_clean = max(worst_clean, synthetic.corner_reprojection_error(
             result.homography.matrix, h_true))
     assert worst_clean < 0.5, f"noise-free corner error {worst_clean:.3f} >= 0.5 px"

@@ -44,6 +44,56 @@ class TestConfig:
         bad.write_text(json.dumps({"training": {"seed": 3}}))
         assert run(["--config", str(bad), "config", "print-defaults"]) == 2
 
+    def test_registration_seed_key_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"registration": {"seed": 3}}))
+        assert run(["--config", str(bad), "config", "print-defaults"]) == 2
+        assert "registration.seed" in capsys.readouterr().err
+
+    def test_registration_keys_are_flat_without_seed(self, capsys):
+        assert run(["config", "print-defaults"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert sorted(data["registration"]) == [
+            "drop_best", "drop_fraction", "inlier_px", "min_inliers", "ransac_iters",
+            "target_count"]
+
+    @pytest.mark.parametrize("config, needle", [
+        ({"seed": "abc"}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"training": {"epochs": "x"}}, "training.epochs"),
+        ({"training": {"batch_size": 2.5}}, "training.batch_size"),
+        ({"paths": 3}, "paths must be an object"),
+        ({"registration": "nope"}, "registration must be an object"),
+        ({"registration": {"ransac_iters": "x"}}, "registration.ransac_iters"),
+        ({"registration": {"drop_best": 1}}, "registration.drop_best"),
+        ({"registration": {"drop_fraction": 1.5}}, "drop_fraction"),
+        ({"registration": {"ransac_iters": 0}}, "ransac_iters"),
+        ({"registration": {"inlier_px": 0}}, "inlier_px"),
+        ({"calibration_session": 3}, "calibration_session"),
+    ])
+    def test_malformed_value_is_usage_error(self, tmp_path, capsys, config, needle):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        assert run(["--config", str(bad), "config", "print-defaults"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("paddyspec: config error: ") and err.count("\n") == 1, err
+        assert needle in err
+
+    def test_int_stands_for_float(self, tmp_path, capsys):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"registration": {"inlier_px": 2},
+                                    "training": {"lr_min": 0}}))
+        assert run(["--config", str(good), "config", "print-defaults"]) == 0
+
+    @pytest.mark.parametrize("argv", [["train", "--fold", "x"],
+                                      ["eval", "--checkpoint", "none.ckpt", "--fold", "x"]])
+    def test_non_integer_fold_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("paddyspec: ") and err.count("\n") == 1, err
+        assert "--fold" in err
+
     def test_cache_env_override(self, tmp_path, monkeypatch):
         from paddyspec.config import resolve_config
         monkeypatch.setenv("PADDYSPEC_CACHE", "/tmp/elsewhere")
@@ -154,6 +204,24 @@ class TestMalformedInputs:
         (tmp_path / "bad.ckpt").write_bytes(b"PSPECKPT1\nxx\n")
         self._fails_on_one_line(["eval", "--checkpoint", "bad.ckpt"], capsys,
                                 "malformed header")
+
+    def test_checkpoint_meta_without_arch(self, tmp_path, monkeypatch, capsys):
+        from paddyspec import nn
+        monkeypatch.chdir(tmp_path)
+        nn.write_checkpoint(tmp_path / "empty.ckpt", {}, {})
+        self._fails_on_one_line(["eval", "--checkpoint", "empty.ckpt"], capsys,
+                                "meta needs arch.in_channels")
+
+    def test_checkpoint_meta_without_fold(self, tmp_path, monkeypatch, capsys):
+        from paddyspec import nn
+        from paddyspec.model import build_resnet18
+        monkeypatch.chdir(tmp_path)
+        meta = {"arch": {"in_channels": 3, "num_classes": 3}, "input_mode": "rgb",
+                "input_size": 32}
+        nn.write_checkpoint(tmp_path / "nofold.ckpt", meta,
+                            build_resnet18(in_channels=3, num_classes=3).state_arrays())
+        self._fails_on_one_line(["eval", "--checkpoint", "nofold.ckpt"], capsys,
+                                "names no fold")
 
 
 @pytest.mark.slow

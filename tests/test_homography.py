@@ -5,7 +5,7 @@ import pytest
 from paddyspec import registration as reg
 from paddyspec import synthetic
 from paddyspec.imaging import ImageF
-from paddyspec.registration import RansacParams, RegistrationError
+from paddyspec.registration import RegistrationError
 
 
 def translation(tx, ty):
@@ -18,14 +18,14 @@ class TestDlt:
         h_true = translation(5.0, -3.0)
         kps_a, kps_b, matches = synthetic.make_correspondences(rng, h_true, n=4)
         result = reg.estimate_homography(matches, kps_a, kps_b,
-                                         RansacParams(iters=50, seed=1))
+                                         iters=50, seed=1)
         assert np.abs(result.homography.matrix - h_true).max() < 1e-6
 
     def test_identity_correspondences(self):
         rng = np.random.default_rng(1)
         kps_a, kps_b, matches = synthetic.make_correspondences(rng, np.eye(3), n=12)
         result = reg.estimate_homography(matches, kps_a, kps_b,
-                                         RansacParams(iters=100, seed=2))
+                                         iters=100, seed=2)
         assert np.abs(result.homography.matrix - np.eye(3)).max() < 1e-9
 
     def test_dlt_recovers_projective_map(self):
@@ -57,7 +57,7 @@ class TestRansac:
         kps_a, kps_b, matches = synthetic.make_correspondences(
             rng, h_true, n=100, outlier_fraction=0.30)
         result = reg.estimate_homography(matches, kps_a, kps_b,
-                                         RansacParams(iters=2000, seed=5))
+                                         iters=2000, seed=5)
         err = synthetic.corner_reprojection_error(result.homography.matrix, h_true)
         assert err < 1.0
         assert len(result.inliers) >= 60
@@ -67,10 +67,10 @@ class TestRansac:
         h_true = synthetic.random_projective_homography(rng)
         kps_a, kps_b, matches = synthetic.make_correspondences(
             rng, h_true, n=60, outlier_fraction=0.25)
-        params = RansacParams(iters=500, seed=7)
-        first = reg.estimate_homography(matches, kps_a, kps_b, params)
+        params = dict(iters=500, seed=7)
+        first = reg.estimate_homography(matches, kps_a, kps_b, **params)
         shuffled = [matches[i] for i in rng.permutation(len(matches))]
-        second = reg.estimate_homography(shuffled, kps_a, kps_b, params)
+        second = reg.estimate_homography(shuffled, kps_a, kps_b, **params)
         set_a = {(m.index_a, m.index_b) for m in first.inliers}
         set_b = {(m.index_a, m.index_b) for m in second.inliers}
         assert set_a == set_b
@@ -81,7 +81,7 @@ class TestRansac:
         h_true = synthetic.random_projective_homography(rng)
         kps_a, kps_b, matches = synthetic.make_correspondences(rng, h_true, n=40)
         result = reg.estimate_homography(matches, kps_a, kps_b,
-                                         RansacParams(iters=300, seed=9))
+                                         iters=300, seed=9)
         assert len(result.inliers) == 40
         src = np.array([[kp.x, kp.y] for kp in kps_a])
         dst = np.array([[kp.x, kp.y] for kp in kps_b])
@@ -95,7 +95,7 @@ class TestRansac:
             rng, np.eye(3), n=40, outlier_fraction=1.0, noise=80.0)
         with pytest.raises(RegistrationError) as exc:
             reg.estimate_homography(matches, kps_a, kps_b,
-                                    RansacParams(iters=200, seed=11))
+                                    iters=200, seed=11)
         assert exc.value.stage == "estimate"
 
     def test_symmetric_transfer_error_zero_for_exact(self):
@@ -113,7 +113,7 @@ class TestRegisterPair:
         rng = np.random.default_rng(13)
         rgb, rgnir, h_true = synthetic.make_registration_pair(rng, out_size=220)
         params = reg.RegistrationParams(target_count=1200,
-                                        ransac=RansacParams(iters=3000, seed=14))
+                                        ransac_iters=3000, seed=14)
         result = reg.register_pair(rgb, rgnir, params, pair_id="t0")
         grid = np.stack(np.meshgrid(np.linspace(10, 209, 15),
                                     np.linspace(10, 209, 15)), axis=-1).reshape(-1, 2)
@@ -131,7 +131,7 @@ class TestRegisterPair:
         img = ImageF(np.stack([tex, tex, tex], axis=-1).astype(np.float32),
                      ("R", "G", "B"))
         params = reg.RegistrationParams(target_count=700,
-                                        ransac=RansacParams(iters=800, seed=16))
+                                        ransac_iters=800, seed=16)
         result = reg.register_pair(img, img, params)
         corners = np.array([[0.0, 0.0], [199.0, 0.0], [0.0, 199.0], [199.0, 199.0]])
         moved = result.homography.apply(corners)
@@ -147,7 +147,7 @@ class TestRegisterPair:
         rng = np.random.default_rng(17)
         rgb, rgnir, h_true = synthetic.make_registration_pair(rng, out_size=220)
         params = reg.RegistrationParams(target_count=1200,
-                                        ransac=RansacParams(iters=3000, seed=18))
+                                        ransac_iters=3000, seed=18)
         result = reg.register_pair(rgb, rgnir, params)
         # the wide-FOV RGB content must map to a larger region in the R-G-NIR frame
         sv = np.linalg.svd(result.homography.matrix[:2, :2], compute_uv=False)
@@ -157,10 +157,34 @@ class TestRegisterPair:
         rng = np.random.default_rng(19)
         rgb, rgnir, _ = synthetic.make_registration_pair(rng, out_size=200)
         params = reg.RegistrationParams(target_count=700,
-                                        ransac=RansacParams(iters=1000, seed=20))
+                                        ransac_iters=1000, seed=20)
         result = reg.register_pair(rgb, rgnir, params, pair_id="abc")
         line = result.diagnostics.record()
         for token in ("pair=abc", "matches=", "inliers=", "mean_residual=", "H=["):
             assert token in line
         assert result.mask.shape == (rgnir.height, rgnir.width)
         assert result.image.band_labels == ("R", "G", "B")
+
+    def test_one_pyramid_per_image(self, monkeypatch):
+        from paddyspec.registration import keypoints
+        calls = []
+        original = keypoints.resize_bilinear
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(keypoints, "resize_bilinear", counting)
+        rng = np.random.default_rng(19)
+        rgb, rgnir, _ = synthetic.make_registration_pair(rng, out_size=200)
+        reg.register_pair(rgb, rgnir, reg.RegistrationParams(target_count=700,
+                                                             ransac_iters=1000, seed=20))
+        assert len(calls) == 2 * (keypoints.N_LEVELS - 1)
+
+    @pytest.mark.parametrize("bad", [{"target_count": 3}, {"drop_fraction": 1.5},
+                                     {"drop_fraction": -0.1}, {"ransac_iters": 0},
+                                     {"inlier_px": 0.0}])
+    def test_params_out_of_range_rejected(self, bad):
+        with pytest.raises(RegistrationError) as exc:
+            reg.RegistrationParams(**bad)
+        assert exc.value.stage == "params"

@@ -13,13 +13,13 @@ class TestDetect:
     def test_constant_image_errors(self):
         img = np.full((64, 64), 0.5)
         with pytest.raises(RegistrationError) as exc:
-            reg.detect_keypoints(img, target_count=100)
+            reg.detect_keypoints(reg.build_pyramid(img), target_count=100)
         assert exc.value.stage == "detect"
 
     def test_white_square_corners(self):
         img = np.zeros((96, 96))
         img[24:72, 24:72] = 1.0
-        kps = reg.detect_keypoints(img, target_count=64)
+        kps = reg.detect_keypoints(reg.build_pyramid(img), target_count=64)
         got = np.array([[kp.x, kp.y] for kp in kps])
         for corner in [(24, 24), (24, 71), (71, 24), (71, 71)]:
             dist = np.linalg.norm(got - np.array(corner), axis=1).min()
@@ -28,41 +28,41 @@ class TestDetect:
     def test_exact_target_count_on_rich_texture(self):
         rng = np.random.default_rng(0)
         img = rng.uniform(0.0, 1.0, size=(512, 512))
-        kps = reg.detect_keypoints(img, target_count=10000)
+        kps = reg.detect_keypoints(reg.build_pyramid(img), target_count=10000)
         assert len(kps) == 10000
 
     def test_scores_sorted_descending(self):
         rng = np.random.default_rng(1)
         img = rng.uniform(0.0, 1.0, size=(128, 128))
-        kps = reg.detect_keypoints(img, target_count=200)
+        kps = reg.detect_keypoints(reg.build_pyramid(img), target_count=200)
         scores = [kp.score for kp in kps]
         assert scores == sorted(scores, reverse=True)
 
     def test_coordinates_in_bounds(self):
         rng = np.random.default_rng(2)
         img = rng.uniform(0.0, 1.0, size=(80, 120))
-        for kp in reg.detect_keypoints(img, target_count=300):
+        for kp in reg.detect_keypoints(reg.build_pyramid(img), target_count=300):
             assert 0.0 <= kp.x <= 119.0
             assert 0.0 <= kp.y <= 79.0
 
     def test_too_small_image_errors(self):
         with pytest.raises(RegistrationError):
-            reg.detect_keypoints(np.zeros((16, 16)), target_count=10)
+            reg.detect_keypoints(reg.build_pyramid(np.zeros((16, 16))), target_count=10)
 
 
 class TestDescriptors:
     def test_deterministic(self):
         img = smooth_texture(96, 96, np.random.default_rng(3))
-        kps = reg.detect_keypoints(img, target_count=120)
-        d1, k1 = reg.compute_descriptors(img, kps)
-        d2, k2 = reg.compute_descriptors(img.copy(), list(kps))
+        kps = reg.detect_keypoints(reg.build_pyramid(img), target_count=120)
+        d1, k1 = reg.compute_descriptors(reg.build_pyramid(img), kps)
+        d2, k2 = reg.compute_descriptors(reg.build_pyramid(img.copy()), list(kps))
         assert k1 == k2
         assert np.array_equal(d1, d2)
 
     def test_descriptor_shape_and_border_report(self):
         img = smooth_texture(72, 72, np.random.default_rng(4))
-        kps = reg.detect_keypoints(img, target_count=200)
-        descs, kept = reg.compute_descriptors(img, kps)
+        kps = reg.detect_keypoints(reg.build_pyramid(img), target_count=200)
+        descs, kept = reg.compute_descriptors(reg.build_pyramid(img), kps)
         assert descs.shape == (len(kept), 32)
         assert descs.dtype == np.uint8
         for i in kept:
@@ -70,19 +70,19 @@ class TestDescriptors:
 
     def test_inverted_image_gives_complement(self):
         img = smooth_texture(96, 96, np.random.default_rng(5))
-        kps = reg.detect_keypoints(img, target_count=80)
-        descs, kept = reg.compute_descriptors(img, kps)
-        inv_descs, inv_kept = reg.compute_descriptors(1.0 - img, kps)
+        kps = reg.detect_keypoints(reg.build_pyramid(img), target_count=80)
+        descs, kept = reg.compute_descriptors(reg.build_pyramid(img), kps)
+        inv_descs, inv_kept = reg.compute_descriptors(reg.build_pyramid(1.0 - img), kps)
         assert kept == inv_kept
         assert np.array_equal(inv_descs, np.bitwise_not(descs))
 
     def test_rotation_by_90_degrees_small_distance(self):
         img = smooth_texture(96, 96, np.random.default_rng(6), radius=1)
         rot = np.rot90(img, k=1)  # (x, y) -> (y, W-1-x)
-        kps = reg.detect_keypoints(img, target_count=150)
-        kps_r = reg.detect_keypoints(rot, target_count=150)
-        descs, kept = reg.compute_descriptors(img, kps)
-        descs_r, kept_r = reg.compute_descriptors(rot, kps_r)
+        kps = reg.detect_keypoints(reg.build_pyramid(img), target_count=150)
+        kps_r = reg.detect_keypoints(reg.build_pyramid(rot), target_count=150)
+        descs, kept = reg.compute_descriptors(reg.build_pyramid(img), kps)
+        descs_r, kept_r = reg.compute_descriptors(reg.build_pyramid(rot), kps_r)
         pos_r = np.array([[kps_r[i].x, kps_r[i].y] for i in kept_r])
         w = img.shape[1]
         checked = 0
