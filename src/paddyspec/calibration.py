@@ -16,6 +16,8 @@ import numpy as np
 from .imaging import ImageF
 
 N_PANELS = 4
+# share of clamped samples above which callers warn that the fit is off
+WARN_CLAMP_RATE = 0.20
 
 
 class CalibrationError(ValueError):
@@ -119,12 +121,11 @@ def fit_calibration(panel_means: np.ndarray, known_reflectance: np.ndarray,
                            band_labels=tuple(band_labels))
 
 
-def apply_calibration(img: ImageF, calib: BandCalibration,
-                      warn_clamp_rate: float = 0.20) -> tuple[ImageF, float]:
+def apply_calibration(img: ImageF, calib: BandCalibration) -> tuple[ImageF, float]:
     """Map DN to reflectance per band, clamped to [0, 1].
 
     Returns the calibrated image and the fraction of samples that clamped;
-    callers should surface a warning when it exceeds ``warn_clamp_rate``.
+    callers should surface a warning when it exceeds ``WARN_CLAMP_RATE``.
     """
     if img.channels != len(calib.gain):
         raise CalibrationError(
@@ -147,13 +148,19 @@ def save_calibration(calib: BandCalibration, path) -> None:
 
 
 def load_calibration(path) -> BandCalibration:
-    payload = json.loads(Path(path).read_text())
-    return BandCalibration(
-        gain=np.array(payload["gain"], dtype=np.float64),
-        offset=np.array(payload["offset"], dtype=np.float64),
-        fit_residual=np.array(payload["fit_residual"], dtype=np.float64),
-        band_labels=tuple(payload["band_labels"]),
-    )
+    try:
+        payload = json.loads(Path(path).read_text())
+        bands = tuple(payload["band_labels"])
+        gain, offset, residual = (np.array(payload[k], dtype=np.float64)
+                                  for k in ("gain", "offset", "fit_residual"))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise CalibrationError(f"cannot read calibration file {path}: "
+                               f"{type(exc).__name__}: {exc}") from exc
+    if any(v.shape != (len(bands),) for v in (gain, offset, residual)):
+        raise CalibrationError(f"calibration file {path}: gain, offset and fit_residual "
+                               f"need one number per band of {bands}")
+    return BandCalibration(gain=gain, offset=offset, fit_residual=residual,
+                           band_labels=bands)
 
 
 def load_session(path) -> tuple[str, PanelSpec, tuple[str, ...]]:

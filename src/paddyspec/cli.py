@@ -148,7 +148,7 @@ def cmd_calibrate(cfg: PipelineConfig, args) -> int:
     for record in manifest.records:
         img = load_image(record.rgnir_path, "rgnir")
         out, clamp_rate = cal.apply_calibration(img, calib)
-        if clamp_rate > 0.20:
+        if clamp_rate > cal.WARN_CLAMP_RATE:
             print(f"calibrate: warning: {record.id} clamped "
                   f"{clamp_rate:.0%} of samples", file=sys.stderr)
         save_image(out, cal_dir / f"{record.id}_rgnir.png")

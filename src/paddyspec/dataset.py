@@ -122,9 +122,6 @@ class FoldAssignment:
     seed: int
     fold_of: dict[str, int] = field(default_factory=dict)
 
-    def fold_ids(self, manifest: Manifest, fold: int) -> list[str]:
-        return [r.id for r in manifest.records if self.fold_of[r.id] == fold]
-
     def check_covers(self, manifest: Manifest) -> None:
         """Raise ManifestError naming manifest ids that have no fold."""
         missing = [r.id for r in manifest.records if r.id not in self.fold_of]

@@ -12,7 +12,7 @@ from .image import (
     save_array,
     save_image,
 )
-from .png_io import PngError, read_png, write_png
+from .png_io import read_png, write_png
 from .transform import resize_bilinear, resize_mask, warp_perspective
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "ImageF",
     "ImageFormatError",
     "KNOWN_BANDS",
-    "PngError",
     "load_array",
     "load_image",
     "read_png",

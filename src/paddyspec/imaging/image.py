@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .png_io import PngError, read_png, write_png
+from .png_io import ImageFormatError, read_png, write_png
 
 KNOWN_BANDS = ("R", "G", "B", "NIR", "NDVI")
 BAND_SETS = {
@@ -23,10 +23,6 @@ BAND_SETS = {
 }
 
 ARRAY_MAGIC = b"PSPEC1"
-
-
-class ImageFormatError(ValueError):
-    """Unsupported or inconsistent image content."""
 
 
 @dataclass
@@ -90,10 +86,7 @@ def load_image(path, bands) -> ImageF:
     labels; PNGs carry no band semantics of their own.
     """
     labels = _resolve_bands(bands)
-    try:
-        arr = read_png(path)
-    except PngError as exc:
-        raise ImageFormatError(str(exc)) from exc
+    arr = read_png(path)
     channels = 1 if arr.ndim == 2 else arr.shape[2]
     if channels not in (1, 3):
         raise ImageFormatError(f"{path}: {channels} channels unsupported (need 1 or 3)")

@@ -3,6 +3,12 @@
 Writing always uses filter type 0 (None) with zlib compression; reading
 understands all five scanline filters but rejects palette, alpha, and
 interlaced files. 16-bit samples follow the PNG big-endian convention.
+Each filter predicts a byte from the decoded bytes left (a), up (b) and
+up-left (c) of it (W3C PNG 2nd ed. section 9); the decoder evaluates that
+one predictor for all pixels of an anti-diagonal at once, in h + w - 1
+steps, and skips it for files whose rows all use filter 0. Every
+unreadable, malformed (bad chunk CRC or length, no IEND, corrupt zlib
+data) or unsupported file raises :class:`ImageFormatError`.
 """
 from __future__ import annotations
 
@@ -15,8 +21,8 @@ import numpy as np
 _SIGNATURE = b"\x89PNG\r\n\x1a\n"
 
 
-class PngError(ValueError):
-    """Unreadable or unsupported PNG content."""
+class ImageFormatError(ValueError):
+    """Unsupported or inconsistent image content."""
 
 
 def _chunk(tag: bytes, payload: bytes) -> bytes:
@@ -31,13 +37,13 @@ def write_png(path, arr: np.ndarray) -> None:
     elif arr.ndim == 3 and arr.shape[2] == 3:
         color_type = 2
     else:
-        raise PngError(f"write_png: expected (H, W) or (H, W, 3), got {arr.shape}")
+        raise ImageFormatError(f"write_png: expected (H, W) or (H, W, 3), got {arr.shape}")
     if arr.dtype == np.uint8:
         depth = 8
     elif arr.dtype == np.uint16:
         depth = 16
     else:
-        raise PngError(f"write_png: expected uint8 or uint16, got {arr.dtype}")
+        raise ImageFormatError(f"write_png: expected uint8 or uint16, got {arr.dtype}")
 
     h, w = arr.shape[:2]
     if depth == 16:
@@ -54,46 +60,31 @@ def write_png(path, arr: np.ndarray) -> None:
     Path(path).write_bytes(data)
 
 
-def _paeth(a: int, b: int, c: int) -> int:
-    p = a + b - c
-    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-    if pa <= pb and pa <= pc:
-        return a
-    if pb <= pc:
-        return b
-    return c
-
-
 def _unfilter(raw: np.ndarray, h: int, stride: int, bpp: int) -> np.ndarray:
     """Reverse per-row filtering; raw is (h, 1 + stride) uint8."""
-    out = np.zeros((h, stride), dtype=np.uint8)
-    for y in range(h):
-        ftype = int(raw[y, 0])
-        row = raw[y, 1:].astype(np.int32)
-        prev = out[y - 1].astype(np.int32) if y else np.zeros(stride, dtype=np.int32)
-        if ftype == 0:
-            rec = row
-        elif ftype == 1:      # Sub: cumulative within each byte lane
-            rec = row.copy()
-            for i in range(bpp, stride):
-                rec[i] = (rec[i] + rec[i - bpp]) & 0xFF
-        elif ftype == 2:      # Up
-            rec = (row + prev) & 0xFF
-        elif ftype == 3:      # Average
-            rec = row.copy()
-            for i in range(stride):
-                left = rec[i - bpp] if i >= bpp else 0
-                rec[i] = (rec[i] + ((left + prev[i]) >> 1)) & 0xFF
-        elif ftype == 4:      # Paeth
-            rec = row.copy()
-            for i in range(stride):
-                left = int(rec[i - bpp]) if i >= bpp else 0
-                upleft = int(prev[i - bpp]) if i >= bpp else 0
-                rec[i] = (rec[i] + _paeth(left, int(prev[i]), upleft)) & 0xFF
-        else:
-            raise PngError(f"unsupported scanline filter {ftype}")
-        out[y] = rec.astype(np.uint8)
-    return out
+    ftype = raw[:, 0]
+    if ftype.max() > 4:
+        raise ImageFormatError(f"unsupported scanline filter {ftype.max()}")
+    if not ftype.any():
+        return raw[:, 1:].copy()
+    w = stride // bpp
+    # pixel (y, x) sits at out[y + 1, x + 1], so a, b and c read 0 at the
+    # edges; in the flat view the anti-diagonal y + x = d is a slice of step w
+    out = np.zeros((h + 1, w + 1, bpp), dtype=np.int16)
+    out[1:, 1:] = raw[:, 1:].reshape(h, w, bpp)
+    flat = out.reshape(-1, bpp)
+    for d in range(h + w - 1):
+        lo, hi = max(0, d - w + 1), min(h, d + 1)
+        start = w + 2 + d + lo * w
+        stop = start + (hi - lo - 1) * w + 1
+        x, a, b, c = (flat[start - k:stop - k:w] for k in (0, 1, w + 1, w + 2))
+        p = a + b - c
+        pa, pb, pc = np.abs(p - a), np.abs(p - b), np.abs(p - c)
+        paeth = np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
+        f = ftype[lo:hi, None]
+        x += np.select([f == 1, f == 2, f == 3, f == 4], [a, b, (a + b) >> 1, paeth])
+        x &= 0xFF
+    return out[1:, 1:].astype(np.uint8).reshape(h, stride)
 
 
 def read_png(path) -> np.ndarray:
@@ -101,47 +92,56 @@ def read_png(path) -> np.ndarray:
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
-        raise PngError(f"cannot read {path}: {exc}") from exc
+        raise ImageFormatError(f"cannot read {path}: {exc}") from exc
     if not data.startswith(_SIGNATURE):
-        raise PngError(f"{path}: not a PNG file")
+        raise ImageFormatError(f"{path}: not a PNG file")
 
-    pos = len(_SIGNATURE)
+    pos, tag = len(_SIGNATURE), None
     ihdr = None
     idat = bytearray()
-    while pos + 8 <= len(data):
-        (length,) = struct.unpack(">I", data[pos:pos + 4])
-        tag = data[pos + 4:pos + 8]
-        payload = data[pos + 8:pos + 8 + length]
-        pos += 12 + length
+    while tag != b"IEND":
+        if pos + 8 > len(data):
+            raise ImageFormatError(f"{path}: file ends before IEND")
+        length, tag = struct.unpack_from(">I4s", data, pos)
+        end = pos + 8 + length
+        if end + 4 > len(data):
+            raise ImageFormatError(f"{path}: {tag!r} chunk runs past the end of the file")
+        if zlib.crc32(data[pos + 4:end]) != int.from_bytes(data[end:end + 4], "big"):
+            raise ImageFormatError(f"{path}: {tag!r} chunk CRC mismatch")
+        payload = data[pos + 8:end]
+        pos = end + 4
         if tag == b"IHDR":
+            if len(payload) != 13:
+                raise ImageFormatError(f"{path}: IHDR has {len(payload)} bytes, need 13")
             ihdr = struct.unpack(">IIBBBBB", payload)
         elif tag == b"IDAT":
             idat.extend(payload)
-        elif tag == b"IEND":
-            break
     if ihdr is None:
-        raise PngError(f"{path}: missing IHDR chunk")
+        raise ImageFormatError(f"{path}: missing IHDR chunk")
 
     w, h, depth, color_type, compression, filt, interlace = ihdr
+    if w == 0 or h == 0:
+        raise ImageFormatError(f"{path}: empty image {w}x{h}")
     if depth not in (8, 16):
-        raise PngError(f"{path}: unsupported bit depth {depth} (need 8 or 16)")
+        raise ImageFormatError(f"{path}: unsupported bit depth {depth} (need 8 or 16)")
     if color_type not in (0, 2):
-        raise PngError(f"{path}: unsupported color type {color_type} "
-                       "(need grayscale or RGB)")
+        raise ImageFormatError(f"{path}: unsupported color type {color_type} "
+                               "(need grayscale or RGB)")
     if interlace:
-        raise PngError(f"{path}: interlaced PNG not supported")
+        raise ImageFormatError(f"{path}: interlaced PNG not supported")
 
     channels = 1 if color_type == 0 else 3
     bpp = channels * (depth // 8)
     stride = w * bpp
-    raw = np.frombuffer(zlib.decompress(bytes(idat)), dtype=np.uint8)
+    try:
+        raw = np.frombuffer(zlib.decompress(bytes(idat)), dtype=np.uint8)
+    except zlib.error as exc:
+        raise ImageFormatError(f"{path}: corrupt image data: {exc}") from exc
     if raw.size != h * (stride + 1):
-        raise PngError(f"{path}: truncated image data")
+        raise ImageFormatError(f"{path}: truncated image data")
     rows = _unfilter(raw.reshape(h, stride + 1), h, stride, bpp)
 
     if depth == 16:
-        arr = rows.reshape(h, -1).view(">u2").astype(np.uint16)
-        arr = arr.reshape(h, w, channels)
-    else:
-        arr = rows.reshape(h, w, channels)
+        rows = rows.view(">u2").astype(np.uint16)
+    arr = rows.reshape(h, w, channels)
     return arr[:, :, 0] if channels == 1 else arr

@@ -181,7 +181,7 @@ def test_dataset_accounting(tmp_path):
 
     folds = stratified_kfold(manifest, k=5, seed=9)
     for fold in range(5):
-        ids = set(folds.fold_ids(manifest, fold))
+        ids = {r.id for r in manifest.records if folds.fold_of[r.id] == fold}
         per_class = {label: 0 for label in LABELS}
         for r in manifest.records:
             if r.id in ids:

@@ -206,3 +206,18 @@ class TestRoundTrip:
         assert np.allclose(back.gain, calib.gain)
         assert np.allclose(back.offset, calib.offset)
         assert np.allclose(back.fit_residual, calib.fit_residual)
+
+    @pytest.mark.parametrize("text,needle", [
+        ("{not json", "JSONDecodeError"),
+        ('["R", "G", "NIR"]', "TypeError"),
+        ('{"band_labels": ["R", "G", "NIR"]}', "KeyError: 'gain'"),
+        ('{"band_labels": ["R", "G", "NIR"], "gain": ["a", "b", "c"], '
+         '"offset": [0, 0, 0], "fit_residual": [0, 0, 0]}', "ValueError"),
+        ('{"band_labels": ["R", "G", "NIR"], "gain": [1, 1], '
+         '"offset": [0, 0, 0], "fit_residual": [0, 0, 0]}', "one number per band"),
+    ], ids=["not-json", "not-object", "missing-key", "non-numeric", "short-list"])
+    def test_malformed_calibration_file(self, tmp_path, text, needle):
+        path = tmp_path / "calib.json"
+        path.write_text(text)
+        with pytest.raises(CalibrationError, match=needle):
+            cal.load_calibration(path)

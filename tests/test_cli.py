@@ -161,7 +161,8 @@ class TestRegisterErrors:
 
 
 class TestMalformedInputs:
-    """Bad folds, manifest and checkpoint files exit 1 with a one-line message."""
+    """Bad folds, manifest, checkpoint, PNG and calibration files exit 1 with a
+    one-line message."""
 
     def _split_files(self, tmp_path, folds_rows):
         from paddyspec import dataset as ds
@@ -223,6 +224,34 @@ class TestMalformedInputs:
         self._fails_on_one_line(["eval", "--checkpoint", "nofold.ckpt"], capsys,
                                 "names no fold")
 
+
+    def test_garbage_mask_png(self, tmp_path, monkeypatch, capsys):
+        from paddyspec import dataset as ds
+        from paddyspec.imaging import write_png
+        monkeypatch.chdir(tmp_path)
+        record = ds.SampleRecord(id="a", rgb_path="", rgnir_path="", label="blast")
+        ds.write_manifest_csv(ds.Manifest(records=[record], counts={}, checksum=""),
+                              tmp_path / "pairs.csv")
+        for sub in ("registered", "calibrated"):
+            (tmp_path / "out" / sub).mkdir(parents=True)
+        write_png(tmp_path / "out" / "registered" / "a_rgb.png", np.zeros((8, 8, 3), np.uint8))
+        write_png(tmp_path / "out" / "calibrated" / "a_rgnir.png",
+                  np.zeros((8, 8, 3), np.uint16))
+        (tmp_path / "out" / "registered" / "a_mask.png").write_bytes(b"garbage")
+        self._fails_on_one_line(["ndvi", "--pairs", "pairs.csv"], capsys, "a_mask.png")
+
+    def test_calibration_without_gain(self, tmp_path, monkeypatch, capsys):
+        from paddyspec import nn
+        from paddyspec.model import build_resnet18
+        monkeypatch.chdir(tmp_path)
+        meta = {"arch": {"in_channels": 3, "num_classes": 3}, "input_mode": "rgb",
+                "input_size": 32, "fold": 0}
+        nn.write_checkpoint(tmp_path / "m.ckpt", meta,
+                            build_resnet18(in_channels=3, num_classes=3).state_arrays())
+        (tmp_path / "calib.json").write_text('{"bands": ["R", "G", "NIR"]}')
+        self._fails_on_one_line(["predict", "--checkpoint", "m.ckpt", "--calibration",
+                                 "calib.json", "--rgb", "a.png", "--rgnir", "b.png"],
+                                capsys, "calib.json")
 
 @pytest.mark.slow
 class TestPipeline:

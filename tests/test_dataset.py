@@ -94,7 +94,7 @@ class TestStratifiedKfold:
         manifest = self._manifest((2135, 1095, 585))
         folds = ds.stratified_kfold(manifest, k=5, seed=0)
         for fold in range(5):
-            ids = set(folds.fold_ids(manifest, fold))
+            ids = {r.id for r in manifest.records if folds.fold_of[r.id] == fold}
             per_class = {label: 0 for label in LABELS}
             for r in manifest.records:
                 if r.id in ids:

@@ -1,14 +1,126 @@
 """PNG codec, raster container, resize, and warp behavior."""
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from paddyspec import imaging
-from paddyspec.imaging import ImageF, ImageFormatError
+from paddyspec.imaging import ImageF, ImageFormatError, png_io
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+def _paeth(a: int, b: int, c: int) -> int:
+    p = a + b - c
+    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+    if pa <= pb and pa <= pc:
+        return a
+    if pb <= pc:
+        return b
+    return c
+
+
+def reference_unfilter(raw: np.ndarray, h: int, stride: int, bpp: int) -> np.ndarray:
+    """Reverse per-row filtering one byte at a time; raw is (h, 1 + stride) uint8.
+
+    The decoder this package shipped before its wavefront decoder, kept as
+    the oracle that ``png_io._unfilter`` must match byte for byte.
+    """
+    out = np.zeros((h, stride), dtype=np.uint8)
+    for y in range(h):
+        ftype = int(raw[y, 0])
+        row = raw[y, 1:].astype(np.int32)
+        prev = out[y - 1].astype(np.int32) if y else np.zeros(stride, dtype=np.int32)
+        if ftype == 0:
+            rec = row
+        elif ftype == 1:      # Sub: cumulative within each byte lane
+            rec = row.copy()
+            for i in range(bpp, stride):
+                rec[i] = (rec[i] + rec[i - bpp]) & 0xFF
+        elif ftype == 2:      # Up
+            rec = (row + prev) & 0xFF
+        elif ftype == 3:      # Average
+            rec = row.copy()
+            for i in range(stride):
+                left = rec[i - bpp] if i >= bpp else 0
+                rec[i] = (rec[i] + ((left + prev[i]) >> 1)) & 0xFF
+        elif ftype == 4:      # Paeth
+            rec = row.copy()
+            for i in range(stride):
+                left = int(rec[i - bpp]) if i >= bpp else 0
+                upleft = int(prev[i - bpp]) if i >= bpp else 0
+                rec[i] = (rec[i] + _paeth(left, int(prev[i]), upleft)) & 0xFF
+        else:
+            raise ImageFormatError(f"unsupported scanline filter {ftype}")
+        out[y] = rec.astype(np.uint8)
+    return out
+
+
+def _chunk(tag: bytes, payload: bytes) -> bytes:
+    return (struct.pack(">I", len(payload)) + tag + payload
+            + struct.pack(">I", zlib.crc32(tag + payload)))
+
+
+def _png(ihdr: bytes, raw: bytes, end: bytes = _chunk(b"IEND", b"")) -> bytes:
+    return (b"\x89PNG\r\n\x1a\n" + _chunk(b"IHDR", ihdr)
+            + _chunk(b"IDAT", zlib.compress(raw)) + end)
+
+
+def filter_rows(arr: np.ndarray, filters) -> np.ndarray:
+    """Filtered scanlines of arr, one filter type per row: (h, 1 + stride) uint8.
+
+    Each filter subtracts its prediction from the left (a), up (b) and
+    up-left (c) bytes of the unfiltered image (W3C PNG 2nd ed. section 9).
+    """
+    h = arr.shape[0]
+    bpp = (1 if arr.ndim == 2 else arr.shape[2]) * arr.itemsize
+    rows = np.frombuffer(arr.astype(arr.dtype.newbyteorder(">")).tobytes(),
+                         dtype=np.uint8).reshape(h, -1).astype(np.int32)
+    a = np.zeros_like(rows)
+    a[:, bpp:] = rows[:, :-bpp]
+    b = np.zeros_like(rows)
+    b[1:] = rows[:-1]
+    c = np.zeros_like(rows)
+    c[1:, bpp:] = rows[:-1, :-bpp]
+    paeth = np.vectorize(_paeth)(a, b, c)
+    predictions = np.stack([np.zeros_like(rows), a, b, (a + b) >> 1, paeth])
+    filters = np.asarray(filters)
+    enc = (rows - predictions[filters, np.arange(h)]) % 256
+    return np.concatenate([filters[:, None], enc], axis=1).astype(np.uint8)
+
+
+def encode_png(arr: np.ndarray, filters) -> bytes:
+    """PNG file bytes for an 8/16-bit gray or RGB array with per-row filters."""
+    h, w = arr.shape[:2]
+    ihdr = struct.pack(">IIBBBBB", w, h, 8 * arr.itemsize, 0 if arr.ndim == 2 else 2,
+                       0, 0, 0)
+    return _png(ihdr, filter_rows(arr, filters).tobytes())
+
+
+@st.composite
+def filtered_images(draw):
+    dtype = draw(st.sampled_from([np.uint8, np.uint16]))
+    h, w = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    shape = draw(st.sampled_from([(h, w), (h, w, 3)]))
+    # a few levels make the Paeth ties between a, b and c common
+    levels = draw(st.sampled_from([3, np.iinfo(dtype).max + 1]))
+    seed = draw(st.integers(0, 2 ** 31 - 1))
+    arr = np.random.default_rng(seed).integers(0, levels, size=shape)
+    filters = draw(st.lists(st.integers(0, 4), min_size=h, max_size=h))
+    return arr.astype(dtype), filters
+
+
+def _read_or_none(path):
+    try:
+        return imaging.read_png(path)
+    except ImageFormatError:
+        return None
 
 
 class TestPngCodec:
@@ -30,57 +142,62 @@ class TestPngCodec:
     def test_rejects_non_png(self, tmp_path):
         path = tmp_path / "fake.png"
         path.write_bytes(b"not a png at all")
-        with pytest.raises(imaging.PngError, match="not a PNG"):
+        with pytest.raises(ImageFormatError, match="not a PNG"):
             imaging.read_png(path)
 
-    def test_decodes_filtered_scanlines(self, tmp_path, rng):
-        # re-encode each row with a nontrivial filter and check recovery
-        import struct
-        import zlib
+    @given(filtered_images())
+    @example((np.arange(90, dtype=np.uint8).reshape(5, 6, 3), [0, 1, 2, 3, 4]))
+    @example((np.array([[40000]], dtype=np.uint16), [4]))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_decodes_filtered_scanlines(self, tmp_path_factory, case):
+        # every filter type, 8/16 bit, gray/RGB, down to 1x1: the decoder
+        # matches the byte-at-a-time oracle and recovers the array
+        arr, filters = case
+        h = arr.shape[0]
+        raw = filter_rows(arr, filters)
+        stride = raw.shape[1] - 1
+        bpp = stride // arr.shape[1]
+        expected = reference_unfilter(raw, h, stride, bpp)
+        assert png_io._unfilter(raw, h, stride, bpp).tobytes() == expected.tobytes()
+        path = tmp_path_factory.mktemp("filtered") / "img.png"
+        path.write_bytes(encode_png(arr, filters))
+        back = imaging.read_png(path)
+        assert back.dtype == arr.dtype
+        assert np.array_equal(back, arr)
 
-        arr = rng.integers(0, 256, size=(6, 8, 3)).astype(np.uint8)
-        h, w = arr.shape[:2]
-        stride = w * 3
-        rows = arr.reshape(h, stride).astype(np.int32)
-        raw = bytearray()
-        for y, ftype in enumerate([0, 1, 2, 3, 4, 1]):
-            row = rows[y]
-            prev = rows[y - 1] if y else np.zeros(stride, dtype=np.int32)
-            if ftype == 0:
-                enc = row.copy()
-            elif ftype == 1:
-                enc = row.copy()
-                enc[3:] = (row[3:] - row[:-3]) % 256
-            elif ftype == 2:
-                enc = (row - prev) % 256
-            elif ftype == 3:
-                enc = row.copy()
-                for i in range(stride):
-                    left = row[i - 3] if i >= 3 else 0
-                    enc[i] = (row[i] - ((left + prev[i]) >> 1)) % 256
-            else:
-                enc = row.copy()
-                for i in range(stride):
-                    a = int(row[i - 3]) if i >= 3 else 0
-                    b = int(prev[i])
-                    c = int(prev[i - 3]) if i >= 3 else 0
-                    p = a + b - c
-                    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-                    pred = a if (pa <= pb and pa <= pc) else (b if pb <= pc else c)
-                    enc[i] = (row[i] - pred) % 256
-            raw.append(ftype)
-            raw.extend(enc.astype(np.uint8).tobytes())
+    def test_truncated_or_bit_flipped_file(self, tmp_path, rng):
+        arr = rng.integers(0, 65536, size=(3, 4, 3)).astype(np.uint16)
+        blob = encode_png(arr, [1, 3, 4])
+        path = tmp_path / "fuzz.png"
+        variants = [blob[:n] for n in range(len(blob))]
+        for bit in range(8 * len(blob)):
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            variants.append(bytes(flipped))
+        for variant in variants:
+            path.write_bytes(variant)
+            back = _read_or_none(path)
+            assert back is None or (back.dtype == arr.dtype and np.array_equal(back, arr))
 
-        def chunk(tag, payload):
-            return (struct.pack(">I", len(payload)) + tag + payload
-                    + struct.pack(">I", zlib.crc32(tag + payload)))
-
-        ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
-        blob = (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
-                + chunk(b"IDAT", zlib.compress(bytes(raw))) + chunk(b"IEND", b""))
-        path = tmp_path / "filtered.png"
+    @pytest.mark.parametrize("blob,needle", [
+        (_png(struct.pack(">IIB", 2, 2, 8), bytes(6)), "IHDR"),
+        (_png(struct.pack(">IIBBBBB", 2, 2, 8, 0, 0, 0, 0), bytes(6), end=b""),
+         "before IEND"),
+        (_png(struct.pack(">IIBBBBB", 2, 2, 8, 0, 0, 0, 0), bytes(6))[:-20], "past the end"),
+        (_png(struct.pack(">IIBBBBB", 2, 2, 8, 0, 0, 0, 0), bytes(6))[:-1] + b"\0",
+         "CRC"),
+        (b"\x89PNG\r\n\x1a\n" + _chunk(b"IHDR", struct.pack(">IIBBBBB", 2, 2, 8, 0, 0, 0, 0))
+         + _chunk(b"IDAT", b"not zlib") + _chunk(b"IEND", b""), "corrupt image data"),
+        (_png(struct.pack(">IIBBBBB", 2, 2, 8, 0, 0, 0, 0), bytes([5, 0, 0, 0, 0, 0])),
+         "scanline filter 5"),
+        (_png(struct.pack(">IIBBBBB", 0, 2, 8, 0, 0, 0, 0), bytes(2)), "empty image"),
+    ], ids=["short-ihdr", "no-iend", "chunk-past-end", "crc", "zlib", "filter-5",
+            "zero-width"])
+    def test_malformed_file_is_typed_error(self, tmp_path, blob, needle):
+        path = tmp_path / "bad.png"
         path.write_bytes(blob)
-        assert np.array_equal(imaging.read_png(path), arr)
+        with pytest.raises(ImageFormatError, match=needle):
+            imaging.read_png(path)
 
 
 class TestLoadSave:
