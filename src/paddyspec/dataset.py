@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -164,6 +165,16 @@ def class_weights(manifest: Manifest) -> np.ndarray:
     return class_weights_from_counts(counts)
 
 
+@contextmanager
+def _csv_reader(path):
+    """A csv.reader over ``path``; bytes that do not decode raise ManifestError."""
+    with open(path, newline="") as fh:
+        try:
+            yield csv.reader(fh)
+        except UnicodeDecodeError as exc:
+            raise ManifestError(f"{path}: not {exc.encoding} text: {exc.reason}") from None
+
+
 MANIFEST_HEADER = ["id", "rgb_path", "rgnir_path", "label", "session_id", "lat", "lon"]
 
 
@@ -179,8 +190,7 @@ def write_manifest_csv(manifest: Manifest, path) -> None:
 
 def read_manifest_csv(path) -> Manifest:
     records: list[SampleRecord] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         header = next(reader, None)
         if header != MANIFEST_HEADER:
             raise ManifestError(f"{path}: unexpected manifest header {header}")
@@ -214,8 +224,7 @@ def write_folds_csv(assignment: FoldAssignment, path) -> None:
 
 def read_folds_csv(path, k: int | None = None, seed: int = 0) -> FoldAssignment:
     fold_of: dict[str, int] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         header = next(reader, None)
         if header != ["id", "fold"]:
             raise ManifestError(f"{path}: unexpected folds header {header}")

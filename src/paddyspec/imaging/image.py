@@ -130,16 +130,21 @@ def load_array(path) -> ImageF:
     if not raw.startswith(ARRAY_MAGIC):
         raise ImageFormatError(f"{path}: bad magic, expected PSPEC1")
     pos = len(ARRAY_MAGIC)
-    h, w, c = struct.unpack_from("<III", raw, pos)
-    pos += 12
-    labels = []
-    for _ in range(c):
-        (n,) = struct.unpack_from("<B", raw, pos)
-        pos += 1
-        labels.append(raw[pos:pos + n].decode("ascii"))
-        pos += n
+    try:
+        h, w, c = struct.unpack_from("<III", raw, pos)
+        pos += 12
+        labels = []
+        for _ in range(c):
+            (n,) = struct.unpack_from("<B", raw, pos)
+            pos += 1
+            labels.append(raw[pos:pos + n].decode("ascii"))
+            pos += n
+    except struct.error:
+        raise ImageFormatError(f"{path}: truncated header") from None
+    except UnicodeDecodeError:
+        raise ImageFormatError(f"{path}: band label is not ASCII") from None
     count = h * w * c
-    data = np.frombuffer(raw, dtype="<f4", count=count, offset=pos)
-    if data.size != count:
+    if len(raw) - pos < 4 * count:
         raise ImageFormatError(f"{path}: truncated array data")
+    data = np.frombuffer(raw, dtype="<f4", count=count, offset=pos)
     return ImageF(data.reshape(h, w, c).copy(), tuple(labels))

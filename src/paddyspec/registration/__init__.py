@@ -3,7 +3,7 @@
 from .errors import RegistrationError
 from .keypoints import Keypoint, build_pyramid, detect_keypoints, harris_response
 from .descriptors import DESCRIPTOR_BITS, TEST_PATTERN, compute_descriptors
-from .matching import Match, filter_matches, hamming_distance, match_bruteforce
+from .matching import Match, filter_matches, match_bruteforce
 from .homography import (
     Homography,
     RansacResult,
@@ -39,7 +39,6 @@ __all__ = [
     "dlt_homography",
     "estimate_homography",
     "filter_matches",
-    "hamming_distance",
     "harris_response",
     "match_bruteforce",
     "register_pair",

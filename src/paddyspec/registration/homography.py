@@ -3,6 +3,15 @@
 Minimal 4-point samples are solved by direct linear transformation after
 Hartley normalization (centroid to origin, mean radius sqrt(2)); consensus
 uses the symmetric transfer error; the winning inlier set is re-fit by DLT.
+
+RANSAC is batched. The samples are drawn in the same ``rng.choice`` sequence
+a per-iteration loop would draw, the collinear ones are dropped, and the
+rest are solved together: one stacked ``np.linalg.svd`` over the
+``(k, 8, 9)`` design matrices, with the rank, inverse and determinant checks
+run on the whole stack. Consensus is scored for ``SCORE_BLOCK`` homographies
+at a time against all N matches, so no ``(iters, N)`` array is ever held.
+Every stacked call does per matrix what the single-matrix call does, so the
+result is bit-identical to solving and scoring one sample at a time.
 """
 from __future__ import annotations
 
@@ -13,6 +22,9 @@ import numpy as np
 from .errors import RegistrationError
 from .keypoints import Keypoint
 from .matching import Match
+
+SOLVE_CHUNK = 2048  # samples drawn and solved together
+SCORE_BLOCK = 16  # homographies scored together against every match
 
 
 @dataclass
@@ -40,17 +52,83 @@ class Homography:
         return proj[:, :2] / proj[:, 2:3]
 
 
-def _normalization(points: np.ndarray) -> np.ndarray:
-    """Hartley similarity: centroid to origin, mean radius to sqrt(2)."""
-    centroid = points.mean(axis=0)
-    radii = np.linalg.norm(points - centroid, axis=1)
-    mean_radius = radii.mean()
-    if mean_radius < 1e-12:
-        raise ValueError("degenerate point set: all points coincide")
-    s = np.sqrt(2.0) / mean_radius
-    return np.array([[s, 0.0, -s * centroid[0]],
-                     [0.0, s, -s * centroid[1]],
-                     [0.0, 0.0, 1.0]])
+def _unit_h33(mats: np.ndarray) -> np.ndarray:
+    """``Homography`` scaling of each (k, 3, 3) matrix: h33 == 1 where
+    |h33| > 1e-12."""
+    h33 = mats[:, 2:3, 2:3]
+    return mats / np.where(np.abs(h33) > 1e-12, h33, 1.0)
+
+
+def _project(mats: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``Homography.apply`` of each (k, 3, 3) matrix to (N, 2) points: the
+    mapped x and y, each (k, N)."""
+    # one BLAS matmul per matrix, as in ``apply``: BLAS may fuse the
+    # multiply-adds, so x*h00 + y*h01 + h02 written out can differ in the last bit
+    proj = np.hstack([points, np.ones((len(points), 1))]) @ np.swapaxes(mats, 1, 2)
+    return proj[..., 0] / proj[..., 2], proj[..., 1] / proj[..., 2]
+
+
+def _distance(xy: tuple[np.ndarray, np.ndarray], points: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(xy - points, axis=-1)`` without the length-2 reduce."""
+    dx = xy[0] - points[:, 0]
+    dy = xy[1] - points[:, 1]
+    return np.sqrt(dx * dx + dy * dy)
+
+
+_DLT_FAILURES = ("degenerate point set: all points coincide",
+                 "degenerate sample: minimal solve is rank deficient",
+                 "estimated homography is singular")
+
+
+def _normalization(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hartley similarities of (k, m, 2) point sets: centroid to origin, mean
+    radius to sqrt(2). Returns (k, 3, 3) transforms and the (k,) sets whose
+    points all coincide."""
+    centroid = points.mean(axis=1)
+    mean_radius = np.linalg.norm(points - centroid[:, None, :], axis=2).mean(axis=1)
+    coincide = mean_radius < 1e-12
+    s = np.sqrt(2.0) / np.where(coincide, 1.0, mean_radius)
+    t = np.zeros((len(points), 3, 3))
+    t[:, 0, 0] = t[:, 1, 1] = s
+    t[:, :2, 2] = -s[:, None] * centroid
+    t[:, 2, 2] = 1.0
+    return t, coincide
+
+
+def _dlt(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized DLT of k stacked (m, 2) correspondence sets.
+
+    Returns the (k, 3, 3) matrices, not yet scaled to h33 == 1, and a (k,)
+    code: 0 for a valid solve, else 1 + the index in ``_DLT_FAILURES`` of
+    the first check it fails.
+    """
+    k, m = src.shape[:2]
+    t_src, coincide_src = _normalization(src)
+    t_dst, coincide_dst = _normalization(dst)
+    ones = np.ones((k, m, 1))
+    s = np.concatenate([src, ones], axis=2) @ np.swapaxes(t_src, 1, 2)
+    d = np.concatenate([dst, ones], axis=2) @ np.swapaxes(t_dst, 1, 2)
+
+    a = np.zeros((k, 2 * m, 9))
+    a[:, 0::2, 0:2] = s[:, :, :2]
+    a[:, 0::2, 2] = 1.0
+    a[:, 0::2, 6:8] = -s[:, :, :2] * d[:, :, 0:1]
+    a[:, 0::2, 8] = -d[:, :, 0]
+    a[:, 1::2, 3:5] = s[:, :, :2]
+    a[:, 1::2, 5] = 1.0
+    a[:, 1::2, 6:8] = -s[:, :, :2] * d[:, :, 1:2]
+    a[:, 1::2, 8] = -d[:, :, 1]
+
+    _, sing, vt = np.linalg.svd(a)
+    # for the 8x9 minimal system the null space is the 9th right-singular
+    # vector; a vanishing 8th singular value means rank < 8 (3 points on a line)
+    rank_deficient = (m == 4) & (sing[:, -1] < 1e-9 * np.maximum(sing[:, 0], 1e-30))
+    h_norm = vt[:, -1].reshape(k, 3, 3)
+    mats = np.linalg.inv(t_dst) @ h_norm @ t_src
+    singular = np.abs(np.linalg.det(mats)) < 1e-12
+    failure = np.select([coincide_src | coincide_dst, rank_deficient, singular],
+                        [1, 2, 3], 0)
+    return mats, failure
 
 
 def dlt_homography(src: np.ndarray, dst: np.ndarray) -> Homography:
@@ -60,50 +138,51 @@ def dlt_homography(src: np.ndarray, dst: np.ndarray) -> Homography:
     n = len(src)
     if n < 4 or len(dst) != n:
         raise ValueError(f"need >= 4 paired points, got {len(src)}/{len(dst)}")
-    t_src = _normalization(src)
-    t_dst = _normalization(dst)
-    s = (np.hstack([src, np.ones((n, 1))]) @ t_src.T)
-    d = (np.hstack([dst, np.ones((n, 1))]) @ t_dst.T)
+    mats, failure = _dlt(src[None], dst[None])
+    if failure[0]:
+        raise ValueError(_DLT_FAILURES[failure[0] - 1])
+    return Homography(mats[0])
 
-    a = np.zeros((2 * n, 9))
-    a[0::2, 0:2] = s[:, :2]
-    a[0::2, 2] = 1.0
-    a[0::2, 6:8] = -s[:, :2] * d[:, 0:1]
-    a[0::2, 8] = -d[:, 0]
-    a[1::2, 3:5] = s[:, :2]
-    a[1::2, 5] = 1.0
-    a[1::2, 6:8] = -s[:, :2] * d[:, 1:2]
-    a[1::2, 8] = -d[:, 1]
 
-    _, sing, vt = np.linalg.svd(a)
-    # for the 8x9 minimal system the null space is the 9th right-singular
-    # vector; a vanishing 8th singular value means rank < 8 (3 points on a line)
-    if n == 4 and sing[-1] < 1e-9 * max(sing[0], 1e-30):
-        raise ValueError("degenerate sample: minimal solve is rank deficient")
-    h_norm = vt[-1].reshape(3, 3)
-    mat = np.linalg.inv(t_dst) @ h_norm @ t_src
-    if abs(np.linalg.det(mat)) < 1e-12:
-        raise ValueError("estimated homography is singular")
-    return Homography(mat)
+def _transfer_errors(mats: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Symmetric transfer error of each (k, 3, 3) homography (h33 == 1
+    already applied) over all N points: (k, N)."""
+    fwd = _distance(_project(mats, src), dst)
+    bwd = _distance(_project(_unit_h33(np.linalg.inv(mats)), dst), src)
+    return 0.5 * (fwd + bwd)
 
 
 def symmetric_transfer_error(h: Homography, src: np.ndarray,
                              dst: np.ndarray) -> np.ndarray:
     """Mean of forward and backward reprojection distances per point."""
-    fwd = np.linalg.norm(h.apply(src) - dst, axis=1)
-    bwd = np.linalg.norm(h.inverse().apply(dst) - src, axis=1)
-    return 0.5 * (fwd + bwd)
+    src = np.asarray(src, dtype=np.float64)
+    dst = np.asarray(dst, dtype=np.float64)
+    return _transfer_errors(h.matrix[None], src, dst)[0]
 
 
-def _collinear(points: np.ndarray, tol: float = 1e-6) -> bool:
-    """Any 3 of the 4 sample points (nearly) on a line."""
+def _collinear(points: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+    """Of (k, 4, 2) samples, those with any 3 points (nearly) on a line."""
+    out = np.zeros(len(points), dtype=bool)
     for skip in range(4):
-        p = np.delete(points, skip, axis=0)
-        area = abs((p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1])
-                   - (p[2, 0] - p[0, 0]) * (p[1, 1] - p[0, 1]))
-        if area < tol:
-            return True
-    return False
+        p = np.delete(points, skip, axis=1)
+        area = np.abs((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+                      - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+        out |= area < tol
+    return out
+
+
+def _solve_minimal(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Valid h33-scaled homographies of (k, 4, 2) samples, in sample order."""
+    try:
+        mats, failure = _dlt(src, dst)
+    except np.linalg.LinAlgError:
+        # one failed SVD or inverse fails the whole stack: solve one at a time
+        # and skip the failures, as a per-sample loop would
+        if len(src) == 1:
+            return np.empty((0, 3, 3))
+        return np.concatenate([_solve_minimal(src[i:i + 1], dst[i:i + 1])
+                               for i in range(len(src))])
+    return _unit_h33(mats[failure == 0])
 
 
 @dataclass
@@ -122,6 +201,8 @@ def estimate_homography(matches: list[Match], kps_a: list[Keypoint],
 
     Sampling order is fixed by the seed over a canonically sorted copy of
     the match list, so any permutation of the input yields the same result.
+    The best sample has the most inliers; among equal counts, the least
+    total inlier error; among equal totals, the first drawn.
     """
     if len(matches) < 4:
         raise RegistrationError(
@@ -138,23 +219,25 @@ def estimate_homography(matches: list[Match], kps_a: list[Keypoint],
     best_count = 0
     best_err = np.inf
     solved_any = False
-    for _ in range(iters):
-        pick = rng.choice(n, size=4, replace=False)
-        if _collinear(src[pick]) or _collinear(dst[pick]):
-            continue
-        try:
-            h = dlt_homography(src[pick], dst[pick])
-        except ValueError:
-            continue
-        solved_any = True
-        err = symmetric_transfer_error(h, src, dst)
-        mask = err < inlier_px
-        count = int(mask.sum())
-        total = float(err[mask].sum()) if count else np.inf
-        if count > best_count or (count == best_count and total < best_err):
-            best_count = count
-            best_err = total
-            best_mask = mask
+    for start in range(0, iters, SOLVE_CHUNK):
+        picks = np.array([rng.choice(n, size=4, replace=False)
+                          for _ in range(min(SOLVE_CHUNK, iters - start))])
+        src4, dst4 = src[picks], dst[picks]
+        keep = ~(_collinear(src4) | _collinear(dst4))
+        mats = _solve_minimal(src4[keep], dst4[keep])
+        solved_any = solved_any or len(mats) > 0
+        for lo in range(0, len(mats), SCORE_BLOCK):
+            err = _transfer_errors(mats[lo:lo + SCORE_BLOCK], src, dst)
+            mask = err < inlier_px
+            counts = mask.sum(axis=1)
+            # only a count >= the best so far can win
+            for row in np.flatnonzero(counts >= best_count):
+                count = int(counts[row])
+                total = float(err[row][mask[row]].sum()) if count else np.inf
+                if count > best_count or (count == best_count and total < best_err):
+                    best_count = count
+                    best_err = total
+                    best_mask = mask[row]
 
     if not solved_any:
         raise RegistrationError(

@@ -1,4 +1,11 @@
-"""Brute-force Hamming matching and distance-sorted filtering."""
+"""Brute-force Hamming matching and distance-sorted filtering.
+
+The Hamming distance between two 256-bit descriptors is a bit-vector inner
+product: ``popcount(a) + popcount(b) - 2 * (a . b)`` over their unpacked
+bits. ``match_bruteforce`` computes it for a block of A against all of B as
+one float32 GEMM. Every partial sum is an integer <= 256, which float32
+holds exactly, so the distances equal the XOR popcounts bit for bit.
+"""
 from __future__ import annotations
 
 import math
@@ -18,11 +25,6 @@ class Match:
     distance: int
 
 
-def hamming_distance(d1: np.ndarray, d2: np.ndarray) -> int:
-    """Popcount of the XOR of two packed 256-bit descriptors."""
-    return int(np.bitwise_count(np.bitwise_xor(d1, d2)).sum())
-
-
 def match_bruteforce(descs_a: np.ndarray, descs_b: np.ndarray,
                      chunk: int = 512) -> list[Match]:
     """For each descriptor in A, its nearest neighbor in B by Hamming distance.
@@ -32,19 +34,19 @@ def match_bruteforce(descs_a: np.ndarray, descs_b: np.ndarray,
     """
     if len(descs_a) == 0 or len(descs_b) == 0:
         raise RegistrationError("match", "cannot match against an empty descriptor set")
-    a64 = np.ascontiguousarray(descs_a).view(np.uint64)
-    b64 = np.ascontiguousarray(descs_b).view(np.uint64)
+    bits_b = np.unpackbits(descs_b, axis=1).astype(np.float32)
+    ones_b = bits_b.sum(axis=1)
     matches: list[Match] = []
-    for start in range(0, len(a64), chunk):
-        block = a64[start:start + chunk]
-        dists = np.bitwise_count(block[:, None, :] ^ b64[None, :, :]).sum(
-            axis=2, dtype=np.int32)
+    for start in range(0, len(descs_a), chunk):
+        bits = np.unpackbits(descs_a[start:start + chunk], axis=1).astype(np.float32)
+        dists = bits @ bits_b.T
+        dists *= -2.0
+        dists += bits.sum(axis=1)[:, None]
+        dists += ones_b
         nearest = dists.argmin(axis=1)
-        best = dists[np.arange(len(block)), nearest]
-        for row in range(len(block)):
-            matches.append(Match(index_a=start + row,
-                                 index_b=int(nearest[row]),
-                                 distance=int(best[row])))
+        best = dists[np.arange(len(bits)), nearest]
+        matches.extend(Match(index_a=start + row, index_b=j, distance=int(d))
+                       for row, (j, d) in enumerate(zip(nearest.tolist(), best.tolist())))
     return matches
 
 

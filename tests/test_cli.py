@@ -225,6 +225,71 @@ class TestMalformedInputs:
                                 "names no fold")
 
 
+    @staticmethod
+    def _column_mutations(text):
+        """Every copy of a CSV text with one field of one line dropped or doubled."""
+        lines = text.splitlines()
+        for i, line in enumerate(lines):
+            fields = line.split(",")
+            for j in range(len(fields)):
+                for changed in (fields[:j] + fields[j + 1:], fields[:j + 1] + fields[j:]):
+                    yield "\n".join(lines[:i] + [",".join(changed)] + lines[i + 1:]) + "\n"
+
+    def test_csv_column_fuzz(self, tmp_path, monkeypatch, capsys):
+        from paddyspec import dataset as ds
+        monkeypatch.chdir(tmp_path)
+        self._split_files(tmp_path, ["blast0,0", "brown_spot0,1", "healthy0,0"])
+        manifest, folds = (tmp_path / "manifest.csv").read_text(), (tmp_path / "folds.csv").read_text()
+        train = ["train", "--manifest", "manifest.csv", "--folds", "folds.csv"]
+        cases = [(text, folds, ds.read_manifest_csv, "manifest.csv")
+                 for text in self._column_mutations(manifest)]
+        cases += [(manifest, text, ds.read_folds_csv, "folds.csv")
+                  for text in self._column_mutations(folds)]
+        assert len(cases) == 2 * (4 * 7 + 4 * 2)
+        for manifest_text, folds_text, read, name in cases:
+            (tmp_path / "manifest.csv").write_text(manifest_text)
+            (tmp_path / "folds.csv").write_text(folds_text)
+            with pytest.raises(ds.ManifestError, match=name):
+                read(tmp_path / name)
+            self._fails_on_one_line(train, capsys, name)
+            if name == "manifest.csv":
+                self._fails_on_one_line(["register", "--pairs", name], capsys, name)
+
+    @pytest.mark.parametrize("name, old, new", [
+        ("manifest.csv", b"id,rgb_path", b"\xffid,rgb_path"),
+        ("manifest.csv", b"blast0,,,blast", b"blast0,,,bl\xffast"),
+        ("folds.csv", b"id,fold", b"id,f\xffold"),
+        ("folds.csv", b"healthy0,0", b"healthy0,0\xff"),
+    ])
+    def test_non_utf8_csv(self, tmp_path, monkeypatch, capsys, name, old, new):
+        from paddyspec import dataset as ds
+        monkeypatch.chdir(tmp_path)
+        self._split_files(tmp_path, ["blast0,0", "brown_spot0,1", "healthy0,0"])
+        raw = (tmp_path / name).read_bytes()
+        assert old in raw
+        (tmp_path / name).write_bytes(raw.replace(old, new))
+        read = ds.read_manifest_csv if name == "manifest.csv" else ds.read_folds_csv
+        with pytest.raises(ds.ManifestError, match=name):
+            read(tmp_path / name)
+        self._fails_on_one_line(["train", "--manifest", "manifest.csv",
+                                 "--folds", "folds.csv"], capsys, name)
+
+    def test_truncated_fused_cache(self, tmp_path, monkeypatch, capsys):
+        from paddyspec import dataset as ds
+        monkeypatch.chdir(tmp_path)
+        ids = [f"{label}{i}" for label in ds.LABELS for i in range(2)]
+        records = [ds.SampleRecord(id=sid, rgb_path="", rgnir_path="", label=sid[:-1])
+                   for sid in ids]
+        ds.write_manifest_csv(ds.Manifest(records=records, counts={}, checksum=""),
+                              tmp_path / "manifest.csv")
+        (tmp_path / "folds.csv").write_text("id,fold\n" + "".join(
+            f"{sid},{sid[-1]}\n" for sid in ids))
+        (tmp_path / "cache").mkdir()
+        for sid in ids:
+            (tmp_path / "cache" / f"{sid}.pspec").write_bytes(b"PSPEC1\x01\x00")
+        self._fails_on_one_line(["train", "--manifest", "manifest.csv", "--folds",
+                                 "folds.csv", "--fold", "0"], capsys, ".pspec")
+
     def test_garbage_mask_png(self, tmp_path, monkeypatch, capsys):
         from paddyspec import dataset as ds
         from paddyspec.imaging import write_png

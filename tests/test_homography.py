@@ -1,11 +1,144 @@
 """DLT + RANSAC homography estimation and whole-pair registration."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from paddyspec import registration as reg
 from paddyspec import synthetic
 from paddyspec.imaging import ImageF
 from paddyspec.registration import RegistrationError
+from paddyspec.registration.homography import Homography, RansacResult
+
+
+# The per-iteration RANSAC that the batched estimate_homography replaced,
+# kept unchanged as the oracle it must match bit for bit.
+def _reference_normalization(points: np.ndarray) -> np.ndarray:
+    """Hartley similarity: centroid to origin, mean radius to sqrt(2)."""
+    centroid = points.mean(axis=0)
+    radii = np.linalg.norm(points - centroid, axis=1)
+    mean_radius = radii.mean()
+    if mean_radius < 1e-12:
+        raise ValueError("degenerate point set: all points coincide")
+    s = np.sqrt(2.0) / mean_radius
+    return np.array([[s, 0.0, -s * centroid[0]],
+                     [0.0, s, -s * centroid[1]],
+                     [0.0, 0.0, 1.0]])
+
+
+def reference_dlt_homography(src: np.ndarray, dst: np.ndarray) -> Homography:
+    """Least-squares homography src -> dst from >= 4 correspondences."""
+    src = np.asarray(src, dtype=np.float64)
+    dst = np.asarray(dst, dtype=np.float64)
+    n = len(src)
+    if n < 4 or len(dst) != n:
+        raise ValueError(f"need >= 4 paired points, got {len(src)}/{len(dst)}")
+    t_src = _reference_normalization(src)
+    t_dst = _reference_normalization(dst)
+    s = (np.hstack([src, np.ones((n, 1))]) @ t_src.T)
+    d = (np.hstack([dst, np.ones((n, 1))]) @ t_dst.T)
+
+    a = np.zeros((2 * n, 9))
+    a[0::2, 0:2] = s[:, :2]
+    a[0::2, 2] = 1.0
+    a[0::2, 6:8] = -s[:, :2] * d[:, 0:1]
+    a[0::2, 8] = -d[:, 0]
+    a[1::2, 3:5] = s[:, :2]
+    a[1::2, 5] = 1.0
+    a[1::2, 6:8] = -s[:, :2] * d[:, 1:2]
+    a[1::2, 8] = -d[:, 1]
+
+    _, sing, vt = np.linalg.svd(a)
+    # for the 8x9 minimal system the null space is the 9th right-singular
+    # vector; a vanishing 8th singular value means rank < 8 (3 points on a line)
+    if n == 4 and sing[-1] < 1e-9 * max(sing[0], 1e-30):
+        raise ValueError("degenerate sample: minimal solve is rank deficient")
+    h_norm = vt[-1].reshape(3, 3)
+    mat = np.linalg.inv(t_dst) @ h_norm @ t_src
+    if abs(np.linalg.det(mat)) < 1e-12:
+        raise ValueError("estimated homography is singular")
+    return Homography(mat)
+
+
+def reference_symmetric_transfer_error(h: Homography, src: np.ndarray,
+                                       dst: np.ndarray) -> np.ndarray:
+    """Mean of forward and backward reprojection distances per point."""
+    fwd = np.linalg.norm(h.apply(src) - dst, axis=1)
+    bwd = np.linalg.norm(h.inverse().apply(dst) - src, axis=1)
+    return 0.5 * (fwd + bwd)
+
+
+def _reference_collinear(points: np.ndarray, tol: float = 1e-6) -> bool:
+    """Any 3 of the 4 sample points (nearly) on a line."""
+    for skip in range(4):
+        p = np.delete(points, skip, axis=0)
+        area = abs((p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1])
+                   - (p[2, 0] - p[0, 0]) * (p[1, 1] - p[0, 1]))
+        if area < tol:
+            return True
+    return False
+
+
+def reference_estimate_homography(matches, kps_a, kps_b, *, iters: int = 2000,
+                                  inlier_px: float = 3.0, min_inliers: int = 10,
+                                  seed: int = 0) -> RansacResult:
+    """Robustly fit the homography mapping keypoints A onto keypoints B."""
+    if len(matches) < 4:
+        raise RegistrationError(
+            "estimate", f"need >= 4 matches to estimate a homography, got {len(matches)}")
+
+    canon = sorted(matches, key=lambda m: (m.index_a, m.index_b, m.distance))
+    src = np.array([[kps_a[m.index_a].x, kps_a[m.index_a].y] for m in canon])
+    dst = np.array([[kps_b[m.index_b].x, kps_b[m.index_b].y] for m in canon])
+    n = len(canon)
+    needed = min(min_inliers, n)
+
+    rng = np.random.default_rng(seed)
+    best_mask = None
+    best_count = 0
+    best_err = np.inf
+    solved_any = False
+    for _ in range(iters):
+        pick = rng.choice(n, size=4, replace=False)
+        if _reference_collinear(src[pick]) or _reference_collinear(dst[pick]):
+            continue
+        try:
+            h = reference_dlt_homography(src[pick], dst[pick])
+        except ValueError:
+            continue
+        solved_any = True
+        err = reference_symmetric_transfer_error(h, src, dst)
+        mask = err < inlier_px
+        count = int(mask.sum())
+        total = float(err[mask].sum()) if count else np.inf
+        if count > best_count or (count == best_count and total < best_err):
+            best_count = count
+            best_err = total
+            best_mask = mask
+
+    if not solved_any:
+        raise RegistrationError(
+            "estimate", "degenerate sample handling exhausted: no valid minimal solve")
+    if best_mask is None or best_count < needed:
+        raise RegistrationError(
+            "estimate",
+            f"best consensus has {best_count} inliers; need at least {needed}")
+
+    refit = reference_dlt_homography(src[best_mask], dst[best_mask])
+    residuals = reference_symmetric_transfer_error(refit, src[best_mask], dst[best_mask])
+    inliers = [m for m, keep in zip(canon, best_mask) if keep]
+    return RansacResult(homography=refit, inliers=inliers,
+                        mean_residual=float(residuals.mean()), n_input=n)
+
+
+def ransac_outcome(estimate, matches, kps_a, kps_b, **kwargs):
+    """Everything ``estimate`` returns, in bytes, or the error it raises."""
+    try:
+        result = estimate(matches, kps_a, kps_b, **kwargs)
+    except RegistrationError as exc:
+        return ("error", exc.stage, str(exc))
+    return (result.inliers, result.homography.matrix.tobytes(),
+            np.float64(result.mean_residual).tobytes(), result.n_input)
 
 
 def translation(tx, ty):
@@ -188,3 +321,141 @@ class TestRegisterPair:
         with pytest.raises(RegistrationError) as exc:
             reg.RegistrationParams(**bad)
         assert exc.value.stage == "params"
+
+
+def _keypoints(points):
+    return [reg.Keypoint(x=float(x), y=float(y), score=1.0, angle=0.0, octave=0,
+                         x_lvl=int(x), y_lvl=int(y)) for x, y in points]
+
+
+@st.composite
+def match_sets(draw):
+    """Correspondences on coarse grids and lines, so that duplicated points,
+    collinear draws and wholly degenerate sets are common."""
+    n = draw(st.integers(4, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["grid", "grid", "inliers", "line", "same"]))
+    grid = draw(st.sampled_from([3, 8, 256]))
+    pts_a = rng.integers(0, grid, size=(n, 2)).astype(np.float64)
+    pts_b = rng.integers(0, grid, size=(n, 2)).astype(np.float64)
+    if layout == "inliers":  # a share of exact matches under a projective map
+        h = synthetic.random_projective_homography(rng)
+        proj = np.hstack([pts_a, np.ones((n, 1))]) @ h.T
+        share = rng.integers(4, n + 1)
+        pts_b[:share] = proj[:share, :2] / proj[:share, 2:3]
+    elif layout == "line":  # every point of both sets on one line
+        pts_a[:, 1] = 2.0 * pts_a[:, 0] + 1.0
+        pts_b[:, 0] = 5.0
+    elif layout == "same":  # every point of both sets coincides
+        pts_a[:] = pts_a[0]
+        pts_b[:] = pts_b[0]
+    order = rng.permutation(n)
+    matches = [reg.Match(index_a=i, index_b=int(order[i]), distance=int(rng.integers(0, 4)))
+               for i in range(n)]
+    return matches, _keypoints(pts_a), _keypoints(pts_b[np.argsort(order)])
+
+
+class TestBatchedRansacOracle:
+    """The batched RANSAC returns exactly what the per-iteration loop did."""
+
+    @given(case=match_sets(), iters=st.integers(1, 80), seed=st.integers(0, 1000),
+           inlier_px=st.sampled_from([0.5, 3.0]), min_inliers=st.sampled_from([4, 10]))
+    @example(case=([reg.Match(i, i, 0) for i in range(4)], _keypoints([(0, 0)] * 4),
+                   _keypoints([(1, 1)] * 4)), iters=5, seed=0, inlier_px=3.0, min_inliers=4)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_per_iteration_loop(self, case, iters, seed, inlier_px, min_inliers):
+        matches, kps_a, kps_b = case
+        kwargs = dict(iters=iters, seed=seed, inlier_px=inlier_px, min_inliers=min_inliers)
+        assert (ransac_outcome(reg.estimate_homography, matches, kps_a, kps_b, **kwargs)
+                == ransac_outcome(reference_estimate_homography, matches, kps_a, kps_b,
+                                  **kwargs))
+
+    def test_all_degenerate_raises_same_error(self):
+        kps = _keypoints([(float(i), 3.0 * i) for i in range(12)])
+        matches = [reg.Match(i, i, 0) for i in range(12)]
+        got = ransac_outcome(reg.estimate_homography, matches, kps, kps, iters=30)
+        assert got == ransac_outcome(reference_estimate_homography, matches, kps, kps,
+                                     iters=30)
+        assert got == ("error", "estimate",
+                       "[estimate] degenerate sample handling exhausted: no valid minimal solve")
+
+    def test_failed_minimal_svd_skips_sample(self, monkeypatch):
+        # a minimal SVD that does not converge fails the whole stacked call;
+        # the loop skipped just that sample, and so must the batched solve
+        svd = np.linalg.svd
+
+        def failing_svd(a, *args, **kwargs):
+            a = np.asarray(a)
+            if a.shape[-2] == 8 and (a[..., 0, 0] < -1.0).any():
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        rng = np.random.default_rng(23)
+        h_true = synthetic.random_projective_homography(rng)
+        kps_a, kps_b, matches = synthetic.make_correspondences(
+            rng, h_true, n=80, outlier_fraction=0.3, noise=0.5)
+        got = ransac_outcome(reg.estimate_homography, matches, kps_a, kps_b, iters=300)
+        assert got == ransac_outcome(reference_estimate_homography, matches, kps_a, kps_b,
+                                     iters=300)
+        assert len(got[0]) >= 40
+
+    @pytest.mark.parametrize("rng_seed, kind, n, outliers, noise, iters, seed", [
+        (0, "translation", 4, 0.0, 0.0, 50, 1),
+        (1, "identity", 12, 0.0, 0.0, 100, 2),
+        (4, "projective", 100, 0.30, 0.0, 2000, 5),
+        (6, "projective", 60, 0.25, 0.0, 500, 7),
+        (8, "projective", 40, 0.0, 0.0, 300, 9),
+        (10, "identity", 40, 1.0, 80.0, 200, 11),
+        (21, "projective", 400, 0.5, 0.7, 2000, 0),
+    ])
+    def test_correspondence_fixtures(self, rng_seed, kind, n, outliers, noise, iters, seed):
+        rng = np.random.default_rng(rng_seed)
+        h_true = {"translation": translation(5.0, -3.0), "identity": np.eye(3)}.get(kind)
+        if h_true is None:
+            h_true = synthetic.random_projective_homography(rng)
+        kps_a, kps_b, matches = synthetic.make_correspondences(
+            rng, h_true, n=n, outlier_fraction=outliers, noise=noise)
+        kwargs = dict(iters=iters, seed=seed)
+        assert (ransac_outcome(reg.estimate_homography, matches, kps_a, kps_b, **kwargs)
+                == ransac_outcome(reference_estimate_homography, matches, kps_a, kps_b,
+                                  **kwargs))
+
+    @pytest.mark.parametrize("rng_seed, size, target, iters, seed", [
+        (13, 220, 1200, 3000, 14), (15, 200, 700, 800, 16), (17, 220, 1200, 3000, 18),
+        (19, 200, 700, 1000, 20)])
+    def test_registration_fixtures(self, rng_seed, size, target, iters, seed):
+        # the TestRegisterPair pairs; seed 15 is the self-registration one
+        rng = np.random.default_rng(rng_seed)
+        if rng_seed == 15:
+            tex = synthetic.smooth_texture(size, size, rng)
+            rgb = rgnir = ImageF(np.stack([tex] * 3, axis=-1).astype(np.float32),
+                                 ("R", "G", "B"))
+        else:
+            rgb, rgnir, _ = synthetic.make_registration_pair(rng, out_size=size)
+        params = reg.RegistrationParams(target_count=target, ransac_iters=iters, seed=seed)
+        kps, descs = [], []
+        for img in (rgb, rgnir):
+            levels = reg.build_pyramid(img.band("G"))
+            detected = reg.detect_keypoints(levels, target)
+            described, kept = reg.compute_descriptors(levels, detected)
+            kps.append([detected[i] for i in kept])
+            descs.append(described)
+        matches = reg.filter_matches(reg.match_bruteforce(*descs), params.drop_fraction)
+        kwargs = dict(iters=iters, inlier_px=params.inlier_px,
+                      min_inliers=params.min_inliers, seed=seed)
+        assert (ransac_outcome(reg.estimate_homography, matches, *kps, **kwargs)
+                == ransac_outcome(reference_estimate_homography, matches, *kps, **kwargs))
+
+    def test_refit_and_residual_match_reference(self):
+        rng = np.random.default_rng(22)
+        h_true = synthetic.random_projective_homography(rng)
+        kps_a, kps_b, _ = synthetic.make_correspondences(rng, h_true, n=300, noise=0.5)
+        src = np.array([[kp.x, kp.y] for kp in kps_a])
+        dst = np.array([[kp.x, kp.y] for kp in kps_b])
+        for m in (4, 5, 37, 300):
+            h = reg.dlt_homography(src[:m], dst[:m])
+            ref = reference_dlt_homography(src[:m], dst[:m])
+            assert h.matrix.tobytes() == ref.matrix.tobytes()
+            assert (reg.symmetric_transfer_error(h, src, dst).tobytes()
+                    == reference_symmetric_transfer_error(ref, src, dst).tobytes())

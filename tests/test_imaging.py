@@ -250,6 +250,36 @@ class TestLoadSave:
         assert back.band_labels == ("R", "G", "B", "NDVI")
         assert back.data.tobytes() == data.tobytes()
 
+    def _array_file(self, tmp_path, rng):
+        img = ImageF(rng.standard_normal((3, 4, 2)).astype(np.float32), ("NDVI", "R"))
+        imaging.save_array(img, tmp_path / "arr.pspec")
+        return (tmp_path / "arr.pspec").read_bytes()
+
+    def test_truncated_array_file(self, tmp_path, rng):
+        raw = self._array_file(tmp_path, rng)
+        path = tmp_path / "cut.pspec"
+        for size in range(len(raw)):
+            path.write_bytes(raw[:size])
+            with pytest.raises(ImageFormatError, match="cut.pspec"):
+                imaging.load_array(path)
+
+    def test_bit_flipped_array_header(self, tmp_path, rng):
+        raw = self._array_file(tmp_path, rng)
+        header = len(imaging.ARRAY_MAGIC) + 12 + len(b"\x04NDVI\x01R")
+        path = tmp_path / "flip.pspec"
+        for bit in range(8 * header):
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(flipped))
+            try:
+                img = imaging.load_array(path)
+            except ImageFormatError:
+                continue
+            assert img.data.size == img.height * img.width * img.channels
+        path.write_bytes(raw[:19] + b"\xff" + raw[20:])  # "NDVI" -> "\xffDVI"
+        with pytest.raises(ImageFormatError, match="not ASCII"):
+            imaging.load_array(path)
+
 
 class TestResize:
     def test_identity(self, rng):

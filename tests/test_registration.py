@@ -6,7 +6,35 @@ from hypothesis import strategies as st
 
 from paddyspec import registration as reg
 from paddyspec.registration import RegistrationError
-from paddyspec.synthetic import smooth_texture
+from paddyspec.synthetic import make_registration_pair, smooth_texture
+
+
+# The XOR/popcount matcher that the GEMM match_bruteforce replaced, kept
+# unchanged as the oracle it must match exactly.
+def hamming_distance(d1: np.ndarray, d2: np.ndarray) -> int:
+    """Popcount of the XOR of two packed 256-bit descriptors."""
+    return int(np.bitwise_count(np.bitwise_xor(d1, d2)).sum())
+
+
+def reference_match_bruteforce(descs_a: np.ndarray, descs_b: np.ndarray,
+                               chunk: int = 512) -> list[reg.Match]:
+    """For each descriptor in A, its nearest neighbor in B by Hamming distance."""
+    if len(descs_a) == 0 or len(descs_b) == 0:
+        raise RegistrationError("match", "cannot match against an empty descriptor set")
+    a64 = np.ascontiguousarray(descs_a).view(np.uint64)
+    b64 = np.ascontiguousarray(descs_b).view(np.uint64)
+    matches: list[reg.Match] = []
+    for start in range(0, len(a64), chunk):
+        block = a64[start:start + chunk]
+        dists = np.bitwise_count(block[:, None, :] ^ b64[None, :, :]).sum(
+            axis=2, dtype=np.int32)
+        nearest = dists.argmin(axis=1)
+        best = dists[np.arange(len(block)), nearest]
+        for row in range(len(block)):
+            matches.append(reg.Match(index_a=start + row,
+                                     index_b=int(nearest[row]),
+                                     distance=int(best[row])))
+    return matches
 
 
 class TestDetect:
@@ -92,7 +120,7 @@ class TestDescriptors:
             j = int(dists.argmin())
             if dists[j] > 0.5 or kps_r[kept_r[j]].octave != kps[i].octave:
                 continue
-            hamming = reg.hamming_distance(descs[row], descs_r[j])
+            hamming = hamming_distance(descs[row], descs_r[j])
             assert hamming <= 64, f"rotated pair hamming {hamming}"
             checked += 1
         assert checked >= 10
@@ -155,6 +183,34 @@ class TestMatching:
         a = np.zeros((1, 32), dtype=np.uint8)
         b = np.zeros((3, 32), dtype=np.uint8)  # all tie at distance 0
         assert reg.match_bruteforce(a, b)[0].index_b == 0
+
+    @given(na=st.integers(1, 40), nb=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           levels=st.sampled_from([2, 4, 256]), chunk=st.sampled_from([1, 7, 512]))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_gemm_distance_matches_xor_oracle(self, na, nb, seed, levels, chunk):
+        # descriptors drawn from a few byte values and from each other, so that
+        # many B rows tie at the nearest distance
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 256, size=levels).astype(np.uint8)
+        b = values[rng.integers(0, levels, size=(nb, 32))]
+        b[rng.random(nb) < 0.3] = b[0]
+        a = values[rng.integers(0, levels, size=(na, 32))]
+        copied = rng.random(na) < 0.5
+        a[copied] = b[rng.integers(0, nb, size=int(copied.sum()))]
+        assert (reg.match_bruteforce(a, b, chunk=chunk)
+                == reference_match_bruteforce(a, b, chunk=chunk))
+
+    @pytest.mark.parametrize("rng_seed, size, target", [
+        (13, 220, 1200), (17, 220, 1200), (19, 200, 700)])
+    def test_registration_fixtures_match_xor_oracle(self, rng_seed, size, target):
+        rgb, rgnir, _ = make_registration_pair(np.random.default_rng(rng_seed),
+                                               out_size=size)
+        descs = []
+        for img in (rgb, rgnir):
+            levels = reg.build_pyramid(img.band("G"))
+            descs.append(reg.compute_descriptors(
+                levels, reg.detect_keypoints(levels, target))[0])
+        assert reg.match_bruteforce(*descs) == reference_match_bruteforce(*descs)
 
 
 class TestFilterMatches:
