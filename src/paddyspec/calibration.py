@@ -163,6 +163,12 @@ def load_calibration(path) -> BandCalibration:
                            band_labels=bands)
 
 
+def _is_number_list(value, kind=(int, float)) -> bool:
+    """True for a list of JSON numbers of *kind* (booleans excluded)."""
+    return isinstance(value, list) and all(
+        isinstance(v, kind) and not isinstance(v, bool) for v in value)
+
+
 def load_session(path) -> tuple[str, PanelSpec, tuple[str, ...]]:
     """Read a session file: target board image path, panels, band labels."""
     try:
@@ -170,13 +176,26 @@ def load_session(path) -> tuple[str, PanelSpec, tuple[str, ...]]:
     except (OSError, json.JSONDecodeError) as exc:
         raise CalibrationError(f"cannot read session file {path}: {exc}") from exc
     try:
-        bands = tuple(payload["bands"])
-        panels = [Panel(reflectance=tuple(p["reflectance"]), roi=PanelRoi(*p["roi"]))
-                  for p in payload["panels"]]
         board = payload["board_image"]
+        bands = payload["bands"]
+        panels = [(p["reflectance"], p["roi"]) for p in payload["panels"]]
     except (KeyError, TypeError) as exc:
         raise CalibrationError(f"malformed session file {path}: {exc}") from exc
-    return board, PanelSpec(panels), bands
+    if not isinstance(board, str):
+        raise CalibrationError(f"session file {path}: board_image must be a string, "
+                               f"got {board!r}")
+    if not (isinstance(bands, list) and all(isinstance(b, str) for b in bands)):
+        raise CalibrationError(f"session file {path}: bands must be a list of strings, "
+                               f"got {bands!r}")
+    for i, (reflectance, roi) in enumerate(panels):
+        if not _is_number_list(reflectance):
+            raise CalibrationError(f"session file {path}: panel {i} reflectance must be "
+                                   f"a list of numbers, got {reflectance!r}")
+        if not (_is_number_list(roi, int) and len(roi) == 4):
+            raise CalibrationError(f"session file {path}: panel {i} roi must be 4 "
+                                   f"integers [x, y, w, h], got {roi!r}")
+    return board, PanelSpec([Panel(reflectance=tuple(r), roi=PanelRoi(*roi))
+                             for r, roi in panels]), tuple(bands)
 
 
 def save_session(path, board_image: str, panels: PanelSpec,

@@ -23,16 +23,9 @@ class ManifestError(ValueError):
     """Directory layout or manifest contents are inconsistent."""
 
 
-@dataclass
-class PairingRule:
-    rgb_suffix: str = "_rgb.png"
-    rgnir_suffix: str = "_rgnir.png"
-    session_delimiter: str = "__"
-
-    def session_of(self, sample_id: str) -> str:
-        if self.session_delimiter in sample_id:
-            return sample_id.split(self.session_delimiter, 1)[0]
-        return ""
+RGB_SUFFIX = "_rgb.png"
+RGNIR_SUFFIX = "_rgnir.png"
+SESSION_DELIMITER = "__"   # "<session>__<rest>" ids carry a session id
 
 
 @dataclass
@@ -63,13 +56,12 @@ def _checksum(records: list[SampleRecord]) -> str:
     return digest.hexdigest()
 
 
-def build_manifest(root_dir, pairing: PairingRule | None = None) -> Manifest:
+def build_manifest(root_dir) -> Manifest:
     """Scan the class-directory layout into a deterministic manifest.
 
     Ordering is lexicographic by (label, id); unknown label directories and
     unpaired files are errors that name every offender.
     """
-    pairing = pairing or PairingRule()
     root = Path(root_dir)
     if not root.is_dir():
         raise ManifestError(f"dataset root {root} is not a directory")
@@ -86,10 +78,10 @@ def build_manifest(root_dir, pairing: PairingRule | None = None) -> Manifest:
         rgb_ids = set()
         rgnir_ids = set()
         for f in entry.iterdir():
-            if f.name.endswith(pairing.rgb_suffix):
-                rgb_ids.add(f.name[:-len(pairing.rgb_suffix)])
-            elif f.name.endswith(pairing.rgnir_suffix):
-                rgnir_ids.add(f.name[:-len(pairing.rgnir_suffix)])
+            if f.name.endswith(RGB_SUFFIX):
+                rgb_ids.add(f.name[:-len(RGB_SUFFIX)])
+            elif f.name.endswith(RGNIR_SUFFIX):
+                rgnir_ids.add(f.name[:-len(RGNIR_SUFFIX)])
         for orphan in sorted(rgb_ids - rgnir_ids):
             problems.append(f"{entry.name}/{orphan}: RGB file without an R-G-NIR pair")
         for orphan in sorted(rgnir_ids - rgb_ids):
@@ -102,10 +94,11 @@ def build_manifest(root_dir, pairing: PairingRule | None = None) -> Manifest:
             seen_ids[sample_id] = entry.name
             records.append(SampleRecord(
                 id=sample_id,
-                rgb_path=str(entry / f"{sample_id}{pairing.rgb_suffix}"),
-                rgnir_path=str(entry / f"{sample_id}{pairing.rgnir_suffix}"),
+                rgb_path=str(entry / f"{sample_id}{RGB_SUFFIX}"),
+                rgnir_path=str(entry / f"{sample_id}{RGNIR_SUFFIX}"),
                 label=entry.name,
-                session_id=pairing.session_of(sample_id),
+                session_id=(sample_id.split(SESSION_DELIMITER, 1)[0]
+                            if SESSION_DELIMITER in sample_id else ""),
             ))
     if problems:
         raise ManifestError("manifest build failed:\n  " + "\n  ".join(problems))

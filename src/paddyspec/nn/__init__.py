@@ -9,8 +9,6 @@ from .tensor import (
     Tensor,
     grad_enabled,
     no_grad,
-    set_strict_finite,
-    strict_finite_enabled,
 )
 from .ops import (
     BatchNormParams,
@@ -54,9 +52,7 @@ __all__ = [
     "read_checkpoint",
     "relative_error",
     "relu",
-    "set_strict_finite",
     "softmax",
-    "strict_finite_enabled",
     "tensor_sum",
     "weighted_cross_entropy",
     "weighted_sum",

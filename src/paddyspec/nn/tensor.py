@@ -28,22 +28,11 @@ class BackwardError(RuntimeError):
 
 
 _GRAD_ENABLED = True
-_STRICT_FINITE = True
-
-
-def set_strict_finite(enabled: bool) -> None:
-    """Toggle the NaN/Inf check applied to every op output."""
-    global _STRICT_FINITE
-    _STRICT_FINITE = bool(enabled)
-
-
-def strict_finite_enabled() -> bool:
-    return _STRICT_FINITE
 
 
 def check_finite(name: str, data: np.ndarray) -> None:
-    """Raise NonFiniteError if *data* contains NaN or Inf (when enabled)."""
-    if _STRICT_FINITE and not np.isfinite(data).all():
+    """Raise NonFiniteError if *data* contains NaN or Inf."""
+    if not np.isfinite(data).all():
         raise NonFiniteError(f"{name}: output contains NaN or Inf")
 
 

@@ -1,9 +1,9 @@
 """Feature-based alignment of RGB photos onto paired R-G-NIR frames."""
 
 from .errors import RegistrationError
-from .keypoints import Keypoint, build_pyramid, detect_keypoints, harris_response
+from .keypoints import Keypoints, build_pyramid, detect_keypoints
 from .descriptors import DESCRIPTOR_BITS, TEST_PATTERN, compute_descriptors
-from .matching import Match, filter_matches, match_bruteforce
+from .matching import Matches, filter_matches, match_bruteforce
 from .homography import (
     Homography,
     RansacResult,
@@ -12,8 +12,6 @@ from .homography import (
     symmetric_transfer_error,
 )
 from .pipeline import (
-    RGB_FOV_DEGREES,
-    RGNIR_FOV_DEGREES,
     RegistrationDiagnostics,
     RegistrationParams,
     RegistrationResult,
@@ -23,10 +21,8 @@ from .pipeline import (
 __all__ = [
     "DESCRIPTOR_BITS",
     "Homography",
-    "RGB_FOV_DEGREES",
-    "RGNIR_FOV_DEGREES",
-    "Keypoint",
-    "Match",
+    "Keypoints",
+    "Matches",
     "RansacResult",
     "RegistrationDiagnostics",
     "RegistrationError",
@@ -39,7 +35,6 @@ __all__ = [
     "dlt_homography",
     "estimate_homography",
     "filter_matches",
-    "harris_response",
     "match_bruteforce",
     "register_pair",
     "symmetric_transfer_error",

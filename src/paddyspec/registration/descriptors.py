@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import RegistrationError
-from .keypoints import Keypoint, gaussian_smooth
+from .keypoints import Keypoints, gaussian_smooth
 
 DESCRIPTOR_BITS = 256
 DESCRIPTOR_BYTES = DESCRIPTOR_BITS // 8
@@ -45,14 +45,15 @@ TEST_PATTERN = _make_test_pattern()
 
 
 def compute_descriptors(levels: list[np.ndarray],
-                        keypoints: list[Keypoint]) -> tuple[np.ndarray, list[int]]:
+                        keypoints: Keypoints) -> tuple[np.ndarray, np.ndarray]:
     """Descriptors for keypoints at least 16 px inside their level of the
     ``build_pyramid`` pyramid they were detected on.
 
-    Returns (packed descriptors (M, 32) uint8, kept original indices). Border
-    keypoints are dropped and reported through the kept-index list.
+    Returns (packed descriptors (M, 32) uint8, kept original indices (M,)),
+    in keypoint order. Border keypoints are dropped and reported through the
+    kept indices.
     """
-    if not keypoints:
+    if len(keypoints) == 0:
         raise RegistrationError("describe", "no keypoints to describe")
 
     ax = TEST_PATTERN[:, 0, 0].astype(np.float64)
@@ -62,40 +63,29 @@ def compute_descriptors(levels: list[np.ndarray],
     px = np.concatenate([ax, bx])
     py = np.concatenate([ay, by])
 
-    kept: list[int] = []
-    rows: list[np.ndarray] = []
-    by_level: dict[int, list[int]] = {}
-    for idx, kp in enumerate(keypoints):
-        by_level.setdefault(kp.octave, []).append(idx)
-
-    descs_by_index: dict[int, np.ndarray] = {}
-    for lvl, indices in sorted(by_level.items()):
+    descs = np.zeros((len(keypoints), DESCRIPTOR_BYTES), dtype=np.uint8)
+    described = np.zeros(len(keypoints), dtype=bool)
+    xs, ys = keypoints.lvl_xy.T
+    for lvl in np.unique(keypoints.octave):
         img_l = gaussian_smooth(levels[lvl])
         h, w = img_l.shape
-        xs = np.array([keypoints[i].x_lvl for i in indices], dtype=np.intp)
-        ys = np.array([keypoints[i].y_lvl for i in indices], dtype=np.intp)
-        ok = ((xs >= PATCH_BORDER) & (xs < w - PATCH_BORDER)
-              & (ys >= PATCH_BORDER) & (ys < h - PATCH_BORDER))
-        if not ok.any():
+        sel = ((keypoints.octave == lvl)
+               & (xs >= PATCH_BORDER) & (xs < w - PATCH_BORDER)
+               & (ys >= PATCH_BORDER) & (ys < h - PATCH_BORDER))
+        if not sel.any():
             continue
-        sel = np.nonzero(ok)[0]
-        angles = np.array([keypoints[indices[i]].angle for i in sel])
+        angles = keypoints.angle[sel]
         cos = np.cos(angles)[:, None]
         sin = np.sin(angles)[:, None]
         rx = np.round(cos * px[None, :] - sin * py[None, :]).astype(np.intp)
         ry = np.round(sin * px[None, :] + cos * py[None, :]).astype(np.intp)
-        sample_x = xs[sel][:, None] + rx
-        sample_y = ys[sel][:, None] + ry
-        vals = img_l[sample_y, sample_x]
+        vals = img_l[ys[sel][:, None] + ry, xs[sel][:, None] + rx]
         bits = vals[:, :DESCRIPTOR_BITS] < vals[:, DESCRIPTOR_BITS:]
-        packed = np.packbits(bits, axis=1)
-        for row, i in enumerate(sel):
-            descs_by_index[indices[i]] = packed[row]
+        descs[sel] = np.packbits(bits, axis=1)
+        described |= sel
 
-    if not descs_by_index:
+    kept = np.flatnonzero(described)
+    if len(kept) == 0:
         raise RegistrationError(
             "describe", "every keypoint fell inside the 16 px descriptor border")
-    for idx in sorted(descs_by_index):
-        kept.append(idx)
-        rows.append(descs_by_index[idx])
-    return np.stack(rows), kept
+    return descs[kept], kept

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RegistrationError
-from .keypoints import Keypoint
-from .matching import Match
+from .keypoints import Keypoints
+from .matching import Matches
 
 SOLVE_CHUNK = 2048  # samples drawn and solved together
 SCORE_BLOCK = 16  # homographies scored together against every match
@@ -119,9 +119,10 @@ def _dlt(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a[:, 1::2, 6:8] = -s[:, :, :2] * d[:, :, 1:2]
     a[:, 1::2, 8] = -d[:, :, 1]
 
-    _, sing, vt = np.linalg.svd(a)
-    # for the 8x9 minimal system the null space is the 9th right-singular
-    # vector; a vanishing 8th singular value means rank < 8 (3 points on a line)
+    # U is never used, so it stays thin; the 8x9 minimal system needs the full
+    # vt, whose 9th row is its null space. A vanishing 8th singular value
+    # there means rank < 8 (3 points on a line)
+    _, sing, vt = np.linalg.svd(a, full_matrices=(m == 4))
     rank_deficient = (m == 4) & (sing[:, -1] < 1e-9 * np.maximum(sing[:, 0], 1e-30))
     h_norm = vt[:, -1].reshape(k, 3, 3)
     mats = np.linalg.inv(t_dst) @ h_norm @ t_src
@@ -188,29 +189,29 @@ def _solve_minimal(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 @dataclass
 class RansacResult:
     homography: Homography
-    inliers: list[Match]
+    inliers: Matches
     mean_residual: float
     n_input: int = 0
 
 
-def estimate_homography(matches: list[Match], kps_a: list[Keypoint],
-                        kps_b: list[Keypoint], *, iters: int = 2000,
+def estimate_homography(matches: Matches, kps_a: Keypoints,
+                        kps_b: Keypoints, *, iters: int = 2000,
                         inlier_px: float = 3.0, min_inliers: int = 10,
                         seed: int = 0) -> RansacResult:
     """Robustly fit the homography mapping keypoints A onto keypoints B.
 
-    Sampling order is fixed by the seed over a canonically sorted copy of
-    the match list, so any permutation of the input yields the same result.
-    The best sample has the most inliers; among equal counts, the least
-    total inlier error; among equal totals, the first drawn.
+    Sampling order is fixed by the seed over the matches sorted by
+    (index_a, index_b, distance), so any permutation of the input yields the
+    same result. The best sample has the most inliers; among equal counts,
+    the least total inlier error; among equal totals, the first drawn.
     """
     if len(matches) < 4:
         raise RegistrationError(
             "estimate", f"need >= 4 matches to estimate a homography, got {len(matches)}")
 
-    canon = sorted(matches, key=lambda m: (m.index_a, m.index_b, m.distance))
-    src = np.array([[kps_a[m.index_a].x, kps_a[m.index_a].y] for m in canon])
-    dst = np.array([[kps_b[m.index_b].x, kps_b[m.index_b].y] for m in canon])
+    canon = matches[np.lexsort((matches.distance, matches.index_b, matches.index_a))]
+    src = kps_a.xy[canon.index_a]
+    dst = kps_b.xy[canon.index_b]
     n = len(canon)
     needed = min(min_inliers, n)
 
@@ -249,6 +250,5 @@ def estimate_homography(matches: list[Match], kps_a: list[Keypoint],
 
     refit = dlt_homography(src[best_mask], dst[best_mask])
     residuals = symmetric_transfer_error(refit, src[best_mask], dst[best_mask])
-    inliers = [m for m, keep in zip(canon, best_mask) if keep]
-    return RansacResult(homography=refit, inliers=inliers,
+    return RansacResult(homography=refit, inliers=canon[best_mask],
                         mean_residual=float(residuals.mean()), n_input=n)

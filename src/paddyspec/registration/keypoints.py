@@ -111,21 +111,26 @@ def _nms(candidates: np.ndarray, response: np.ndarray) -> np.ndarray:
     return candidates & (masked >= best) & np.isfinite(masked)
 
 
-def _subpixel_offset(response: np.ndarray, y: int, x: int) -> tuple[float, float]:
-    """Parabolic refinement of a response peak, clamped to half a pixel."""
+def _subpixel_offsets(response: np.ndarray, ys: np.ndarray,
+                      xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parabolic refinement of response peaks at (ys, xs) of a response map
+    at least 3x3, clamped to half a pixel; (dx, dy) is 0 on the map border
+    and along flat or non-peaked axes."""
     h, w = response.shape
-    if not (0 < y < h - 1 and 0 < x < w - 1):
-        return 0.0, 0.0
+    inside = (ys > 0) & (ys < h - 1) & (xs > 0) & (xs < w - 1)
+    y = np.clip(ys, 1, h - 2)
+    x = np.clip(xs, 1, w - 2)
+    mid = response[y, x]
 
-    def refine(lo, mid, hi):
+    def refine(lo, hi):
         denom = lo - 2.0 * mid + hi
-        if denom >= -1e-12:
-            return 0.0
-        return float(np.clip(0.5 * (lo - hi) / denom, -0.5, 0.5))
+        flat = (denom >= -1e-12) | ~inside
+        with np.errstate(divide="ignore", invalid="ignore"):
+            offset = np.clip(0.5 * (lo - hi) / denom, -0.5, 0.5)
+        return np.where(flat, 0.0, offset)
 
-    dx = refine(response[y, x - 1], response[y, x], response[y, x + 1])
-    dy = refine(response[y - 1, x], response[y, x], response[y + 1, x])
-    return dx, dy
+    return (refine(response[y, x - 1], response[y, x + 1]),
+            refine(response[y - 1, x], response[y + 1, x]))
 
 
 _DISC_DY, _DISC_DX = np.nonzero(
@@ -146,17 +151,26 @@ def _orientations(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray
     return np.arctan2(m01, m10)
 
 
-@dataclass
-class Keypoint:
-    """Corner in level-0 coordinates plus the pyramid level it came from."""
+@dataclass(eq=False)
+class Keypoints:
+    """Corners, one row each: ``xy`` in level-0 coordinates, and the pyramid
+    level (``octave``) and integer position on it (``lvl_xy``) they came from.
 
-    x: float
-    y: float
-    score: float
-    angle: float
-    octave: int
-    x_lvl: int
-    y_lvl: int
+    Indexing with an index array, a boolean mask or a slice selects rows.
+    """
+
+    xy: np.ndarray       # (n, 2) float64
+    score: np.ndarray    # (n,) Harris response
+    angle: np.ndarray    # (n,) intensity-centroid orientation, radians
+    octave: np.ndarray   # (n,) intp
+    lvl_xy: np.ndarray   # (n, 2) intp
+
+    def __len__(self) -> int:
+        return len(self.xy)
+
+    def __getitem__(self, rows) -> "Keypoints":
+        return Keypoints(self.xy[rows], self.score[rows], self.angle[rows],
+                         self.octave[rows], self.lvl_xy[rows])
 
 
 def _coerce_gray(img) -> np.ndarray:
@@ -186,7 +200,7 @@ def build_pyramid(img) -> list[np.ndarray]:
 
 
 def detect_keypoints(levels: list[np.ndarray],
-                     target_count: int = 10000) -> list[Keypoint]:
+                     target_count: int = 10000) -> Keypoints:
     """Detect up to target_count corners over a ``build_pyramid`` pyramid,
     strongest Harris response first."""
     if target_count < 4:
@@ -201,11 +215,9 @@ def detect_keypoints(levels: list[np.ndarray],
             break
         quotas[i] += 1
 
-    found: list[tuple[float, int, int, int]] = []   # (score, level, y, x)
-    responses: dict[int, np.ndarray] = {}
-    for lvl, (img_l, quota) in enumerate(zip(levels, quotas)):
-        response = harris_response(img_l)
-        responses[lvl] = response
+    responses = [harris_response(img_l) for img_l in levels]
+    parts = []   # (score, level, y, x) per level
+    for lvl, (img_l, response, quota) in enumerate(zip(levels, responses, quotas)):
         kept = _nms(_fast_mask(img_l, _MIN_THRESHOLD), response)
         if kept.sum() > quota:
             # largest threshold still yielding at least the level quota
@@ -219,36 +231,27 @@ def detect_keypoints(levels: list[np.ndarray],
                 else:
                     hi = mid
         ys, xs = np.nonzero(kept)
-        if ys.size == 0:
-            continue
         scores = response[ys, xs]
-        order = np.argsort(-scores, kind="stable")[:quota]
-        for i in order:
-            found.append((float(scores[i]), lvl, int(ys[i]), int(xs[i])))
+        top = np.argsort(-scores, kind="stable")[:quota]
+        parts.append((scores[top], np.full(len(top), lvl, dtype=np.intp), ys[top], xs[top]))
+    score, octave, ys, xs = (np.concatenate(col) for col in zip(*parts))
 
-    if len(found) < 4:
+    if len(score) < 4:
         raise RegistrationError(
-            "detect", f"only {len(found)} corners found; need at least 4 to register")
+            "detect", f"only {len(score)} corners found; need at least 4 to register")
 
-    found.sort(key=lambda t: (-t[0], t[1], t[2], t[3]))
-    found = found[:target_count]
-
-    keypoints: list[Keypoint] = []
-    by_level: dict[int, list[int]] = {}
-    for idx, (_, lvl, _, _) in enumerate(found):
-        by_level.setdefault(lvl, []).append(idx)
-    angles = np.zeros(len(found))
-    for lvl, indices in by_level.items():
-        ys = np.array([found[i][2] for i in indices], dtype=np.intp)
-        xs = np.array([found[i][3] for i in indices], dtype=np.intp)
-        angles[indices] = _orientations(levels[lvl], ys, xs)
+    order = np.lexsort((xs, ys, octave, -score))[:target_count]
+    score, octave, ys, xs = score[order], octave[order], ys[order], xs[order]
 
     h0, w0 = levels[0].shape
-    for idx, (score, lvl, y, x) in enumerate(found):
-        s = SCALE_FACTOR ** lvl
-        dx, dy = _subpixel_offset(responses[lvl], y, x)
-        x0 = min(max((x + dx + 0.5) * s - 0.5, 0.0), w0 - 1.0)
-        y0 = min(max((y + dy + 0.5) * s - 0.5, 0.0), h0 - 1.0)
-        keypoints.append(Keypoint(x=x0, y=y0, score=score, angle=float(angles[idx]),
-                                  octave=lvl, x_lvl=x, y_lvl=y))
-    return keypoints
+    xy = np.empty((len(order), 2))
+    angle = np.empty(len(order))
+    for lvl in np.unique(octave):
+        on = octave == lvl
+        angle[on] = _orientations(levels[lvl], ys[on], xs[on])
+        s = SCALE_FACTOR ** int(lvl)
+        dx, dy = _subpixel_offsets(responses[lvl], ys[on], xs[on])
+        xy[on, 0] = np.clip((xs[on] + dx + 0.5) * s - 0.5, 0.0, w0 - 1.0)
+        xy[on, 1] = np.clip((ys[on] + dy + 0.5) * s - 0.5, 0.0, h0 - 1.0)
+    return Keypoints(xy=xy, score=score, angle=angle, octave=octave,
+                     lvl_xy=np.stack([xs, ys], axis=1))

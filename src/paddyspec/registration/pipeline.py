@@ -4,6 +4,10 @@ The green channel drives feature detection in both modalities (it is the
 one band present in RGB and R-G-NIR alike). The recovered homography maps
 RGB coordinates into the R-G-NIR frame, and the RGB image is warped there
 at the R-G-NIR resolution.
+
+The survey camera sees a much narrower field (41 degrees) than the phone
+(123 degrees), so a correct homography upscales RGB content into the R-G-NIR
+frame.
 """
 from __future__ import annotations
 
@@ -17,12 +21,6 @@ from .errors import RegistrationError
 from .homography import Homography, RansacResult, estimate_homography
 from .keypoints import build_pyramid, detect_keypoints
 from .matching import filter_matches, match_bruteforce
-
-# capture hardware geometry: the survey camera sees a much narrower field
-# than the phone, so a correct homography upscales RGB content into the
-# R-G-NIR frame
-RGNIR_FOV_DEGREES = 41.0
-RGB_FOV_DEGREES = 123.0
 
 
 @dataclass
@@ -100,8 +98,7 @@ def register_pair(rgb: ImageF, rgnir: ImageF,
     n_detected_a, n_detected_b = len(kps_a), len(kps_b)
     descs_a, kept_a = compute_descriptors(levels_a, kps_a)
     descs_b, kept_b = compute_descriptors(levels_b, kps_b)
-    kps_a = [kps_a[i] for i in kept_a]
-    kps_b = [kps_b[i] for i in kept_b]
+    kps_a, kps_b = kps_a[kept_a], kps_b[kept_b]
 
     matches = match_bruteforce(descs_a, descs_b)
     filtered = filter_matches(matches, params.drop_fraction, params.drop_best)

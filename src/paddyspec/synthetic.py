@@ -13,7 +13,7 @@ import numpy as np
 from .calibration import Panel, PanelRoi, PanelSpec, save_session
 from .dataset import LABELS
 from .imaging import ImageF, save_image, warp_perspective
-from .registration import Keypoint, Match
+from .registration import Keypoints, Matches
 from .spectral import compute_ndvi, fuse
 
 DEFAULT_GAIN = np.array([1.25, 1.10, 1.40])
@@ -134,7 +134,7 @@ def random_projective_homography(rng: np.random.Generator,
 def make_correspondences(rng: np.random.Generator, h_true: np.ndarray, n: int,
                          extent: int = 256, noise: float = 0.0,
                          outlier_fraction: float = 0.0,
-                         ) -> tuple[list[Keypoint], list[Keypoint], list[Match]]:
+                         ) -> tuple[Keypoints, Keypoints, Matches]:
     """Point correspondences under a known homography, optionally corrupted."""
     pts_a = rng.uniform(8.0, extent - 8.0, size=(n, 2))
     homog = np.hstack([pts_a, np.ones((n, 1))]) @ h_true.T
@@ -148,13 +148,13 @@ def make_correspondences(rng: np.random.Generator, h_true: np.ndarray, n: int,
         hi = pts_b.max(axis=0)
         pts_b[idx] = rng.uniform(lo, hi, size=(n_out, 2))
 
-    kps_a = [Keypoint(x=float(p[0]), y=float(p[1]), score=1.0, angle=0.0,
-                      octave=0, x_lvl=int(p[0]), y_lvl=int(p[1])) for p in pts_a]
-    kps_b = [Keypoint(x=float(p[0]), y=float(p[1]), score=1.0, angle=0.0,
-                      octave=0, x_lvl=int(p[0]), y_lvl=int(p[1])) for p in pts_b]
-    matches = [Match(index_a=i, index_b=i, distance=int(rng.integers(0, 80)))
-               for i in range(n)]
-    return kps_a, kps_b, matches
+    def keypoints(pts):
+        return Keypoints(xy=pts, score=np.ones(n), angle=np.zeros(n),
+                         octave=np.zeros(n, dtype=np.intp), lvl_xy=pts.astype(np.intp))
+
+    index = np.arange(n)
+    return (keypoints(pts_a), keypoints(pts_b),
+            Matches(index, index, rng.integers(0, 80, size=n)))
 
 
 def corner_reprojection_error(h_est: np.ndarray, h_true: np.ndarray,

@@ -49,6 +49,14 @@ class TrainConfig:
             raise TrainingError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.cycle_epochs < 1:
             raise TrainingError(f"cycle_epochs must be >= 1, got {self.cycle_epochs}")
+        if not self.lr_max > 0.0:
+            raise TrainingError(f"lr_max must be > 0, got {self.lr_max}")
+        if not self.lr_min >= 0.0:
+            raise TrainingError(f"lr_min must be >= 0, got {self.lr_min}")
+        if self.lr_min > self.lr_max:
+            raise TrainingError(f"lr_min must be <= lr_max, got {self.lr_min} > {self.lr_max}")
+        if self.input_size < 1:
+            raise TrainingError(f"input_size must be >= 1, got {self.input_size}")
         if self.optimizer != "adam":
             raise TrainingError(f"unsupported optimizer {self.optimizer!r}")
         if self.loss != "weighted_ce":

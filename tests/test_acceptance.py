@@ -114,7 +114,8 @@ def test_registration_accuracy():
         nb = int(rng.integers(1, 257))
         a = rng.integers(0, 256, size=(na, 32)).astype(np.uint8)
         b = rng.integers(0, 256, size=(nb, 32)).astype(np.uint8)
-        got = [(m.index_a, m.index_b, m.distance) for m in reg.match_bruteforce(a, b)]
+        m = reg.match_bruteforce(a, b)
+        got = list(zip(m.index_a.tolist(), m.index_b.tolist(), m.distance.tolist()))
         assert got == oracle(a, b), f"matcher diverged from oracle on trial {trial}"
 
     print(f"\nPASS: registration accuracy ({hits}/100 noisy trials < 1 px, "

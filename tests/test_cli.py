@@ -70,6 +70,11 @@ class TestConfig:
         ({"registration": {"ransac_iters": 0}}, "ransac_iters"),
         ({"registration": {"inlier_px": 0}}, "inlier_px"),
         ({"calibration_session": 3}, "calibration_session"),
+        ({"training": {"lr_max": -0.05}}, "lr_max must be > 0"),
+        ({"training": {"lr_max": 0}}, "lr_max must be > 0"),
+        ({"training": {"lr_min": -0.01}}, "lr_min must be >= 0"),
+        ({"training": {"lr_min": 0.1, "lr_max": 0.05}}, "lr_min must be <= lr_max"),
+        ({"training": {"input_size": 0}}, "input_size must be >= 1"),
     ])
     def test_malformed_value_is_usage_error(self, tmp_path, capsys, config, needle):
         bad = tmp_path / "bad.json"
@@ -317,6 +322,31 @@ class TestMalformedInputs:
         self._fails_on_one_line(["predict", "--checkpoint", "m.ckpt", "--calibration",
                                  "calib.json", "--rgb", "a.png", "--rgnir", "b.png"],
                                 capsys, "calib.json")
+
+    @pytest.mark.parametrize("key, value, needle", [
+        ("board_image", 5, "board_image must be a string"),
+        ("bands", "RGN", "bands must be a list of strings"),
+        ("bands", ["R", 1, "NIR"], "bands must be a list of strings"),
+        ("reflectance", ["x", "y", "z"], "reflectance must be a list of numbers"),
+        ("reflectance", 0.5, "reflectance must be a list of numbers"),
+        ("roi", ["a", 1, 2, 3], "roi must be 4 integers"),
+        ("roi", [1.5, 1, 2, 3], "roi must be 4 integers"),
+        ("roi", [1, 2, 3], "roi must be 4 integers"),
+    ])
+    def test_mistyped_session_file(self, tmp_path, monkeypatch, capsys, key, value, needle):
+        from paddyspec import calibration as cal
+        from paddyspec.synthetic import make_calibration_board
+        monkeypatch.chdir(tmp_path)
+        _, panels = make_calibration_board(np.random.default_rng(0))
+        cal.save_session(tmp_path / "session.json", "board.png", panels)
+        payload = json.loads((tmp_path / "session.json").read_text())
+        if key in payload:
+            payload[key] = value
+        else:
+            payload["panels"][1][key] = value
+        (tmp_path / "session.json").write_text(json.dumps(payload))
+        self._fails_on_one_line(["calibrate", "--session", "session.json",
+                                 "--pairs", "pairs.csv"], capsys, needle)
 
 @pytest.mark.slow
 class TestPipeline:

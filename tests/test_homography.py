@@ -1,4 +1,6 @@
 """DLT + RANSAC homography estimation and whole-pair registration."""
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +11,30 @@ from paddyspec import synthetic
 from paddyspec.imaging import ImageF
 from paddyspec.registration import RegistrationError
 from paddyspec.registration.homography import Homography, RansacResult
+
+
+class Keypoint(NamedTuple):
+    """One keypoint, as the list-based oracle below reads it."""
+
+    x: float
+    y: float
+
+
+class Match(NamedTuple):
+    """One correspondence, as the list-based oracle below takes and returns it."""
+
+    index_a: int
+    index_b: int
+    distance: int
+
+
+def keypoint_list(kps: reg.Keypoints) -> list[Keypoint]:
+    return [Keypoint(x, y) for x, y in kps.xy.tolist()]
+
+
+def match_list(matches: reg.Matches) -> list[Match]:
+    return [Match(*row) for row in zip(matches.index_a.tolist(), matches.index_b.tolist(),
+                                       matches.distance.tolist())]
 
 
 # The per-iteration RANSAC that the batched estimate_homography replaced,
@@ -137,8 +163,16 @@ def ransac_outcome(estimate, matches, kps_a, kps_b, **kwargs):
         result = estimate(matches, kps_a, kps_b, **kwargs)
     except RegistrationError as exc:
         return ("error", exc.stage, str(exc))
-    return (result.inliers, result.homography.matrix.tobytes(),
+    inliers = result.inliers
+    return (inliers if isinstance(inliers, list) else match_list(inliers),
+            result.homography.matrix.tobytes(),
             np.float64(result.mean_residual).tobytes(), result.n_input)
+
+
+def reference_outcome(matches, kps_a, kps_b, **kwargs):
+    """``ransac_outcome`` of the oracle, given the lists the arrays hold."""
+    return ransac_outcome(reference_estimate_homography, match_list(matches),
+                          keypoint_list(kps_a), keypoint_list(kps_b), **kwargs)
 
 
 def translation(tx, ty):
@@ -165,9 +199,7 @@ class TestDlt:
         rng = np.random.default_rng(2)
         h_true = synthetic.random_projective_homography(rng)
         kps_a, kps_b, _ = synthetic.make_correspondences(rng, h_true, n=30)
-        src = np.array([[kp.x, kp.y] for kp in kps_a])
-        dst = np.array([[kp.x, kp.y] for kp in kps_b])
-        h = reg.dlt_homography(src, dst)
+        h = reg.dlt_homography(kps_a.xy, kps_b.xy)
         assert synthetic.corner_reprojection_error(h.matrix, h_true) < 1e-8
 
     def test_degenerate_sample_rejected(self):
@@ -202,10 +234,10 @@ class TestRansac:
             rng, h_true, n=60, outlier_fraction=0.25)
         params = dict(iters=500, seed=7)
         first = reg.estimate_homography(matches, kps_a, kps_b, **params)
-        shuffled = [matches[i] for i in rng.permutation(len(matches))]
-        second = reg.estimate_homography(shuffled, kps_a, kps_b, **params)
-        set_a = {(m.index_a, m.index_b) for m in first.inliers}
-        set_b = {(m.index_a, m.index_b) for m in second.inliers}
+        second = reg.estimate_homography(matches[rng.permutation(len(matches))],
+                                         kps_a, kps_b, **params)
+        set_a = set(zip(first.inliers.index_a.tolist(), first.inliers.index_b.tolist()))
+        set_b = set(zip(second.inliers.index_a.tolist(), second.inliers.index_b.tolist()))
         assert set_a == set_b
         assert np.allclose(first.homography.matrix, second.homography.matrix)
 
@@ -216,9 +248,7 @@ class TestRansac:
         result = reg.estimate_homography(matches, kps_a, kps_b,
                                          iters=300, seed=9)
         assert len(result.inliers) == 40
-        src = np.array([[kp.x, kp.y] for kp in kps_a])
-        dst = np.array([[kp.x, kp.y] for kp in kps_b])
-        direct = reg.dlt_homography(src, dst)
+        direct = reg.dlt_homography(kps_a.xy, kps_b.xy)
         assert np.abs(result.homography.matrix - direct.matrix).max() < 1e-9
 
     def test_insufficient_consensus_errors(self):
@@ -235,9 +265,7 @@ class TestRansac:
         rng = np.random.default_rng(12)
         h_true = synthetic.random_projective_homography(rng)
         kps_a, kps_b, _ = synthetic.make_correspondences(rng, h_true, n=10)
-        src = np.array([[kp.x, kp.y] for kp in kps_a])
-        dst = np.array([[kp.x, kp.y] for kp in kps_b])
-        err = reg.symmetric_transfer_error(reg.Homography(h_true), src, dst)
+        err = reg.symmetric_transfer_error(reg.Homography(h_true), kps_a.xy, kps_b.xy)
         assert err.max() < 1e-9
 
 
@@ -324,8 +352,15 @@ class TestRegisterPair:
 
 
 def _keypoints(points):
-    return [reg.Keypoint(x=float(x), y=float(y), score=1.0, angle=0.0, octave=0,
-                         x_lvl=int(x), y_lvl=int(y)) for x, y in points]
+    xy = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    n = len(xy)
+    return reg.Keypoints(xy=xy, score=np.ones(n), angle=np.zeros(n),
+                         octave=np.zeros(n, dtype=np.intp), lvl_xy=xy.astype(np.intp))
+
+
+def _matches(index_b, distance):
+    return reg.Matches(np.arange(len(index_b)), np.asarray(index_b),
+                       np.asarray(distance, dtype=np.int64))
 
 
 @st.composite
@@ -350,8 +385,9 @@ def match_sets(draw):
         pts_a[:] = pts_a[0]
         pts_b[:] = pts_b[0]
     order = rng.permutation(n)
-    matches = [reg.Match(index_a=i, index_b=int(order[i]), distance=int(rng.integers(0, 4)))
-               for i in range(n)]
+    matches = _matches(order, rng.integers(0, 4, size=n))
+    if draw(st.booleans()):  # A keypoints in several matches, so the canonical
+        matches.index_a = rng.integers(0, n, size=n)  # order needs all three keys
     return matches, _keypoints(pts_a), _keypoints(pts_b[np.argsort(order)])
 
 
@@ -360,22 +396,20 @@ class TestBatchedRansacOracle:
 
     @given(case=match_sets(), iters=st.integers(1, 80), seed=st.integers(0, 1000),
            inlier_px=st.sampled_from([0.5, 3.0]), min_inliers=st.sampled_from([4, 10]))
-    @example(case=([reg.Match(i, i, 0) for i in range(4)], _keypoints([(0, 0)] * 4),
+    @example(case=(_matches(range(4), [0] * 4), _keypoints([(0, 0)] * 4),
                    _keypoints([(1, 1)] * 4)), iters=5, seed=0, inlier_px=3.0, min_inliers=4)
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_matches_per_iteration_loop(self, case, iters, seed, inlier_px, min_inliers):
         matches, kps_a, kps_b = case
         kwargs = dict(iters=iters, seed=seed, inlier_px=inlier_px, min_inliers=min_inliers)
         assert (ransac_outcome(reg.estimate_homography, matches, kps_a, kps_b, **kwargs)
-                == ransac_outcome(reference_estimate_homography, matches, kps_a, kps_b,
-                                  **kwargs))
+                == reference_outcome(matches, kps_a, kps_b, **kwargs))
 
     def test_all_degenerate_raises_same_error(self):
         kps = _keypoints([(float(i), 3.0 * i) for i in range(12)])
-        matches = [reg.Match(i, i, 0) for i in range(12)]
+        matches = _matches(range(12), [0] * 12)
         got = ransac_outcome(reg.estimate_homography, matches, kps, kps, iters=30)
-        assert got == ransac_outcome(reference_estimate_homography, matches, kps, kps,
-                                     iters=30)
+        assert got == reference_outcome(matches, kps, kps, iters=30)
         assert got == ("error", "estimate",
                        "[estimate] degenerate sample handling exhausted: no valid minimal solve")
 
@@ -396,8 +430,7 @@ class TestBatchedRansacOracle:
         kps_a, kps_b, matches = synthetic.make_correspondences(
             rng, h_true, n=80, outlier_fraction=0.3, noise=0.5)
         got = ransac_outcome(reg.estimate_homography, matches, kps_a, kps_b, iters=300)
-        assert got == ransac_outcome(reference_estimate_homography, matches, kps_a, kps_b,
-                                     iters=300)
+        assert got == reference_outcome(matches, kps_a, kps_b, iters=300)
         assert len(got[0]) >= 40
 
     @pytest.mark.parametrize("rng_seed, kind, n, outliers, noise, iters, seed", [
@@ -418,8 +451,7 @@ class TestBatchedRansacOracle:
             rng, h_true, n=n, outlier_fraction=outliers, noise=noise)
         kwargs = dict(iters=iters, seed=seed)
         assert (ransac_outcome(reg.estimate_homography, matches, kps_a, kps_b, **kwargs)
-                == ransac_outcome(reference_estimate_homography, matches, kps_a, kps_b,
-                                  **kwargs))
+                == reference_outcome(matches, kps_a, kps_b, **kwargs))
 
     @pytest.mark.parametrize("rng_seed, size, target, iters, seed", [
         (13, 220, 1200, 3000, 14), (15, 200, 700, 800, 16), (17, 220, 1200, 3000, 18),
@@ -439,21 +471,21 @@ class TestBatchedRansacOracle:
             levels = reg.build_pyramid(img.band("G"))
             detected = reg.detect_keypoints(levels, target)
             described, kept = reg.compute_descriptors(levels, detected)
-            kps.append([detected[i] for i in kept])
+            kps.append(detected[kept])
             descs.append(described)
         matches = reg.filter_matches(reg.match_bruteforce(*descs), params.drop_fraction)
         kwargs = dict(iters=iters, inlier_px=params.inlier_px,
                       min_inliers=params.min_inliers, seed=seed)
         assert (ransac_outcome(reg.estimate_homography, matches, *kps, **kwargs)
-                == ransac_outcome(reference_estimate_homography, matches, *kps, **kwargs))
+                == reference_outcome(matches, *kps, **kwargs))
 
     def test_refit_and_residual_match_reference(self):
         rng = np.random.default_rng(22)
         h_true = synthetic.random_projective_homography(rng)
-        kps_a, kps_b, _ = synthetic.make_correspondences(rng, h_true, n=300, noise=0.5)
-        src = np.array([[kp.x, kp.y] for kp in kps_a])
-        dst = np.array([[kp.x, kp.y] for kp in kps_b])
-        for m in (4, 5, 37, 300):
+        kps_a, kps_b, _ = synthetic.make_correspondences(rng, h_true, n=1100, noise=0.5)
+        src, dst = kps_a.xy, kps_b.xy
+        # 1,100 is the size of the largest inlier refits on the benchmark pairs
+        for m in (4, 5, 37, 300, 1100):
             h = reg.dlt_homography(src[:m], dst[:m])
             ref = reference_dlt_homography(src[:m], dst[:m])
             assert h.matrix.tobytes() == ref.matrix.tobytes()

@@ -151,11 +151,12 @@ class TestEvaluate:
 
 
 class TestTrainFold:
-    def test_zero_peak_lr_is_noop(self):
+    def test_zero_peak_lr_is_noop(self, monkeypatch):
+        # TrainConfig rejects lr_max <= 0, so the schedule itself is zeroed
+        monkeypatch.setattr(training, "lr_at", lambda step_epoch, cfg: 0.0)
         manifest, source = tiny_dataset(n_per_class=2)
         folds = stratified_kfold(manifest, k=2, seed=0)
-        cfg = small_cfg(lr_max=0.0, lr_min=0.0, epochs=2, batch_size=3,
-                        precision="float64")
+        cfg = small_cfg(epochs=2, batch_size=3, precision="float64")
         result = train_fold(cfg, manifest, folds, 0, source)
         from paddyspec.model import build_resnet18
         from paddyspec.training import model_seed
