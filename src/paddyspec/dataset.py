@@ -42,18 +42,25 @@ class SampleRecord:
 @dataclass
 class Manifest:
     records: list[SampleRecord]
-    counts: dict[str, int]
-    checksum: str
 
     def __len__(self) -> int:
         return len(self.records)
 
+    @property
+    def counts(self) -> dict[str, int]:
+        """Samples per label, every label present."""
+        counts = {label: 0 for label in LABELS}
+        for r in self.records:
+            counts[r.label] += 1
+        return counts
 
-def _checksum(records: list[SampleRecord]) -> str:
-    digest = hashlib.sha256()
-    for r in records:
-        digest.update(f"{r.id},{r.label},{r.rgb_path},{r.rgnir_path}\n".encode())
-    return digest.hexdigest()
+    @property
+    def checksum(self) -> str:
+        """SHA-256 over each record's id, label and paths, in record order."""
+        digest = hashlib.sha256()
+        for r in self.records:
+            digest.update(f"{r.id},{r.label},{r.rgb_path},{r.rgnir_path}\n".encode())
+        return digest.hexdigest()
 
 
 def build_manifest(root_dir) -> Manifest:
@@ -104,10 +111,7 @@ def build_manifest(root_dir) -> Manifest:
         raise ManifestError("manifest build failed:\n  " + "\n  ".join(problems))
 
     records.sort(key=lambda r: (r.label, r.id))
-    counts = {label: 0 for label in LABELS}
-    for r in records:
-        counts[r.label] += 1
-    return Manifest(records=records, counts=counts, checksum=_checksum(records))
+    return Manifest(records=records)
 
 
 @dataclass
@@ -201,10 +205,7 @@ def read_manifest_csv(path) -> Manifest:
             records.append(SampleRecord(
                 id=sid, rgb_path=rgb, rgnir_path=rgnir, label=label,
                 session_id=session, lat=lat, lon=lon))
-    counts = {label: 0 for label in LABELS}
-    for r in records:
-        counts[r.label] += 1
-    return Manifest(records=records, counts=counts, checksum=_checksum(records))
+    return Manifest(records=records)
 
 
 def write_folds_csv(assignment: FoldAssignment, path) -> None:

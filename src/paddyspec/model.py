@@ -4,8 +4,10 @@ global average pooling, and a 3-way affine head. The stem accepts 3 channels
 (RGB) or 4 (RGB+NDVI).
 
 Every residual block computes relu(F(x) + shortcut(x)) with
-F = conv-bn-relu-conv-bn. Convolutions carry no bias (batchnorm's shift
-makes it redundant); the head keeps one, initialized to zero.
+F = conv-bn-relu-conv-bn. Every convolution is a `ConvBN` unit: it carries
+no bias (batchnorm's shift makes it redundant). The head keeps one,
+initialized to zero. The model's ordered unit list names every parameter
+and checkpoint tensor by its layer path.
 """
 from __future__ import annotations
 
@@ -18,57 +20,54 @@ STAGE_WIDTHS = (64, 128, 256, 512)
 BLOCKS_PER_STAGE = 2
 
 
-class Conv2dLayer:
-    def __init__(self, rng, in_ch: int, out_ch: int, kernel: int, stride: int,
-                 padding: int, dtype):
-        fan_in = in_ch * kernel * kernel
-        std = np.sqrt(2.0 / fan_in)
+class ConvBN:
+    """A bias-free He-initialized convolution followed by batchnorm.
+
+    ``conv_name`` and ``bn_name`` are the layer paths its weight, affine and
+    running statistics are stored under in a checkpoint.
+    """
+
+    def __init__(self, rng, conv_name: str, bn_name: str, in_ch: int, out_ch: int,
+                 kernel: int, stride: int, padding: int, dtype):
+        std = np.sqrt(2.0 / (in_ch * kernel * kernel))
         weight = rng.normal(0.0, std, size=(out_ch, in_ch, kernel, kernel))
         self.weight = Tensor(weight.astype(dtype), requires_grad=True)
+        self.bn = BatchNormParams.create(out_ch, dtype=dtype)
         self.stride = stride
         self.padding = padding
+        self.conv_name = conv_name
+        self.bn_name = bn_name
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return nn.conv2d(x, self.weight, None, self.stride, self.padding)
+    def __call__(self, x: Tensor, train: bool) -> Tensor:
+        out = nn.conv2d(x, self.weight, None, self.stride, self.padding)
+        return nn.batchnorm2d(out, self.bn, train)
 
-
-class LinearLayer:
-    def __init__(self, rng, in_features: int, out_features: int, dtype):
-        std = np.sqrt(2.0 / in_features)
-        weight = rng.normal(0.0, std, size=(in_features, out_features))
-        self.weight = Tensor(weight.astype(dtype), requires_grad=True)
-        self.bias = Tensor(np.zeros(out_features, dtype=dtype), requires_grad=True)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return nn.linear(x, self.weight, self.bias)
+    def named_parameters(self) -> list[tuple[str, Tensor]]:
+        return [(f"{self.conv_name}.weight", self.weight),
+                (f"{self.bn_name}.gamma", self.bn.gamma),
+                (f"{self.bn_name}.beta", self.bn.beta)]
 
 
 class BasicBlock:
-    """Two 3x3 convolutions with a residual join.
+    """Two 3x3 conv-BN units with a residual join.
 
     The stage-entry block downsamples (stride 2) and projects the shortcut
-    with a 1x1 convolution; otherwise the shortcut is the identity.
+    with a 1x1 conv-BN unit (``down``); otherwise the shortcut is the identity.
     """
 
-    def __init__(self, rng, in_ch: int, out_ch: int, stride: int, dtype):
-        self.conv1 = Conv2dLayer(rng, in_ch, out_ch, 3, stride, 1, dtype)
-        self.bn1 = BatchNormParams.create(out_ch, dtype=dtype)
-        self.conv2 = Conv2dLayer(rng, out_ch, out_ch, 3, 1, 1, dtype)
-        self.bn2 = BatchNormParams.create(out_ch, dtype=dtype)
+    def __init__(self, rng, prefix: str, in_ch: int, out_ch: int, stride: int, dtype):
+        self.conv1 = ConvBN(rng, f"{prefix}.conv1", f"{prefix}.bn1",
+                            in_ch, out_ch, 3, stride, 1, dtype)
+        self.conv2 = ConvBN(rng, f"{prefix}.conv2", f"{prefix}.bn2",
+                            out_ch, out_ch, 3, 1, 1, dtype)
+        self.down = None
         if stride != 1 or in_ch != out_ch:
-            self.down_conv = Conv2dLayer(rng, in_ch, out_ch, 1, stride, 0, dtype)
-            self.down_bn = BatchNormParams.create(out_ch, dtype=dtype)
-        else:
-            self.down_conv = None
-            self.down_bn = None
+            self.down = ConvBN(rng, f"{prefix}.down_conv", f"{prefix}.down_bn",
+                               in_ch, out_ch, 1, stride, 0, dtype)
 
     def __call__(self, x: Tensor, train: bool) -> Tensor:
-        out = nn.relu(nn.batchnorm2d(self.conv1(x), self.bn1, train))
-        out = nn.batchnorm2d(self.conv2(out), self.bn2, train)
-        if self.down_conv is not None:
-            shortcut = nn.batchnorm2d(self.down_conv(x), self.down_bn, train)
-        else:
-            shortcut = x
+        out = self.conv2(nn.relu(self.conv1(x, train)), train)
+        shortcut = x if self.down is None else self.down(x, train)
         return nn.relu(nn.add(out, shortcut))
 
 
@@ -85,18 +84,24 @@ class ResNet18:
         self.dtype = np.dtype(dtype).type
 
         rng = np.random.default_rng(seed)
-        self.stem_conv = Conv2dLayer(rng, in_channels, 64, 7, 2, 3, self.dtype)
-        self.stem_bn = BatchNormParams.create(64, dtype=self.dtype)
+        self.stem = ConvBN(rng, "stem_conv", "stem_bn", in_channels, 64, 7, 2, 3, self.dtype)
+        self.units: list[ConvBN] = [self.stem]
         self.stages: list[list[BasicBlock]] = []
         in_ch = 64
         for si, width in enumerate(STAGE_WIDTHS):
             blocks = []
             for bi in range(BLOCKS_PER_STAGE):
                 stride = 2 if (si > 0 and bi == 0) else 1
-                blocks.append(BasicBlock(rng, in_ch, width, stride, self.dtype))
+                block = BasicBlock(rng, f"stage{si + 1}.{bi}", in_ch, width, stride,
+                                   self.dtype)
+                blocks.append(block)
+                self.units += [u for u in (block.conv1, block.conv2, block.down) if u]
                 in_ch = width
             self.stages.append(blocks)
-        self.head = LinearLayer(rng, STAGE_WIDTHS[-1], num_classes, self.dtype)
+        std = np.sqrt(2.0 / in_ch)
+        weight = rng.normal(0.0, std, size=(in_ch, num_classes))
+        self.head_weight = Tensor(weight.astype(self.dtype), requires_grad=True)
+        self.head_bias = Tensor(np.zeros(num_classes, dtype=self.dtype), requires_grad=True)
 
     # -- forward ---------------------------------------------------------------
 
@@ -111,7 +116,7 @@ class ResNet18:
             if trace_shapes is not None:
                 trace_shapes.append((name, t.shape))
 
-        out = nn.relu(nn.batchnorm2d(self.stem_conv(x), self.stem_bn, train))
+        out = nn.relu(self.stem(x, train))
         note("stem_conv", out)
         out = nn.maxpool2d(out, kernel=3, stride=2, padding=1)
         note("maxpool", out)
@@ -121,7 +126,7 @@ class ResNet18:
             note(f"stage{si + 1}", out)
         out = nn.global_avgpool(out)
         note("avgpool", out)
-        logits = self.head(out)
+        logits = nn.linear(out, self.head_weight, self.head_bias)
         note("head", logits)
         return logits
 
@@ -131,38 +136,11 @@ class ResNet18:
             logits = self.forward(x, train=False)
             return nn.softmax(logits).data
 
-    # -- parameter access --------------------------------------------------------
-
-    def _bn_items(self):
-        yield "stem_bn", self.stem_bn
-        for si, blocks in enumerate(self.stages):
-            for bi, block in enumerate(blocks):
-                prefix = f"stage{si + 1}.{bi}"
-                yield f"{prefix}.bn1", block.bn1
-                yield f"{prefix}.bn2", block.bn2
-                if block.down_bn is not None:
-                    yield f"{prefix}.down_bn", block.down_bn
+    # -- parameters and checkpoint state ----------------------------------------
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        params: list[tuple[str, Tensor]] = [("stem_conv.weight", self.stem_conv.weight)]
-        params.append(("stem_bn.gamma", self.stem_bn.gamma))
-        params.append(("stem_bn.beta", self.stem_bn.beta))
-        for si, blocks in enumerate(self.stages):
-            for bi, block in enumerate(blocks):
-                prefix = f"stage{si + 1}.{bi}"
-                params.append((f"{prefix}.conv1.weight", block.conv1.weight))
-                params.append((f"{prefix}.bn1.gamma", block.bn1.gamma))
-                params.append((f"{prefix}.bn1.beta", block.bn1.beta))
-                params.append((f"{prefix}.conv2.weight", block.conv2.weight))
-                params.append((f"{prefix}.bn2.gamma", block.bn2.gamma))
-                params.append((f"{prefix}.bn2.beta", block.bn2.beta))
-                if block.down_conv is not None:
-                    params.append((f"{prefix}.down_conv.weight", block.down_conv.weight))
-                    params.append((f"{prefix}.down_bn.gamma", block.down_bn.gamma))
-                    params.append((f"{prefix}.down_bn.beta", block.down_bn.beta))
-        params.append(("head.weight", self.head.weight))
-        params.append(("head.bias", self.head.bias))
-        return params
+        params = [p for unit in self.units for p in unit.named_parameters()]
+        return params + [("head.weight", self.head_weight), ("head.bias", self.head_bias)]
 
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
@@ -171,29 +149,31 @@ class ResNet18:
         """Learnable scalars only; batchnorm running statistics excluded."""
         return sum(t.numel() for t in self.parameters())
 
-    # -- checkpoint state ----------------------------------------------------------
-
     def state_arrays(self) -> dict[str, np.ndarray]:
+        """Every parameter, then every running statistic, keyed by layer path.
+
+        The values are the model's own arrays, not copies.
+        """
         state = {name: t.data for name, t in self.named_parameters()}
-        for name, bn in self._bn_items():
-            state[f"{name}.running_mean"] = bn.running_mean
-            state[f"{name}.running_var"] = bn.running_var
+        for unit in self.units:
+            state[f"{unit.bn_name}.running_mean"] = unit.bn.running_mean
+            state[f"{unit.bn_name}.running_var"] = unit.bn.running_var
         return state
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        expected = self.state_arrays()
-        missing = sorted(set(expected) - set(arrays))
+        """Copy checkpoint tensors into the model in place; a missing tensor
+        or one of the wrong shape raises ShapeError."""
+        state = self.state_arrays()
+        missing = sorted(set(state) - set(arrays))
         if missing:
             raise ShapeError(f"checkpoint is missing tensors: {missing[:5]}")
-        for name, t in self.named_parameters():
+        for name, dst in state.items():
             src = arrays[name]
-            if src.shape != t.data.shape:
-                raise ShapeError(f"{name}: checkpoint shape {src.shape} != {t.data.shape}")
-            t.data[...] = src.astype(self.dtype)
-        for name, bn in self._bn_items():
-            bn.running_mean[...] = arrays[f"{name}.running_mean"].astype(self.dtype)
-            bn.running_var[...] = arrays[f"{name}.running_var"].astype(self.dtype)
-            bn.initialized = True
+            if src.shape != dst.shape:
+                raise ShapeError(f"{name}: checkpoint shape {src.shape} != {dst.shape}")
+            dst[...] = src.astype(self.dtype)
+        for unit in self.units:
+            unit.bn.initialized = True
 
 
 def build_resnet18(in_channels: int = 3, num_classes: int = 3, seed: int = 0,

@@ -7,7 +7,6 @@ from .tensor import (
     NonFiniteError,
     ShapeError,
     Tensor,
-    grad_enabled,
     no_grad,
 )
 from .ops import (
@@ -44,7 +43,6 @@ __all__ = [
     "conv2d",
     "conv_output_size",
     "global_avgpool",
-    "grad_enabled",
     "linear",
     "maxpool2d",
     "no_grad",

@@ -48,10 +48,6 @@ def no_grad() -> Iterator[None]:
         _GRAD_ENABLED = prev
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 class Tensor:
     """N-dimensional real array with an optional gradient buffer.
 

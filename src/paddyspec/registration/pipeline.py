@@ -48,6 +48,9 @@ class RegistrationParams:
         if not self.inlier_px > 0.0:
             raise RegistrationError(
                 "params", f"inlier_px must be > 0, got {self.inlier_px}")
+        if self.min_inliers < 4:
+            raise RegistrationError(
+                "params", f"min_inliers must be >= 4, got {self.min_inliers}")
 
 
 @dataclass

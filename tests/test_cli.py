@@ -75,6 +75,8 @@ class TestConfig:
         ({"training": {"lr_min": -0.01}}, "lr_min must be >= 0"),
         ({"training": {"lr_min": 0.1, "lr_max": 0.05}}, "lr_min must be <= lr_max"),
         ({"training": {"input_size": 0}}, "input_size must be >= 1"),
+        ({"registration": {"min_inliers": 3}}, "min_inliers must be >= 4"),
+        ({"registration": {"min_inliers": -3}}, "min_inliers must be >= 4"),
     ])
     def test_malformed_value_is_usage_error(self, tmp_path, capsys, config, needle):
         bad = tmp_path / "bad.json"
@@ -159,7 +161,7 @@ class TestRegisterErrors:
         monkeypatch.chdir(tmp_path)
         records = [ds.SampleRecord(id="a", rgb_path="a_rgb.png",
                                    rgnir_path="a_rgnir.png", label="blast")]
-        manifest = ds.Manifest(records=records, counts={"blast": 1}, checksum="")
+        manifest = ds.Manifest(records=records)
         ds.write_manifest_csv(manifest, tmp_path / "pairs.csv")
         assert run(["register", "--pairs", "pairs.csv"]) == 1
         assert "a_rgb.png" in capsys.readouterr().err
@@ -173,7 +175,7 @@ class TestMalformedInputs:
         from paddyspec import dataset as ds
         records = [ds.SampleRecord(id=f"{label}0", rgb_path="", rgnir_path="", label=label)
                    for label in ds.LABELS]
-        manifest = ds.Manifest(records=records, counts={}, checksum="")
+        manifest = ds.Manifest(records=records)
         ds.write_manifest_csv(manifest, tmp_path / "manifest.csv")
         (tmp_path / "folds.csv").write_text("id,fold\n" + "".join(
             row + "\n" for row in folds_rows))
@@ -228,6 +230,18 @@ class TestMalformedInputs:
                             build_resnet18(in_channels=3, num_classes=3).state_arrays())
         self._fails_on_one_line(["eval", "--checkpoint", "nofold.ckpt"], capsys,
                                 "names no fold")
+
+    def test_checkpoint_statistic_of_wrong_shape(self, tmp_path, monkeypatch, capsys):
+        from paddyspec import nn
+        from paddyspec.model import build_resnet18
+        monkeypatch.chdir(tmp_path)
+        meta = {"arch": {"in_channels": 3, "num_classes": 3}, "input_mode": "rgb",
+                "input_size": 32, "fold": 0}
+        state = build_resnet18(in_channels=3, num_classes=3).state_arrays()
+        state["stem_bn.running_var"] = np.ones(3, dtype=np.float32)
+        nn.write_checkpoint(tmp_path / "bad.ckpt", meta, state)
+        self._fails_on_one_line(["eval", "--checkpoint", "bad.ckpt"], capsys,
+                                "stem_bn.running_var: checkpoint shape (3,)")
 
 
     @staticmethod
@@ -285,7 +299,7 @@ class TestMalformedInputs:
         ids = [f"{label}{i}" for label in ds.LABELS for i in range(2)]
         records = [ds.SampleRecord(id=sid, rgb_path="", rgnir_path="", label=sid[:-1])
                    for sid in ids]
-        ds.write_manifest_csv(ds.Manifest(records=records, counts={}, checksum=""),
+        ds.write_manifest_csv(ds.Manifest(records=records),
                               tmp_path / "manifest.csv")
         (tmp_path / "folds.csv").write_text("id,fold\n" + "".join(
             f"{sid},{sid[-1]}\n" for sid in ids))
@@ -300,7 +314,7 @@ class TestMalformedInputs:
         from paddyspec.imaging import write_png
         monkeypatch.chdir(tmp_path)
         record = ds.SampleRecord(id="a", rgb_path="", rgnir_path="", label="blast")
-        ds.write_manifest_csv(ds.Manifest(records=[record], counts={}, checksum=""),
+        ds.write_manifest_csv(ds.Manifest(records=[record]),
                               tmp_path / "pairs.csv")
         for sub in ("registered", "calibrated"):
             (tmp_path / "out" / sub).mkdir(parents=True)

@@ -87,8 +87,7 @@ class TestStratifiedKfold:
             for i in range(n):
                 records.append(ds.SampleRecord(
                     id=f"{label}{i:05d}", rgb_path="x", rgnir_path="y", label=label))
-        per = {label: c for label, c in zip(LABELS, counts)}
-        return ds.Manifest(records=records, counts=per, checksum="")
+        return ds.Manifest(records=records)
 
     def test_field_scale_counts_split_exactly(self):
         manifest = self._manifest((2135, 1095, 585))

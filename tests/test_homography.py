@@ -344,7 +344,8 @@ class TestRegisterPair:
 
     @pytest.mark.parametrize("bad", [{"target_count": 3}, {"drop_fraction": 1.5},
                                      {"drop_fraction": -0.1}, {"ransac_iters": 0},
-                                     {"inlier_px": 0.0}])
+                                     {"inlier_px": 0.0}, {"min_inliers": 3},
+                                     {"min_inliers": 0}, {"min_inliers": -3}])
     def test_params_out_of_range_rejected(self, bad):
         with pytest.raises(RegistrationError) as exc:
             reg.RegistrationParams(**bad)

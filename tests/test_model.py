@@ -30,6 +30,24 @@ def tally_parameters(in_channels: int, num_classes: int) -> int:
     return total
 
 
+def expected_state_keys() -> list[str]:
+    """Checkpoint keys written out by hand: every parameter in layer order,
+    the head last, then every batchnorm's running statistics."""
+    params = ["stem_conv.weight", "stem_bn.gamma", "stem_bn.beta"]
+    stats = ["stem_bn.running_mean", "stem_bn.running_var"]
+    for stage in range(1, 5):
+        for block in range(2):
+            units = [("conv1", "bn1"), ("conv2", "bn2")]
+            if stage > 1 and block == 0:
+                units.append(("down_conv", "down_bn"))
+            for conv, bn in units:
+                prefix = f"stage{stage}.{block}"
+                params += [f"{prefix}.{conv}.weight", f"{prefix}.{bn}.gamma",
+                           f"{prefix}.{bn}.beta"]
+                stats += [f"{prefix}.{bn}.running_mean", f"{prefix}.{bn}.running_var"]
+    return params + ["head.weight", "head.bias"] + stats
+
+
 class TestStructure:
     def test_parameter_count_3ch(self):
         model = build_resnet18(in_channels=3, num_classes=3, seed=0)
@@ -63,7 +81,7 @@ class TestStructure:
     def test_different_seed_differs(self):
         a = build_resnet18(seed=1)
         b = build_resnet18(seed=2)
-        assert a.stem_conv.weight.data.tobytes() != b.stem_conv.weight.data.tobytes()
+        assert a.stem.weight.data.tobytes() != b.stem.weight.data.tobytes()
 
     def test_bad_channels_rejected(self):
         with pytest.raises(nn.ShapeError):
@@ -131,8 +149,8 @@ class TestForward:
     def test_residual_identity_when_f_is_zero(self):
         model = build_resnet18(in_channels=3, seed=5, dtype=np.float64)
         block = model.stages[0][1]  # identity shortcut
-        block.bn2.gamma.data[...] = 0.0
-        block.bn2.beta.data[...] = 0.0
+        block.conv2.bn.gamma.data[...] = 0.0
+        block.conv2.bn.beta.data[...] = 0.0
         rng = np.random.default_rng(2)
         x = Tensor(rng.standard_normal((2, 64, 8, 8)))
         with nn.no_grad():
@@ -154,6 +172,15 @@ class TestForward:
 
 
 class TestCheckpoint:
+    @pytest.mark.parametrize("in_channels", [3, 4])
+    def test_state_keys_and_order(self, in_channels):
+        model = build_resnet18(in_channels=in_channels, seed=0)
+        keys = list(model.state_arrays())
+        assert len(keys) == 102
+        assert keys == expected_state_keys()
+        assert [name for name, _ in model.named_parameters()] == keys[:62]
+        assert all(k.endswith((".running_mean", ".running_var")) for k in keys[62:])
+
     def test_state_round_trip(self, tmp_path):
         model = build_resnet18(in_channels=4, seed=8)
         rng = np.random.default_rng(4)
@@ -192,6 +219,14 @@ class TestCheckpoint:
         path.write_bytes(MAGIC + body)
         with pytest.raises(nn.CheckpointError):
             nn.read_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["stem_bn.running_mean", "stem_bn.running_var",
+                                      "stage4.0.down_bn.running_var"])
+    def test_wrong_statistic_shape_rejected(self, name):
+        state = build_resnet18(seed=9).state_arrays()
+        state[name] = np.ones(1, dtype=np.float32)
+        with pytest.raises(nn.ShapeError, match=name):
+            build_resnet18(seed=9).load_state_arrays(state)
 
     def test_missing_tensor_rejected(self, tmp_path):
         model = build_resnet18(seed=9)

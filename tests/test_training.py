@@ -124,15 +124,13 @@ def tiny_dataset(n_per_class=4, size=16, seed=0):
     arrays, labels = synthetic.make_classification_samples(n_per_class, size, rng)
     records = []
     store = {}
-    per = {label: 0 for label in LABELS}
     for i, (arr, y) in enumerate(zip(arrays, labels)):
         label = LABELS[y]
         sid = f"{label}{i:04d}"
         records.append(SampleRecord(id=sid, rgb_path="", rgnir_path="", label=label))
         store[sid] = arr
-        per[label] += 1
     records.sort(key=lambda r: (r.label, r.id))
-    manifest = Manifest(records=records, counts=per, checksum="")
+    manifest = Manifest(records=records)
     return manifest, InMemorySource(store)
 
 
