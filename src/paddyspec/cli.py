@@ -36,7 +36,7 @@ from .imaging import (
 )
 from .model import build_resnet18
 from .registration import RegistrationError, register_pair
-from .spectral import FusedSample, SpectralError, compute_ndvi, fuse, save_fused
+from .spectral import SpectralError, compute_ndvi, fuse, save_fused
 from .training import FusedCacheSource, TrainingError
 
 EXIT_OK = 0
@@ -136,11 +136,8 @@ def cmd_calibrate(cfg: PipelineConfig, args) -> int:
 
     _echo_config(cfg, "calibrate")
     board = load_image(board_path, bands)
-    try:
-        means = cal.extract_panel_stats(board, panels)
-        calib = cal.fit_calibration(means, panels.known_reflectance(), bands)
-    except cal.CalibrationError as exc:
-        raise CommandFailure(str(exc)) from exc
+    means = cal.extract_panel_stats(board, panels)
+    calib = cal.fit_calibration(means, panels.known_reflectance(), bands)
     cal.save_calibration(calib, _out_dir(cfg) / "calibration.json")
 
     cal_dir = _out_dir(cfg) / "calibrated"
@@ -161,8 +158,9 @@ def cmd_calibrate(cfg: PipelineConfig, args) -> int:
 
 
 def _fused_sample(rgb: ImageF, rgnir: ImageF, mask: np.ndarray,
-                  size: int) -> FusedSample:
-    """Network-resolution RGB + NDVI sample; the one path for ndvi and predict."""
+                  size: int) -> np.ndarray:
+    """Network-resolution (4, size, size) RGB + NDVI sample; the one path for
+    ndvi and predict."""
     rgb_small = resize_bilinear(rgb, size, size)
     rgnir_small = resize_bilinear(rgnir, size, size)
     ndvi = compute_ndvi(rgnir_small.band("R"), rgnir_small.band("NIR"))
@@ -207,10 +205,7 @@ def cmd_ndvi(cfg: PipelineConfig, args) -> int:
 
 def cmd_dataset_build(cfg: PipelineConfig, args) -> int:
     root = args.root or cfg.paths.data_root
-    try:
-        manifest = ds.build_manifest(root)
-    except ds.ManifestError as exc:
-        raise CommandFailure(str(exc)) from exc
+    manifest = ds.build_manifest(root)
     if args.dry_run:
         print(f"dataset build: {len(manifest)} samples validated (dry run)")
         return EXIT_OK
@@ -224,10 +219,7 @@ def cmd_dataset_build(cfg: PipelineConfig, args) -> int:
 
 def cmd_dataset_split(cfg: PipelineConfig, args) -> int:
     manifest = _read_pairs(args.manifest or str(_out_dir(cfg) / "manifest.csv"))
-    try:
-        folds = ds.stratified_kfold(manifest, k=args.k, seed=cfg.seed)
-    except ds.ManifestError as exc:
-        raise CommandFailure(str(exc)) from exc
+    folds = ds.stratified_kfold(manifest, k=args.k, seed=cfg.seed)
     if args.dry_run:
         print(f"dataset split: k={args.k} over {len(manifest)} samples (dry run)")
         return EXIT_OK
@@ -275,11 +267,8 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
     _echo_config(cfg, "train")
     out = _out_dir(cfg)
     for fold in fold_ids:
-        try:
-            result = training.train_fold(train_cfg, manifest, folds, fold, source,
-                                         max_steps=args.max_steps)
-        except TrainingError as exc:
-            raise CommandFailure(str(exc)) from exc
+        result = training.train_fold(train_cfg, manifest, folds, fold, source,
+                                     max_steps=args.max_steps)
         stem = _checkpoint_name(fold, train_cfg.input_mode)
         meta = {
             "arch": {"in_channels": train_cfg.channels, "num_classes": len(ds.LABELS)},
@@ -333,10 +322,7 @@ def cmd_eval(cfg: PipelineConfig, args) -> int:
     source = FusedCacheSource(cfg.paths.cache_dir)
     eval_cfg = cfg.train_config(input_mode=meta["input_mode"],
                                 input_size=meta["input_size"])
-    try:
-        arrays = training.load_sample_batch(source, records, eval_cfg)
-    except TrainingError as exc:
-        raise CommandFailure(str(exc)) from exc
+    arrays = training.load_sample_batch(source, records, eval_cfg)
     labels = np.array([ds.LABELS.index(r.label) for r in records], dtype=np.int64)
     result = training.evaluate_model(model, arrays, labels, eval_cfg.batch_size)
 
@@ -367,15 +353,12 @@ def cmd_predict(cfg: PipelineConfig, args) -> int:
     rgb = load_image(args.rgb, "rgb")
     rgnir_dn = load_image(args.rgnir, "rgnir")
 
-    try:
-        result = register_pair(rgb, rgnir_dn, cfg.registration_params(), pair_id="predict")
-    except RegistrationError as exc:
-        raise CommandFailure(str(exc)) from exc
+    result = register_pair(rgb, rgnir_dn, cfg.registration_params(), pair_id="predict")
     rgnir_refl, _ = cal.apply_calibration(rgnir_dn, calib)
 
     sample = _fused_sample(result.image, rgnir_refl, result.mask, meta["input_size"])
     channels = meta["arch"]["in_channels"]
-    batch = sample.tensor[None, :channels].astype(model.dtype)
+    batch = sample[None, :channels].astype(model.dtype)
     probs = model.predict_proba(nn.Tensor(batch))[0]
     for label, p in zip(ds.LABELS, probs):
         print(f"{label}: {p:.4f}")

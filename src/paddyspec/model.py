@@ -162,16 +162,17 @@ class ResNet18:
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         """Copy checkpoint tensors into the model in place; a missing tensor
-        or one of the wrong shape raises ShapeError."""
+        or one of the wrong shape raises ShapeError before any is copied."""
         state = self.state_arrays()
         missing = sorted(set(state) - set(arrays))
         if missing:
             raise ShapeError(f"checkpoint is missing tensors: {missing[:5]}")
         for name, dst in state.items():
-            src = arrays[name]
-            if src.shape != dst.shape:
-                raise ShapeError(f"{name}: checkpoint shape {src.shape} != {dst.shape}")
-            dst[...] = src.astype(self.dtype)
+            if arrays[name].shape != dst.shape:
+                raise ShapeError(
+                    f"{name}: checkpoint shape {arrays[name].shape} != {dst.shape}")
+        for name, dst in state.items():
+            dst[...] = arrays[name].astype(self.dtype)
         for unit in self.units:
             unit.bn.initialized = True
 

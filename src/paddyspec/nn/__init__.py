@@ -20,7 +20,6 @@ from .ops import (
     maxpool2d,
     relu,
     softmax,
-    tensor_sum,
     weighted_cross_entropy,
     weighted_sum,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "relative_error",
     "relu",
     "softmax",
-    "tensor_sum",
     "weighted_cross_entropy",
     "weighted_sum",
     "write_checkpoint",

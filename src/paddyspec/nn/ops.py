@@ -326,17 +326,6 @@ def weighted_cross_entropy(logits: Tensor, labels: np.ndarray,
     return Tensor.from_op(out, (logits,), backward, name="weighted_cross_entropy")
 
 
-def tensor_sum(x: Tensor) -> Tensor:
-    """Sum of all elements (scalar), mainly for loss construction in tests."""
-    out = np.asarray(x.data.sum(), dtype=x.dtype)
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(np.full(x.shape, float(grad), dtype=x.dtype))
-
-    return Tensor.from_op(out, (x,), backward, name="sum")
-
-
 def weighted_sum(x: Tensor, coeffs: np.ndarray) -> Tensor:
     """Scalar projection sum(x * coeffs) against a fixed coefficient array."""
     coeffs = np.asarray(coeffs, dtype=x.dtype)

@@ -1,8 +1,10 @@
 """Rotated binary descriptors: 256 pairwise intensity tests on a smoothed patch.
 
-The test pattern is fixed at import time (seeded isotropic Gaussian point
-pairs, radius <= 13 so any rotation stays inside a 16-pixel border) and is
-rotated by each keypoint's orientation before sampling. One bit per test:
+Each corner at least ``PATCH_BORDER`` px inside its pyramid level gets an
+orientation from the intensity centroid of a radius-15 disc on the
+unsmoothed level. The test pattern is fixed at import time (seeded isotropic
+Gaussian point pairs, radius <= 13 so any rotation stays inside the border)
+and is rotated by that orientation before sampling. One bit per test:
 smoothed(a) < smoothed(b).
 """
 from __future__ import annotations
@@ -16,6 +18,16 @@ DESCRIPTOR_BITS = 256
 DESCRIPTOR_BYTES = DESCRIPTOR_BITS // 8
 PATCH_BORDER = 16
 _PATTERN_RADIUS = 13.0
+
+# Only corners at least PATCH_BORDER px from every edge of their level are
+# oriented, so a disc radius <= PATCH_BORDER keeps every sample inside the
+# level and the gather needs no clipping.
+_DISC_RADIUS = 15
+_DISC_DY, _DISC_DX = np.nonzero(
+    (np.arange(-_DISC_RADIUS, _DISC_RADIUS + 1)[:, None] ** 2
+     + np.arange(-_DISC_RADIUS, _DISC_RADIUS + 1)[None, :] ** 2) <= _DISC_RADIUS ** 2)
+_DISC_DY = (_DISC_DY - _DISC_RADIUS).astype(np.intp)
+_DISC_DX = (_DISC_DX - _DISC_RADIUS).astype(np.intp)
 
 
 def _make_test_pattern(n_tests: int = DESCRIPTOR_BITS,
@@ -44,10 +56,19 @@ def _make_test_pattern(n_tests: int = DESCRIPTOR_BITS,
 TEST_PATTERN = _make_test_pattern()
 
 
+def _orientations(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Intensity-centroid angles of corners at least PATCH_BORDER px inside img."""
+    w = img.shape[1]
+    vals = img.ravel()[(ys * w + xs)[:, None] + (_DISC_DY * w + _DISC_DX)[None, :]]
+    m10 = (vals * _DISC_DX[None, :]).sum(axis=1)
+    m01 = (vals * _DISC_DY[None, :]).sum(axis=1)
+    return np.arctan2(m01, m10)
+
+
 def compute_descriptors(levels: list[np.ndarray],
                         keypoints: Keypoints) -> tuple[np.ndarray, np.ndarray]:
-    """Descriptors for keypoints at least 16 px inside their level of the
-    ``build_pyramid`` pyramid they were detected on.
+    """Oriented descriptors for keypoints at least 16 px inside their level
+    of the ``build_pyramid`` pyramid they were detected on.
 
     Returns (packed descriptors (M, 32) uint8, kept original indices (M,)),
     in keypoint order. Border keypoints are dropped and reported through the
@@ -74,7 +95,7 @@ def compute_descriptors(levels: list[np.ndarray],
                & (ys >= PATCH_BORDER) & (ys < h - PATCH_BORDER))
         if not sel.any():
             continue
-        angles = keypoints.angle[sel]
+        angles = _orientations(levels[lvl], ys[sel], xs[sel])
         cos = np.cos(angles)[:, None]
         sin = np.sin(angles)[:, None]
         rx = np.round(cos * px[None, :] - sin * py[None, :]).astype(np.intp)

@@ -1,11 +1,11 @@
 """Segment-test corner detection over an image pyramid.
 
 Corners come from a 16-pixel circle test (9 contiguous brighter/darker
-pixels), are scored and non-max-suppressed on the Harris response, and get
-an orientation from the intensity centroid of a radius-15 disc. Detection
-runs over a 4-level pyramid with scale factor 1.2; the per-level threshold
-is auto-tuned so the pooled strongest ``target_count`` corners exist when
-the texture allows it.
+pixels) and are scored and non-max-suppressed on the Harris response.
+Detection runs over a 4-level pyramid with scale factor 1.2; the per-level
+threshold is auto-tuned so the pooled strongest ``target_count`` corners
+exist when the texture allows it. Orientation is left to the descriptor
+stage, which needs it only for the corners it describes.
 """
 from __future__ import annotations
 
@@ -133,24 +133,6 @@ def _subpixel_offsets(response: np.ndarray, ys: np.ndarray,
             refine(response[y - 1, x], response[y + 1, x]))
 
 
-_DISC_DY, _DISC_DX = np.nonzero(
-    (np.arange(-15, 16)[:, None] ** 2 + np.arange(-15, 16)[None, :] ** 2) <= 15 * 15)
-_DISC_DY = (_DISC_DY - 15).astype(np.intp)
-_DISC_DX = (_DISC_DX - 15).astype(np.intp)
-
-
-def _orientations(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Intensity-centroid angles, with the disc clipped at image borders."""
-    h, w = img.shape
-    sy = ys[:, None] + _DISC_DY[None, :]
-    sx = xs[:, None] + _DISC_DX[None, :]
-    inside = (sy >= 0) & (sy < h) & (sx >= 0) & (sx < w)
-    vals = img[np.clip(sy, 0, h - 1), np.clip(sx, 0, w - 1)] * inside
-    m10 = (vals * _DISC_DX[None, :]).sum(axis=1)
-    m01 = (vals * _DISC_DY[None, :]).sum(axis=1)
-    return np.arctan2(m01, m10)
-
-
 @dataclass(eq=False)
 class Keypoints:
     """Corners, one row each: ``xy`` in level-0 coordinates, and the pyramid
@@ -161,7 +143,6 @@ class Keypoints:
 
     xy: np.ndarray       # (n, 2) float64
     score: np.ndarray    # (n,) Harris response
-    angle: np.ndarray    # (n,) intensity-centroid orientation, radians
     octave: np.ndarray   # (n,) intp
     lvl_xy: np.ndarray   # (n, 2) intp
 
@@ -169,24 +150,15 @@ class Keypoints:
         return len(self.xy)
 
     def __getitem__(self, rows) -> "Keypoints":
-        return Keypoints(self.xy[rows], self.score[rows], self.angle[rows],
-                         self.octave[rows], self.lvl_xy[rows])
+        return Keypoints(self.xy[rows], self.score[rows], self.octave[rows],
+                         self.lvl_xy[rows])
 
 
-def _coerce_gray(img) -> np.ndarray:
-    if isinstance(img, ImageF):
-        if img.channels != 1:
-            raise RegistrationError("detect", f"expected grayscale, got {img.channels} channels")
-        return img.data[:, :, 0].astype(np.float64)
-    arr = np.asarray(img, dtype=np.float64)
-    if arr.ndim != 2:
-        raise RegistrationError("detect", f"expected a 2D image, got shape {arr.shape}")
-    return arr
-
-
-def build_pyramid(img) -> list[np.ndarray]:
-    """N_LEVELS float64 levels of a grayscale image, each SCALE_FACTOR smaller."""
-    gray = _coerce_gray(img)
+def build_pyramid(img: np.ndarray) -> list[np.ndarray]:
+    """N_LEVELS float64 levels of a 2-D grayscale image, each SCALE_FACTOR smaller."""
+    gray = np.asarray(img, dtype=np.float64)
+    if gray.ndim != 2:
+        raise RegistrationError("detect", f"expected a 2D image, got shape {gray.shape}")
     if gray.shape[0] < 32 or gray.shape[1] < 32:
         raise RegistrationError("detect", f"image too small for detection: {gray.shape}")
     levels = [gray]
@@ -245,13 +217,10 @@ def detect_keypoints(levels: list[np.ndarray],
 
     h0, w0 = levels[0].shape
     xy = np.empty((len(order), 2))
-    angle = np.empty(len(order))
     for lvl in np.unique(octave):
         on = octave == lvl
-        angle[on] = _orientations(levels[lvl], ys[on], xs[on])
         s = SCALE_FACTOR ** int(lvl)
         dx, dy = _subpixel_offsets(responses[lvl], ys[on], xs[on])
         xy[on, 0] = np.clip((xs[on] + dx + 0.5) * s - 0.5, 0.0, w0 - 1.0)
         xy[on, 1] = np.clip((ys[on] + dy + 0.5) * s - 0.5, 0.0, h0 - 1.0)
-    return Keypoints(xy=xy, score=score, angle=angle, octave=octave,
-                     lvl_xy=np.stack([xs, ys], axis=1))
+    return Keypoints(xy=xy, score=score, octave=octave, lvl_xy=np.stack([xs, ys], axis=1))

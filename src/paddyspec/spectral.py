@@ -7,8 +7,6 @@ with invalid pixels zeroed everywhere.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .imaging import ImageF, load_array, save_array
@@ -35,29 +33,9 @@ def compute_ndvi(red: np.ndarray, nir: np.ndarray, eps: float = 1e-6) -> np.ndar
     return np.clip(ndvi, -1.0, 1.0).astype(np.float32)
 
 
-@dataclass
-class FusedSample:
-    """4 x H x W network input (R, G, B, NDVI) plus its validity mask."""
-
-    tensor: np.ndarray
-    validity_mask: np.ndarray
-    label: int | None = None
-
-    def __post_init__(self):
-        if self.tensor.ndim != 3 or self.tensor.shape[0] != len(FUSED_BANDS):
-            raise SpectralError(f"fused tensor must be (4, H, W), got {self.tensor.shape}")
-        if self.validity_mask.shape != self.tensor.shape[1:]:
-            raise SpectralError(
-                f"mask shape {self.validity_mask.shape} != plane {self.tensor.shape[1:]}")
-
-    @property
-    def band_labels(self) -> tuple[str, ...]:
-        return FUSED_BANDS
-
-
-def fuse(rgb_registered: ImageF, ndvi: np.ndarray, mask: np.ndarray,
-         label: int | None = None) -> FusedSample:
-    """Stack registered RGB with the NDVI band, zeroing invalid pixels.
+def fuse(rgb_registered: ImageF, ndvi: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Stack registered RGB with the NDVI band into a (4, H, W) float32
+    array in ``FUSED_BANDS`` order, zeroing invalid pixels.
 
     Both inputs must already be at the network resolution; resizing happens
     upstream so the two modalities are resampled identically.
@@ -78,12 +56,12 @@ def fuse(rgb_registered: ImageF, ndvi: np.ndarray, mask: np.ndarray,
         ndvi.astype(np.float32),
     ]).astype(np.float32)
     tensor[:, ~mask] = 0.0
-    return FusedSample(tensor=tensor, validity_mask=mask, label=label)
+    return tensor
 
 
-def save_fused(sample: FusedSample, path) -> None:
-    """Persist the fused tensor in the raw float array format."""
-    img = ImageF(np.transpose(sample.tensor, (1, 2, 0)), FUSED_BANDS)
+def save_fused(tensor: np.ndarray, path) -> None:
+    """Persist a (4, H, W) fused tensor in the raw float array format."""
+    img = ImageF(np.transpose(tensor, (1, 2, 0)), FUSED_BANDS)
     save_array(img, path)
 
 

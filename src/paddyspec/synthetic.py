@@ -149,7 +149,7 @@ def make_correspondences(rng: np.random.Generator, h_true: np.ndarray, n: int,
         pts_b[idx] = rng.uniform(lo, hi, size=(n_out, 2))
 
     def keypoints(pts):
-        return Keypoints(xy=pts, score=np.ones(n), angle=np.zeros(n),
+        return Keypoints(xy=pts, score=np.ones(n),
                          octave=np.zeros(n, dtype=np.intp), lvl_xy=pts.astype(np.intp))
 
     index = np.arange(n)
@@ -212,8 +212,7 @@ def make_classification_samples(n_per_class: int, size: int,
                           + 0.03 * (g - g.mean()), 0.01, 0.99)
             ndvi = compute_ndvi(r, nir)
             rgb = ImageF(np.stack([r, g, b], axis=-1).astype(np.float32), ("R", "G", "B"))
-            sample = fuse(rgb, ndvi, np.ones((size, size), dtype=bool), label=ci)
-            tensors.append(sample.tensor)
+            tensors.append(fuse(rgb, ndvi, np.ones((size, size), dtype=bool)))
             labels.append(ci)
     order = rng.permutation(len(tensors))
     stacked = np.stack(tensors)[order]

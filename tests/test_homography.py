@@ -355,7 +355,7 @@ class TestRegisterPair:
 def _keypoints(points):
     xy = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     n = len(xy)
-    return reg.Keypoints(xy=xy, score=np.ones(n), angle=np.zeros(n),
+    return reg.Keypoints(xy=xy, score=np.ones(n),
                          octave=np.zeros(n, dtype=np.intp), lvl_xy=xy.astype(np.intp))
 
 

@@ -228,6 +228,16 @@ class TestCheckpoint:
         with pytest.raises(nn.ShapeError, match=name):
             build_resnet18(seed=9).load_state_arrays(state)
 
+    def test_rejected_load_changes_nothing(self):
+        # the bad tensor is the last one checked, after every parameter
+        state = build_resnet18(seed=2).state_arrays()
+        state["stage4.1.bn2.running_var"] = np.ones(3, dtype=np.float32)
+        model = build_resnet18(seed=1)
+        before = {name: arr.tobytes() for name, arr in model.state_arrays().items()}
+        with pytest.raises(nn.ShapeError, match="stage4.1.bn2.running_var"):
+            model.load_state_arrays(state)
+        assert {name: arr.tobytes() for name, arr in model.state_arrays().items()} == before
+
     def test_missing_tensor_rejected(self, tmp_path):
         model = build_resnet18(seed=9)
         state = model.state_arrays()

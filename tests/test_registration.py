@@ -1,5 +1,6 @@
 """Feature detection, binary descriptors, and brute-force matching."""
 import math
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 from paddyspec import registration as reg
 from paddyspec.registration import RegistrationError
-from paddyspec.registration.keypoints import _subpixel_offsets
+from paddyspec.registration.descriptors import (
+    DESCRIPTOR_BITS, DESCRIPTOR_BYTES, PATCH_BORDER, TEST_PATTERN, _orientations)
+from paddyspec.registration.keypoints import _subpixel_offsets, gaussian_smooth
 from paddyspec.synthetic import make_registration_pair, smooth_texture
 
 
@@ -88,6 +91,101 @@ def reference_filter_matches(matches: list[Match], drop_fraction: float = 0.10,
     return ordered[n_drop:] if drop_best else ordered[:len(ordered) - n_drop]
 
 
+# The clipped orientation step that detect_keypoints ran on every detected
+# corner, and the compute_descriptors that read those angles, kept unchanged
+# (the angles now passed in) as the oracles the descriptor-stage orientation
+# must match bit for bit.
+_REF_DISC_DY, _REF_DISC_DX = np.nonzero(
+    (np.arange(-15, 16)[:, None] ** 2 + np.arange(-15, 16)[None, :] ** 2) <= 15 * 15)
+_REF_DISC_DY = (_REF_DISC_DY - 15).astype(np.intp)
+_REF_DISC_DX = (_REF_DISC_DX - 15).astype(np.intp)
+
+
+def reference_orientations(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Intensity-centroid angles, with the disc clipped at image borders."""
+    h, w = img.shape
+    sy = ys[:, None] + _REF_DISC_DY[None, :]
+    sx = xs[:, None] + _REF_DISC_DX[None, :]
+    inside = (sy >= 0) & (sy < h) & (sx >= 0) & (sx < w)
+    vals = img[np.clip(sy, 0, h - 1), np.clip(sx, 0, w - 1)] * inside
+    m10 = (vals * _REF_DISC_DX[None, :]).sum(axis=1)
+    m01 = (vals * _REF_DISC_DY[None, :]).sum(axis=1)
+    return np.arctan2(m01, m10)
+
+
+def reference_angles(levels: list[np.ndarray], keypoints: reg.Keypoints) -> np.ndarray:
+    """Angles of every keypoint, as detect_keypoints computed them."""
+    angle = np.empty(len(keypoints))
+    xs, ys = keypoints.lvl_xy.T
+    for lvl in np.unique(keypoints.octave):
+        on = keypoints.octave == lvl
+        angle[on] = reference_orientations(levels[lvl], ys[on], xs[on])
+    return angle
+
+
+def reference_compute_descriptors(levels: list[np.ndarray], keypoints: reg.Keypoints,
+                                  angle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Descriptors for keypoints at least 16 px inside their level."""
+    if len(keypoints) == 0:
+        raise RegistrationError("describe", "no keypoints to describe")
+
+    ax = TEST_PATTERN[:, 0, 0].astype(np.float64)
+    ay = TEST_PATTERN[:, 0, 1].astype(np.float64)
+    bx = TEST_PATTERN[:, 1, 0].astype(np.float64)
+    by = TEST_PATTERN[:, 1, 1].astype(np.float64)
+    px = np.concatenate([ax, bx])
+    py = np.concatenate([ay, by])
+
+    descs = np.zeros((len(keypoints), DESCRIPTOR_BYTES), dtype=np.uint8)
+    described = np.zeros(len(keypoints), dtype=bool)
+    xs, ys = keypoints.lvl_xy.T
+    for lvl in np.unique(keypoints.octave):
+        img_l = gaussian_smooth(levels[lvl])
+        h, w = img_l.shape
+        sel = ((keypoints.octave == lvl)
+               & (xs >= PATCH_BORDER) & (xs < w - PATCH_BORDER)
+               & (ys >= PATCH_BORDER) & (ys < h - PATCH_BORDER))
+        if not sel.any():
+            continue
+        angles = angle[sel]
+        cos = np.cos(angles)[:, None]
+        sin = np.sin(angles)[:, None]
+        rx = np.round(cos * px[None, :] - sin * py[None, :]).astype(np.intp)
+        ry = np.round(sin * px[None, :] + cos * py[None, :]).astype(np.intp)
+        vals = img_l[ys[sel][:, None] + ry, xs[sel][:, None] + rx]
+        bits = vals[:, :DESCRIPTOR_BITS] < vals[:, DESCRIPTOR_BITS:]
+        descs[sel] = np.packbits(bits, axis=1)
+        described |= sel
+
+    kept = np.flatnonzero(described)
+    if len(kept) == 0:
+        raise RegistrationError(
+            "describe", "every keypoint fell inside the 16 px descriptor border")
+    return descs[kept], kept
+
+
+def assert_descriptors_match_reference(img: np.ndarray, target_count: int) -> None:
+    """compute_descriptors, its kept corners' angles and its failure all equal
+    the reference's, which orients every detected corner."""
+    levels = reg.build_pyramid(img)
+    kps = reg.detect_keypoints(levels, target_count)
+    angle = reference_angles(levels, kps)
+    try:
+        ref_descs, ref_kept = reference_compute_descriptors(levels, kps, angle)
+    except RegistrationError as exc:
+        with pytest.raises(RegistrationError, match=re.escape(str(exc))):
+            reg.compute_descriptors(levels, kps)
+        return
+    descs, kept = reg.compute_descriptors(levels, kps)
+    assert kept.tobytes() == ref_kept.tobytes()
+    assert descs.tobytes() == ref_descs.tobytes()
+    xs, ys = kps.lvl_xy[kept].T
+    for lvl in np.unique(kps.octave[kept]):
+        on = kps.octave[kept] == lvl
+        assert (_orientations(levels[lvl], ys[on], xs[on]).tobytes()
+                == angle[kept][on].tobytes())
+
+
 class TestDetect:
     def test_constant_image_errors(self):
         img = np.full((64, 64), 0.5)
@@ -143,13 +241,26 @@ class TestDescriptors:
         assert descs.dtype == np.uint8
         assert (kps.lvl_xy[kept] >= 16).all()
 
-    def test_inverted_image_gives_complement(self):
-        img = smooth_texture(96, 96, np.random.default_rng(5))
-        kps = reg.detect_keypoints(reg.build_pyramid(img), target_count=80)
-        descs, kept = reg.compute_descriptors(reg.build_pyramid(img), kps)
-        inv_descs, inv_kept = reg.compute_descriptors(reg.build_pyramid(1.0 - img), kps)
-        assert np.array_equal(kept, inv_kept)
-        assert np.array_equal(inv_descs, np.bitwise_not(descs))
+    @given(h=st.integers(32, 160), w=st.integers(32, 160), seed=st.integers(0, 2**32 - 1),
+           smooth=st.booleans(), inverted=st.booleans(),
+           target=st.sampled_from([4, 60, 400, 10000]))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_clipped_reference_on_textures(self, h, w, seed, smooth, inverted,
+                                                   target):
+        # small images put many corners, and at 32 px all of them, inside the
+        # 16 px border, where the reference oriented them with a clipped disc
+        rng = np.random.default_rng(seed)
+        img = (smooth_texture(h, w, rng, radius=1) if smooth
+               else rng.uniform(0.0, 1.0, size=(h, w)))
+        assert_descriptors_match_reference(1.0 - img if inverted else img, target)
+
+    @pytest.mark.parametrize("rng_seed, size, target", [
+        (13, 220, 1200), (17, 220, 1200), (19, 200, 700)])
+    def test_matches_clipped_reference_on_registration_pairs(self, rng_seed, size, target):
+        rgb, rgnir, _ = make_registration_pair(np.random.default_rng(rng_seed),
+                                               out_size=size)
+        for img in (rgb, rgnir):
+            assert_descriptors_match_reference(img.band("G"), target)
 
     def test_rotation_by_90_degrees_small_distance(self):
         img = smooth_texture(96, 96, np.random.default_rng(6), radius=1)

@@ -63,13 +63,13 @@ class TestFuse:
         rng = np.random.default_rng(0)
         rgb = self._rgb(rng)
         ndvi = rng.uniform(-1, 1, (6, 6)).astype(np.float32)
-        sample = spectral.fuse(rgb, ndvi, np.ones((6, 6), bool), label=1)
-        assert sample.band_labels == ("R", "G", "B", "NDVI")
-        assert np.array_equal(sample.tensor[0], rgb.band("R"))
-        assert np.array_equal(sample.tensor[1], rgb.band("G"))
-        assert np.array_equal(sample.tensor[2], rgb.band("B"))
-        assert np.array_equal(sample.tensor[3], ndvi)
-        assert sample.label == 1
+        sample = spectral.fuse(rgb, ndvi, np.ones((6, 6), bool))
+        assert sample.shape == (4, 6, 6)
+        assert sample.dtype == np.float32
+        assert np.array_equal(sample[0], rgb.band("R"))
+        assert np.array_equal(sample[1], rgb.band("G"))
+        assert np.array_equal(sample[2], rgb.band("B"))
+        assert np.array_equal(sample[3], ndvi)
 
     def test_masked_pixels_zero_in_all_bands(self):
         rng = np.random.default_rng(1)
@@ -78,9 +78,9 @@ class TestFuse:
         mask = np.ones((6, 6), bool)
         mask[:, :3] = False
         sample = spectral.fuse(rgb, ndvi, mask)
-        assert np.all(sample.tensor[:, :, :3] == 0.0)
-        assert np.all(sample.tensor[:, :, 3:] != 0.0) or True  # right half intact
-        assert np.array_equal(sample.tensor[3, :, 3:], ndvi[:, 3:])
+        assert np.all(sample[:, :, :3] == 0.0)
+        assert np.array_equal(sample[:3, :, 3:], np.transpose(rgb.data[:, 3:], (2, 0, 1)))
+        assert np.array_equal(sample[3, :, 3:], ndvi[:, 3:])
 
     def test_dim_mismatch_rejected(self):
         rng = np.random.default_rng(2)
@@ -98,4 +98,4 @@ class TestFuse:
         path = tmp_path / "sample.pspec"
         spectral.save_fused(sample, path)
         back = spectral.load_fused(path)
-        assert back.tobytes() == sample.tensor.tobytes()
+        assert back.tobytes() == sample.tobytes()
