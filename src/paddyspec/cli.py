@@ -237,7 +237,7 @@ def _load_split(cfg: PipelineConfig, manifest_path, folds_path):
     manifest = _read_pairs(manifest_path or str(_out_dir(cfg) / "manifest.csv"))
     folds_file = folds_path or str(_out_dir(cfg) / "folds.csv")
     try:
-        folds = ds.read_folds_csv(folds_file, seed=cfg.seed)
+        folds = ds.read_folds_csv(folds_file)
         folds.check_covers(manifest)
     except (OSError, ds.ManifestError) as exc:
         raise CommandFailure(f"cannot read folds {folds_file}: {exc}") from exc
@@ -276,7 +276,7 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
             "fold": fold,
             "input_mode": train_cfg.input_mode,
             "input_size": train_cfg.input_size,
-            "epochs": len(result.history.epochs),
+            "epochs": len(result.history),
             "metrics": {
                 "val_macro_f1": result.val_result.macro_f1,
                 "per_class_f1": list(result.val_result.per_class_f1),
@@ -301,8 +301,8 @@ def _load_checkpoint_model(path):
                                                   meta.get("input_size")))):
         raise CommandFailure(f"checkpoint {path}: meta needs arch.in_channels, "
                              "arch.num_classes, input_mode and input_size")
-    model = build_resnet18(in_channels=arch["in_channels"],
-                           num_classes=arch["num_classes"], seed=meta.get("seed", 0))
+    # the initial weights are all overwritten below, so they need no seed
+    model = build_resnet18(in_channels=arch["in_channels"], num_classes=arch["num_classes"])
     model.load_state_arrays(arrays)
     return meta, model
 

@@ -117,7 +117,6 @@ def build_manifest(root_dir) -> Manifest:
 @dataclass
 class FoldAssignment:
     k: int
-    seed: int
     fold_of: dict[str, int] = field(default_factory=dict)
 
     def check_covers(self, manifest: Manifest) -> None:
@@ -135,7 +134,7 @@ def stratified_kfold(manifest: Manifest, k: int = 5, seed: int = 0) -> FoldAssig
     """
     if k < 1:
         raise ManifestError(f"k must be >= 1, got {k}")
-    assignment = FoldAssignment(k=k, seed=seed)
+    assignment = FoldAssignment(k=k)
     for ci, label in enumerate(LABELS):
         ids = sorted(r.id for r in manifest.records if r.label == label)
         if len(ids) < k:
@@ -216,7 +215,7 @@ def write_folds_csv(assignment: FoldAssignment, path) -> None:
             writer.writerow([sample_id, assignment.fold_of[sample_id]])
 
 
-def read_folds_csv(path, k: int | None = None, seed: int = 0) -> FoldAssignment:
+def read_folds_csv(path) -> FoldAssignment:
     fold_of: dict[str, int] = {}
     with _csv_reader(path) as reader:
         header = next(reader, None)
@@ -227,5 +226,5 @@ def read_folds_csv(path, k: int | None = None, seed: int = 0) -> FoldAssignment:
                 raise ManifestError(f"{path}:{reader.line_num}: expected "
                                     f"'id,fold' with a fold >= 0, got {row}")
             fold_of[row[0]] = int(row[1])
-    inferred_k = (max(fold_of.values()) + 1) if fold_of else 0
-    return FoldAssignment(k=k or inferred_k, seed=seed, fold_of=fold_of)
+    k = (max(fold_of.values()) + 1) if fold_of else 0
+    return FoldAssignment(k=k, fold_of=fold_of)

@@ -2,14 +2,11 @@
 
 ``ImageF`` holds channel-interleaved float32 data in [0, 1] for reflectance
 or RGB bands, or [-1, 1] for an NDVI band. PNG (8/16-bit) is the interchange
-raster format; NDVI and fused tensors travel through the raw float array
-format ("PSPEC1") to avoid quantization.
+raster format.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -21,8 +18,6 @@ BAND_SETS = {
     "rgnir": ("R", "G", "NIR"),
     "gray": ("G",),
 }
-
-ARRAY_MAGIC = b"PSPEC1"
 
 
 @dataclass
@@ -101,50 +96,13 @@ def load_image(path, bands) -> ImageF:
 def save_image(img: ImageF, path) -> None:
     """Quantize [0, 1] bands to a 16-bit PNG.
 
-    NDVI bands are signed and must go through :func:`save_array` instead.
+    NDVI bands are signed and must go through ``spectral.save_fused`` instead.
     """
     if img.has_band("NDVI"):
         raise ImageFormatError(
-            "NDVI bands cannot be quantized to PNG; use save_array for signed data")
+            "NDVI bands cannot be quantized to PNG; use spectral.save_fused for signed data")
     if img.channels not in (1, 3):
         raise ImageFormatError(f"PNG output needs 1 or 3 channels, got {img.channels}")
     scaled = np.clip(img.data, 0.0, 1.0) * 65535.0
     arr = np.round(scaled).astype(np.uint16)
     write_png(path, arr[:, :, 0] if img.channels == 1 else arr)
-
-
-def save_array(img: ImageF, path) -> None:
-    """Write the raw float array format: magic, dims, band labels, f32 LE."""
-    with open(path, "wb") as fh:
-        fh.write(ARRAY_MAGIC)
-        fh.write(struct.pack("<III", img.height, img.width, img.channels))
-        for label in img.band_labels:
-            encoded = label.encode("ascii")
-            fh.write(struct.pack("<B", len(encoded)))
-            fh.write(encoded)
-        fh.write(np.ascontiguousarray(img.data, dtype="<f4").tobytes())
-
-
-def load_array(path) -> ImageF:
-    raw = Path(path).read_bytes()
-    if not raw.startswith(ARRAY_MAGIC):
-        raise ImageFormatError(f"{path}: bad magic, expected PSPEC1")
-    pos = len(ARRAY_MAGIC)
-    try:
-        h, w, c = struct.unpack_from("<III", raw, pos)
-        pos += 12
-        labels = []
-        for _ in range(c):
-            (n,) = struct.unpack_from("<B", raw, pos)
-            pos += 1
-            labels.append(raw[pos:pos + n].decode("ascii"))
-            pos += n
-    except struct.error:
-        raise ImageFormatError(f"{path}: truncated header") from None
-    except UnicodeDecodeError:
-        raise ImageFormatError(f"{path}: band label is not ASCII") from None
-    count = h * w * c
-    if len(raw) - pos < 4 * count:
-        raise ImageFormatError(f"{path}: truncated array data")
-    data = np.frombuffer(raw, dtype="<f4", count=count, offset=pos)
-    return ImageF(data.reshape(h, w, c).copy(), tuple(labels))

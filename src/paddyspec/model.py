@@ -80,7 +80,6 @@ class ResNet18:
             raise ShapeError(f"need at least 2 classes, got {num_classes}")
         self.in_channels = in_channels
         self.num_classes = num_classes
-        self.seed = seed
         self.dtype = np.dtype(dtype).type
 
         rng = np.random.default_rng(seed)

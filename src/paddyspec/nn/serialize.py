@@ -52,12 +52,13 @@ def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     raw = Path(path).read_bytes()
     if not raw.startswith(MAGIC):
         raise CheckpointError(f"{path}: bad magic")
-    rest = raw[len(MAGIC):]
+    # a memoryview, so slicing the blob out of it copies nothing
+    rest = memoryview(raw)[len(MAGIC):]
     try:
-        nl = rest.index(b"\n")
-        header_len = int(rest[:nl])
+        nl = raw.index(b"\n", len(MAGIC)) - len(MAGIC)
+        header_len = int(bytes(rest[:nl]))
         header_start = nl + 1
-        header = json.loads(rest[header_start:header_start + header_len].decode("utf-8"))
+        header = json.loads(bytes(rest[header_start:header_start + header_len]).decode("utf-8"))
         meta, directory, blob_bytes = header["meta"], header["tensors"], header["blob_bytes"]
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: malformed header: {exc!r}") from None

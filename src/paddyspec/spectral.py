@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .imaging import ImageF, load_array, save_array
+from .imaging import ImageF
+from .nn.serialize import read_checkpoint, write_checkpoint
 
 FUSED_BANDS = ("R", "G", "B", "NDVI")
 
@@ -60,14 +61,18 @@ def fuse(rgb_registered: ImageF, ndvi: np.ndarray, mask: np.ndarray) -> np.ndarr
 
 
 def save_fused(tensor: np.ndarray, path) -> None:
-    """Persist a (4, H, W) fused tensor in the raw float array format."""
-    img = ImageF(np.transpose(tensor, (1, 2, 0)), FUSED_BANDS)
-    save_array(img, path)
+    """Persist a (4, H, W) fused tensor in the checkpoint container."""
+    write_checkpoint(path, {"bands": list(FUSED_BANDS)}, {"fused": tensor})
 
 
 def load_fused(path) -> np.ndarray:
     """Load a fused tensor back as (4, H, W) float32."""
-    img = load_array(path)
-    if img.band_labels != FUSED_BANDS:
-        raise SpectralError(f"{path}: bands {img.band_labels} != {FUSED_BANDS}")
-    return np.transpose(img.data, (2, 0, 1)).copy()
+    meta, tensors = read_checkpoint(path)
+    fused = tensors.get("fused")
+    if (not isinstance(meta, dict) or meta.get("bands") != list(FUSED_BANDS)
+            or list(tensors) != ["fused"]
+            or fused.ndim != 3 or len(fused) != len(FUSED_BANDS)):
+        shapes = {name: arr.shape for name, arr in tensors.items()}
+        raise SpectralError(f"{path}: expected one (4, H, W) tensor 'fused' with bands "
+                            f"{list(FUSED_BANDS)}, got meta {meta!r} and tensors {shapes}")
+    return fused

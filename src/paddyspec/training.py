@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -209,21 +209,15 @@ class EpochStats:
     per_class_f1: tuple[float, float, float]
 
 
-@dataclass
-class RunHistory:
-    epochs: list[EpochStats] = field(default_factory=list)
-    final_confusion: ConfusionMatrix | None = None
-
-
 HISTORY_HEADER = ["epoch", "lr", "train_loss", "val_macro_f1",
                   "f1_blast", "f1_spot", "f1_healthy"]
 
 
-def write_history_csv(history: RunHistory, path) -> None:
+def write_history_csv(history: list[EpochStats], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(HISTORY_HEADER)
-        for row in history.epochs:
+        for row in history:
             writer.writerow([row.epoch, repr(row.lr), repr(row.train_loss),
                              repr(row.val_macro_f1)]
                             + [repr(v) for v in row.per_class_f1])
@@ -232,7 +226,7 @@ def write_history_csv(history: RunHistory, path) -> None:
 @dataclass
 class TrainResult:
     model: ResNet18
-    history: RunHistory
+    history: list[EpochStats]
     val_result: EvalResult | None
     steps_taken: int
     class_weights: np.ndarray
@@ -316,10 +310,10 @@ def train_fold(cfg: TrainConfig, manifest: Manifest, folds: FoldAssignment,
 
     losses, steps = fit(model, cfg, train_x, train_y, weights, max_steps=max_steps,
                         shuffle_tag=fold_id, on_epoch=validate)
-    history = RunHistory()
+    history = []
     start = 0
     for epoch, (end, result) in enumerate(validated):
-        history.epochs.append(EpochStats(
+        history.append(EpochStats(
             epoch=epoch,
             lr=lr_at(float(epoch), cfg),
             train_loss=float(np.mean(losses[start:end])),
@@ -327,9 +321,7 @@ def train_fold(cfg: TrainConfig, manifest: Manifest, folds: FoldAssignment,
             per_class_f1=tuple(float(v) for v in result.per_class_f1),
         ))
         start = end
-    val_result = validated[-1][1]
-    history.final_confusion = val_result.confusion
-    return TrainResult(model=model, history=history, val_result=val_result,
+    return TrainResult(model=model, history=history, val_result=validated[-1][1],
                        steps_taken=steps, class_weights=weights)
 
 
@@ -337,16 +329,11 @@ def train_fold(cfg: TrainConfig, manifest: Manifest, folds: FoldAssignment,
 
 
 @dataclass
-class FoldOutcome:
-    fold: int
-    macro_f1: float
-    per_class_f1: tuple[float, float, float]
-
-
-@dataclass
 class CrossValReport:
+    """Each mode's held-out ``EvalResult`` per fold, in fold order."""
+
     k: int
-    outcomes: dict[str, list[FoldOutcome]]
+    outcomes: dict[str, list[EvalResult]]
 
     def mean_macro_f1(self, mode: str) -> float:
         return float(np.mean([o.macro_f1 for o in self.outcomes[mode]]))
@@ -359,18 +346,12 @@ def cross_validate(cfg: TrainConfig, manifest: Manifest, folds: FoldAssignment,
                    source, modes: tuple[str, ...] = INPUT_MODES,
                    max_steps: int | None = None) -> CrossValReport:
     """Run train_fold over every fold for each input mode (paired design)."""
-    outcomes: dict[str, list[FoldOutcome]] = {}
+    outcomes: dict[str, list[EvalResult]] = {}
     for mode in modes:
         mode_cfg = TrainConfig(**{**cfg.__dict__, "input_mode": mode})
-        outcomes[mode] = []
-        for fold in range(folds.k):
-            result = train_fold(mode_cfg, manifest, folds, fold, source,
-                                max_steps=max_steps)
-            outcomes[mode].append(FoldOutcome(
-                fold=fold,
-                macro_f1=result.val_result.macro_f1,
-                per_class_f1=tuple(float(v) for v in result.val_result.per_class_f1),
-            ))
+        outcomes[mode] = [train_fold(mode_cfg, manifest, folds, fold, source,
+                                     max_steps=max_steps).val_result
+                          for fold in range(folds.k)]
     return CrossValReport(k=folds.k, outcomes=outcomes)
 
 

@@ -231,6 +231,20 @@ class TestMalformedInputs:
         self._fails_on_one_line(["eval", "--checkpoint", "nofold.ckpt"], capsys,
                                 "names no fold")
 
+    @pytest.mark.parametrize("seed", ["x", 1.5, -1])
+    def test_checkpoint_meta_seed_is_not_read(self, tmp_path, seed):
+        from paddyspec import nn
+        from paddyspec.model import build_resnet18
+        meta = {"arch": {"in_channels": 3, "num_classes": 3}, "input_mode": "rgb",
+                "input_size": 32, "fold": 0, "seed": seed}
+        state = build_resnet18(in_channels=3, num_classes=3, seed=7).state_arrays()
+        nn.write_checkpoint(tmp_path / "m.ckpt", meta, state)
+        _, model = cli._load_checkpoint_model(tmp_path / "m.ckpt")
+        loaded = model.state_arrays()
+        assert loaded.keys() == state.keys()
+        for name, arr in state.items():
+            assert loaded[name].tobytes() == arr.tobytes(), name
+
     def test_checkpoint_statistic_of_wrong_shape(self, tmp_path, monkeypatch, capsys):
         from paddyspec import nn
         from paddyspec.model import build_resnet18
@@ -293,9 +307,10 @@ class TestMalformedInputs:
         self._fails_on_one_line(["train", "--manifest", "manifest.csv",
                                  "--folds", "folds.csv"], capsys, name)
 
-    def test_truncated_fused_cache(self, tmp_path, monkeypatch, capsys):
+    def _train_on_cache(self, tmp_path, capsys, payload):
+        """Two samples per class, two folds, every cache file holding ``payload``;
+        ``train`` must fail on one line naming a cache file."""
         from paddyspec import dataset as ds
-        monkeypatch.chdir(tmp_path)
         ids = [f"{label}{i}" for label in ds.LABELS for i in range(2)]
         records = [ds.SampleRecord(id=sid, rgb_path="", rgnir_path="", label=sid[:-1])
                    for sid in ids]
@@ -305,9 +320,20 @@ class TestMalformedInputs:
             f"{sid},{sid[-1]}\n" for sid in ids))
         (tmp_path / "cache").mkdir()
         for sid in ids:
-            (tmp_path / "cache" / f"{sid}.pspec").write_bytes(b"PSPEC1\x01\x00")
+            (tmp_path / "cache" / f"{sid}.pspec").write_bytes(payload)
         self._fails_on_one_line(["train", "--manifest", "manifest.csv", "--folds",
                                  "folds.csv", "--fold", "0"], capsys, ".pspec")
+
+    def test_truncated_fused_cache(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        self._train_on_cache(tmp_path, capsys, b"PSPEC1\x01\x00")
+
+    def test_truncated_fused_container(self, tmp_path, monkeypatch, capsys):
+        from paddyspec import spectral
+        monkeypatch.chdir(tmp_path)
+        spectral.save_fused(np.zeros((4, 32, 32), np.float32), tmp_path / "whole.pspec")
+        raw = (tmp_path / "whole.pspec").read_bytes()
+        self._train_on_cache(tmp_path, capsys, raw[:-4])
 
     def test_garbage_mask_png(self, tmp_path, monkeypatch, capsys):
         from paddyspec import dataset as ds

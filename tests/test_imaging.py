@@ -227,7 +227,7 @@ class TestLoadSave:
 
     def test_ndvi_png_save_rejected(self, tmp_path, rng):
         img = ImageF(rng.uniform(-1, 1, size=(4, 4, 1)).astype(np.float32), ("NDVI",))
-        with pytest.raises(ImageFormatError, match="save_array"):
+        with pytest.raises(ImageFormatError, match="save_fused"):
             imaging.save_image(img, tmp_path / "bad.png")
 
     def test_band_label_count_enforced(self, tmp_path, rng):
@@ -240,45 +240,6 @@ class TestLoadSave:
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ImageFormatError):
             imaging.load_image(tmp_path / "missing.png", "rgb")
-
-    def test_array_round_trip_bit_identical(self, tmp_path, rng):
-        data = rng.standard_normal((5, 6, 4)).astype(np.float32)
-        img = ImageF(data, ("R", "G", "B", "NDVI"))
-        path = tmp_path / "arr.pspec"
-        imaging.save_array(img, path)
-        back = imaging.load_array(path)
-        assert back.band_labels == ("R", "G", "B", "NDVI")
-        assert back.data.tobytes() == data.tobytes()
-
-    def _array_file(self, tmp_path, rng):
-        img = ImageF(rng.standard_normal((3, 4, 2)).astype(np.float32), ("NDVI", "R"))
-        imaging.save_array(img, tmp_path / "arr.pspec")
-        return (tmp_path / "arr.pspec").read_bytes()
-
-    def test_truncated_array_file(self, tmp_path, rng):
-        raw = self._array_file(tmp_path, rng)
-        path = tmp_path / "cut.pspec"
-        for size in range(len(raw)):
-            path.write_bytes(raw[:size])
-            with pytest.raises(ImageFormatError, match="cut.pspec"):
-                imaging.load_array(path)
-
-    def test_bit_flipped_array_header(self, tmp_path, rng):
-        raw = self._array_file(tmp_path, rng)
-        header = len(imaging.ARRAY_MAGIC) + 12 + len(b"\x04NDVI\x01R")
-        path = tmp_path / "flip.pspec"
-        for bit in range(8 * header):
-            flipped = bytearray(raw)
-            flipped[bit // 8] ^= 1 << (bit % 8)
-            path.write_bytes(bytes(flipped))
-            try:
-                img = imaging.load_array(path)
-            except ImageFormatError:
-                continue
-            assert img.data.size == img.height * img.width * img.channels
-        path.write_bytes(raw[:19] + b"\xff" + raw[20:])  # "NDVI" -> "\xffDVI"
-        with pytest.raises(ImageFormatError, match="not ASCII"):
-            imaging.load_array(path)
 
 
 class TestResize:

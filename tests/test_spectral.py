@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paddyspec import spectral
+from paddyspec import nn, spectral
 from paddyspec.imaging import ImageF
 from paddyspec.spectral import SpectralError
 
@@ -99,3 +99,58 @@ class TestFuse:
         spectral.save_fused(sample, path)
         back = spectral.load_fused(path)
         assert back.tobytes() == sample.tobytes()
+
+
+class TestFusedFile:
+    """Fused samples are stored in the checkpoint container."""
+
+    def _fused_file(self, tmp_path):
+        sample = np.random.default_rng(4).standard_normal((4, 5, 6)).astype(np.float32)
+        spectral.save_fused(sample, tmp_path / "sample.pspec")
+        return sample, (tmp_path / "sample.pspec").read_bytes()
+
+    def test_round_trip_bit_identical(self, tmp_path):
+        sample, _ = self._fused_file(tmp_path)
+        back = spectral.load_fused(tmp_path / "sample.pspec")
+        assert back.dtype == np.float32 and back.shape == (4, 5, 6)
+        assert back.tobytes() == sample.tobytes()
+
+    def test_truncated_file(self, tmp_path):
+        _, raw = self._fused_file(tmp_path)
+        path = tmp_path / "cut.pspec"
+        for size in range(len(raw)):
+            path.write_bytes(raw[:size])
+            with pytest.raises((nn.CheckpointError, SpectralError), match="cut.pspec"):
+                spectral.load_fused(path)
+
+    def test_bit_flipped_header(self, tmp_path):
+        _, raw = self._fused_file(tmp_path)
+        header = len(raw) - 4 * 4 * 5 * 6
+        path = tmp_path / "flip.pspec"
+        for bit in range(8 * header):
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(flipped))
+            try:
+                back = spectral.load_fused(path)
+            except (nn.CheckpointError, SpectralError) as exc:
+                assert "flip.pspec" in str(exc)
+                continue
+            assert back.dtype == np.float32
+            assert back.ndim == 3 and back.shape[0] == 4
+
+    @pytest.mark.parametrize("meta, shapes", [
+        ({"bands": ["R", "G", "B", "NIR"]}, {"fused": (4, 3, 3)}),
+        ({}, {"fused": (4, 3, 3)}),
+        (["R", "G", "B", "NDVI"], {"fused": (4, 3, 3)}),
+        ({"bands": ["R", "G", "B", "NDVI"]}, {"sample": (4, 3, 3)}),
+        ({"bands": ["R", "G", "B", "NDVI"]}, {"fused": (4, 3, 3), "extra": (1,)}),
+        ({"bands": ["R", "G", "B", "NDVI"]}, {"fused": (3, 3, 3)}),
+        ({"bands": ["R", "G", "B", "NDVI"]}, {"fused": (4, 9)}),
+    ])
+    def test_wrong_meta_or_band_count_rejected(self, tmp_path, meta, shapes):
+        path = tmp_path / "odd.pspec"
+        nn.write_checkpoint(path, meta, {name: np.zeros(shape, np.float32)
+                                         for name, shape in shapes.items()})
+        with pytest.raises(SpectralError, match="odd.pspec"):
+            spectral.load_fused(path)

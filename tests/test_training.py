@@ -163,7 +163,7 @@ class TestTrainFold:
         for (name, trained), (_, init) in zip(result.model.named_parameters(),
                                               fresh.named_parameters()):
             assert trained.data.tobytes() == init.data.tobytes(), name
-        losses = [e.train_loss for e in result.history.epochs]
+        losses = [e.train_loss for e in result.history]
         assert abs(losses[0] - losses[1]) < 1e-9
 
     def test_deterministic_final_loss_in_test_precision(self):
@@ -172,7 +172,7 @@ class TestTrainFold:
         cfg = small_cfg(precision="float64", epochs=2, batch_size=4, seed=5)
         a = train_fold(cfg, manifest, folds, 0, source)
         b = train_fold(cfg, manifest, folds, 0, source)
-        assert a.history.epochs[-1].train_loss == b.history.epochs[-1].train_loss
+        assert a.history[-1].train_loss == b.history[-1].train_loss
         for (_, ta), (_, tb) in zip(a.model.named_parameters(), b.model.named_parameters()):
             assert ta.data.tobytes() == tb.data.tobytes()
 
@@ -181,9 +181,9 @@ class TestTrainFold:
         folds = stratified_kfold(manifest, k=2, seed=2)
         cfg = small_cfg(epochs=2)
         result = train_fold(cfg, manifest, folds, 0, source)
-        assert len(result.history.epochs) == 2
-        assert result.history.final_confusion is not None
-        assert result.history.final_confusion.total() == sum(
+        assert len(result.history) == 2
+        assert result.val_result.confusion is not None
+        assert result.val_result.confusion.total() == sum(
             1 for r in manifest.records if folds.fold_of[r.id] == 0)
         # balanced training folds give near-uniform weights
         assert np.allclose(result.class_weights.sum(), 3.0, atol=1e-9)
@@ -236,10 +236,9 @@ class TestSingleLoop:
         cfg = small_cfg(epochs=5, batch_size=3, precision="float64")
         result = train_fold(cfg, manifest, folds, 0, source, max_steps=3)
         assert result.steps_taken == 3
-        assert [e.epoch for e in result.history.epochs] == [0, 1]
+        assert [e.epoch for e in result.history] == [0, 1]
         held_out = sum(1 for r in manifest.records if folds.fold_of[r.id] == 0)
-        assert result.history.final_confusion.total() == held_out
-        assert result.val_result.confusion is result.history.final_confusion
+        assert result.val_result.confusion.total() == held_out
 
     def test_train_fold_equals_fit_on_fold_data(self):
         manifest, source = tiny_dataset(n_per_class=4)
@@ -257,7 +256,7 @@ class TestSingleLoop:
                                      direct.named_parameters()):
             assert a.data.tobytes() == b.data.tobytes(), name
         per_epoch = [float(np.mean(losses[i:i + 2])) for i in (0, 2)]
-        assert [e.train_loss for e in result.history.epochs] == per_epoch
+        assert [e.train_loss for e in result.history] == per_epoch
 
     def test_step_budget_overrides_epochs(self):
         manifest, source = tiny_dataset(n_per_class=4)
@@ -286,8 +285,10 @@ class TestCrossValidate:
         cfg = small_cfg(epochs=1)
         report = cross_validate(cfg, manifest, folds, source, max_steps=2)
         assert set(report.outcomes) == {"rgb", "rgb_ndvi"}
+        held_out = [sum(1 for r in manifest.records if folds.fold_of[r.id] == fold)
+                    for fold in (0, 1)]
         for mode in report.outcomes:
-            assert [o.fold for o in report.outcomes[mode]] == [0, 1]
+            assert [o.confusion.total() for o in report.outcomes[mode]] == held_out
         table = training.render_results_table(report)
         for token in ("blast", "spot", "healthy", "macro", "rgb_ndvi"):
             assert token in table
