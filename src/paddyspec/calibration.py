@@ -75,6 +75,8 @@ def extract_panel_stats(img: ImageF, panels: PanelSpec, trim: float = 0.05,
         if roi.x < 0 or roi.y < 0 or roi.x + roi.w > img.width or roi.y + roi.h > img.height:
             raise CalibrationError(
                 f"panel {i} ROI {roi} falls outside the {img.width}x{img.height} image")
+        if roi.w < 1 or roi.h < 1:
+            raise CalibrationError(f"panel {i} ROI {roi} must have w >= 1 and h >= 1")
         if roi.w * roi.h < 25:
             raise CalibrationError(f"panel {i} ROI has {roi.w * roi.h} px; need >= 25")
         patch = img.data[roi.y:roi.y + roi.h, roi.x:roi.x + roi.w, :]
@@ -191,6 +193,9 @@ def load_session(path) -> tuple[str, PanelSpec, tuple[str, ...]]:
         if not _is_number_list(reflectance):
             raise CalibrationError(f"session file {path}: panel {i} reflectance must be "
                                    f"a list of numbers, got {reflectance!r}")
+        if len(reflectance) != len(bands):
+            raise CalibrationError(f"session file {path}: panel {i} needs one reflectance "
+                                   f"per band ({len(bands)}), got {len(reflectance)}")
         if not (_is_number_list(roi, int) and len(roi) == 4):
             raise CalibrationError(f"session file {path}: panel {i} roi must be 4 "
                                    f"integers [x, y, w, h], got {roi!r}")

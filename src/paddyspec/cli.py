@@ -301,6 +301,12 @@ def _load_checkpoint_model(path):
                                                   meta.get("input_size")))):
         raise CommandFailure(f"checkpoint {path}: meta needs arch.in_channels, "
                              "arch.num_classes, input_mode and input_size")
+    if meta["input_mode"] not in training.INPUT_MODES:
+        raise CommandFailure(f"checkpoint {path}: input_mode must be one of "
+                             f"{training.INPUT_MODES}, got {meta['input_mode']!r}")
+    if meta["input_size"] < 1:
+        raise CommandFailure(f"checkpoint {path}: input_size must be >= 1, "
+                             f"got {meta['input_size']}")
     # the initial weights are all overwritten below, so they need no seed
     model = build_resnet18(in_channels=arch["in_channels"], num_classes=arch["num_classes"])
     model.load_state_arrays(arrays)
@@ -492,7 +498,8 @@ def main(argv=None) -> int:
         print(f"paddyspec: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except (RegistrationError, ImageFormatError, cal.CalibrationError,
-            SpectralError, TrainingError, ds.ManifestError, nn.ShapeError) as exc:
+            SpectralError, TrainingError, ds.ManifestError, nn.ShapeError,
+            nn.NonFiniteError) as exc:
         print(f"paddyspec: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -49,7 +49,7 @@ def resize_bilinear(img: ImageF, out_w: int, out_h: int) -> ImageF:
 
 
 def _homography_matrix(h) -> np.ndarray:
-    mat = np.asarray(getattr(h, "matrix", h), dtype=np.float64)
+    mat = np.asarray(h, dtype=np.float64)
     if mat.shape != (3, 3):
         raise ImageFormatError(f"homography must be 3x3, got {mat.shape}")
     return mat

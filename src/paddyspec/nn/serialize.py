@@ -7,7 +7,8 @@ Layout:
     <blob: concatenated little-endian float32 tensors>
 
 The header carries arbitrary metadata under "meta" and a tensor directory
-(name, shape, dtype, byte offset into the blob).
+(name, shape, dtype, byte offset into the blob). A reader accepts only
+"float32" entries whose values are all finite.
 """
 from __future__ import annotations
 
@@ -70,10 +71,17 @@ def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     tensors = {}
     try:
         for entry in directory:
-            shape = tuple(entry["shape"])
+            name, shape = entry["name"], tuple(entry["shape"])
+            if entry["dtype"] != "float32":
+                raise CheckpointError(
+                    f"{path}: tensor {name!r} has dtype {entry['dtype']!r}, not 'float32'")
             count = int(np.prod(shape)) if shape else 1
             arr = np.frombuffer(blob, dtype="<f4", count=count, offset=entry["offset"])
-            tensors[entry["name"]] = arr.reshape(shape).copy()
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{path}: tensor {name!r} holds NaN or Inf")
+            tensors[name] = arr.reshape(shape).copy()
+    except CheckpointError:
+        raise
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: malformed tensor entry: {exc!r}") from None
     return meta, tensors

@@ -5,7 +5,6 @@ from .keypoints import Keypoints, build_pyramid, detect_keypoints
 from .descriptors import DESCRIPTOR_BITS, TEST_PATTERN, compute_descriptors
 from .matching import Matches, filter_matches, match_bruteforce
 from .homography import (
-    Homography,
     RansacResult,
     dlt_homography,
     estimate_homography,
@@ -20,7 +19,6 @@ from .pipeline import (
 
 __all__ = [
     "DESCRIPTOR_BITS",
-    "Homography",
     "Keypoints",
     "Matches",
     "RansacResult",

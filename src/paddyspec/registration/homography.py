@@ -27,43 +27,17 @@ SOLVE_CHUNK = 2048  # samples drawn and solved together
 SCORE_BLOCK = 16  # homographies scored together against every match
 
 
-@dataclass
-class Homography:
-    """3x3 projective map, scaled so h33 == 1 whenever |h33| > 1e-12."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=np.float64)
-        if mat.shape != (3, 3):
-            raise ValueError(f"homography must be 3x3, got {mat.shape}")
-        if abs(mat[2, 2]) > 1e-12:
-            mat = mat / mat[2, 2]
-        self.matrix = mat
-
-    def inverse(self) -> "Homography":
-        return Homography(np.linalg.inv(self.matrix))
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Map (N, 2) points through the transform."""
-        pts = np.asarray(points, dtype=np.float64)
-        ones = np.ones((len(pts), 1))
-        proj = np.hstack([pts, ones]) @ self.matrix.T
-        return proj[:, :2] / proj[:, 2:3]
-
-
 def _unit_h33(mats: np.ndarray) -> np.ndarray:
-    """``Homography`` scaling of each (k, 3, 3) matrix: h33 == 1 where
-    |h33| > 1e-12."""
+    """Each (k, 3, 3) matrix scaled so that h33 == 1 where |h33| > 1e-12."""
     h33 = mats[:, 2:3, 2:3]
     return mats / np.where(np.abs(h33) > 1e-12, h33, 1.0)
 
 
 def _project(mats: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``Homography.apply`` of each (k, 3, 3) matrix to (N, 2) points: the
-    mapped x and y, each (k, N)."""
-    # one BLAS matmul per matrix, as in ``apply``: BLAS may fuse the
-    # multiply-adds, so x*h00 + y*h01 + h02 written out can differ in the last bit
+    """(N, 2) points mapped through each (k, 3, 3) matrix: the mapped x and
+    y, each (k, N)."""
+    # one BLAS matmul per matrix: BLAS may fuse the multiply-adds, so
+    # x*h00 + y*h01 + h02 written out can differ in the last bit
     proj = np.hstack([points, np.ones((len(points), 1))]) @ np.swapaxes(mats, 1, 2)
     return proj[..., 0] / proj[..., 2], proj[..., 1] / proj[..., 2]
 
@@ -132,8 +106,9 @@ def _dlt(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mats, failure
 
 
-def dlt_homography(src: np.ndarray, dst: np.ndarray) -> Homography:
-    """Least-squares homography src -> dst from >= 4 correspondences."""
+def dlt_homography(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Least-squares (3, 3) homography src -> dst from >= 4 correspondences,
+    scaled so that h33 == 1 where |h33| > 1e-12."""
     src = np.asarray(src, dtype=np.float64)
     dst = np.asarray(dst, dtype=np.float64)
     n = len(src)
@@ -142,7 +117,7 @@ def dlt_homography(src: np.ndarray, dst: np.ndarray) -> Homography:
     mats, failure = _dlt(src[None], dst[None])
     if failure[0]:
         raise ValueError(_DLT_FAILURES[failure[0] - 1])
-    return Homography(mats[0])
+    return _unit_h33(mats)[0]
 
 
 def _transfer_errors(mats: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -153,12 +128,13 @@ def _transfer_errors(mats: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.n
     return 0.5 * (fwd + bwd)
 
 
-def symmetric_transfer_error(h: Homography, src: np.ndarray,
+def symmetric_transfer_error(h: np.ndarray, src: np.ndarray,
                              dst: np.ndarray) -> np.ndarray:
-    """Mean of forward and backward reprojection distances per point."""
+    """Mean of forward and backward reprojection distances per point under
+    the (3, 3) homography ``h``."""
     src = np.asarray(src, dtype=np.float64)
     dst = np.asarray(dst, dtype=np.float64)
-    return _transfer_errors(h.matrix[None], src, dst)[0]
+    return _transfer_errors(h[None], src, dst)[0]
 
 
 def _collinear(points: np.ndarray, tol: float = 1e-6) -> np.ndarray:
@@ -188,10 +164,9 @@ def _solve_minimal(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
 @dataclass
 class RansacResult:
-    homography: Homography
+    homography: np.ndarray  # (3, 3)
     inliers: Matches
     mean_residual: float
-    n_input: int = 0
 
 
 def estimate_homography(matches: Matches, kps_a: Keypoints,
@@ -251,4 +226,4 @@ def estimate_homography(matches: Matches, kps_a: Keypoints,
     refit = dlt_homography(src[best_mask], dst[best_mask])
     residuals = symmetric_transfer_error(refit, src[best_mask], dst[best_mask])
     return RansacResult(homography=refit, inliers=canon[best_mask],
-                        mean_residual=float(residuals.mean()), n_input=n)
+                        mean_residual=float(residuals.mean()))

@@ -18,7 +18,7 @@ import numpy as np
 from ..imaging import ImageF, ImageFormatError, warp_perspective
 from .descriptors import compute_descriptors
 from .errors import RegistrationError
-from .homography import Homography, RansacResult, estimate_homography
+from .homography import RansacResult, estimate_homography
 from .keypoints import build_pyramid, detect_keypoints
 from .matching import filter_matches, match_bruteforce
 
@@ -79,7 +79,7 @@ class RegistrationDiagnostics:
 class RegistrationResult:
     image: ImageF
     mask: np.ndarray
-    homography: Homography
+    homography: np.ndarray  # (3, 3)
     diagnostics: RegistrationDiagnostics
 
 
@@ -124,7 +124,7 @@ def register_pair(rgb: ImageF, rgnir: ImageF,
         filtered=len(filtered),
         inliers=len(result.inliers),
         mean_residual=result.mean_residual,
-        homography=[float(v) for v in result.homography.matrix.ravel()],
+        homography=[float(v) for v in result.homography.ravel()],
     )
     return RegistrationResult(image=warped, mask=mask,
                               homography=result.homography, diagnostics=diag)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .dataset import LABELS, FoldAssignment, Manifest, SampleRecord, class_weights_from_counts
+from .dataset import LABELS, FoldAssignment, Manifest, SampleRecord, class_weights
 from .model import ResNet18, build_resnet18
 from .nn import Adam, Tensor
 from .spectral import load_fused
@@ -291,9 +291,7 @@ def train_fold(cfg: TrainConfig, manifest: Manifest, folds: FoldAssignment,
     if not train_records or not val_records:
         raise TrainingError(f"fold {fold_id} leaves an empty train or validation set")
 
-    counts = np.array([sum(1 for r in train_records if r.label == label)
-                       for label in LABELS])
-    weights = class_weights_from_counts(counts)
+    weights = class_weights(Manifest(train_records))
 
     train_y = np.array([LABELS.index(r.label) for r in train_records], dtype=np.int64)
     val_y = np.array([LABELS.index(r.label) for r in val_records], dtype=np.int64)

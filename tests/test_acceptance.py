@@ -84,7 +84,7 @@ def test_registration_accuracy():
         kps_a, kps_b, matches = synthetic.make_correspondences(
             rng, h_true, n=100, noise=0.3, outlier_fraction=0.30)
         result = reg.estimate_homography(matches, kps_a, kps_b, **params)
-        err = synthetic.corner_reprojection_error(result.homography.matrix, h_true)
+        err = synthetic.corner_reprojection_error(result.homography, h_true)
         if err < 1.0:
             hits += 1
     assert hits >= 95, f"only {hits}/100 noisy trials under 1 px corner error"
@@ -96,7 +96,7 @@ def test_registration_accuracy():
             rng, h_true, n=80, noise=0.0, outlier_fraction=0.30)
         result = reg.estimate_homography(matches, kps_a, kps_b, **params)
         worst_clean = max(worst_clean, synthetic.corner_reprojection_error(
-            result.homography.matrix, h_true))
+            result.homography, h_true))
     assert worst_clean < 0.5, f"noise-free corner error {worst_clean:.3f} >= 0.5 px"
 
     def oracle(a, b):

@@ -257,6 +257,38 @@ class TestMalformedInputs:
         self._fails_on_one_line(["eval", "--checkpoint", "bad.ckpt"], capsys,
                                 "stem_bn.running_var: checkpoint shape (3,)")
 
+    @pytest.mark.parametrize("key, value, needle", [
+        ("input_mode", "foo", "bad.ckpt: input_mode must be one of"),
+        ("input_size", 0, "bad.ckpt: input_size must be >= 1"),
+    ])
+    def test_checkpoint_meta_out_of_range(self, tmp_path, monkeypatch, capsys,
+                                          key, value, needle):
+        from paddyspec import nn
+        from paddyspec.model import build_resnet18
+        monkeypatch.chdir(tmp_path)
+        self._split_files(tmp_path, ["blast0,0", "brown_spot0,1", "healthy0,0"])
+        meta = {"arch": {"in_channels": 3, "num_classes": 3}, "input_mode": "rgb",
+                "input_size": 32, "fold": 0, key: value}
+        nn.write_checkpoint(tmp_path / "bad.ckpt", meta,
+                            build_resnet18(in_channels=3, num_classes=3).state_arrays())
+        self._fails_on_one_line(["eval", "--checkpoint", "bad.ckpt", "--manifest",
+                                 "manifest.csv", "--folds", "folds.csv"], capsys, needle)
+
+    def test_checkpoint_with_nan_weight(self, tmp_path, monkeypatch, capsys):
+        from paddyspec import nn, spectral
+        from paddyspec.model import build_resnet18
+        monkeypatch.chdir(tmp_path)
+        spectral.save_fused(np.full((4, 32, 32), 0.5, np.float32), tmp_path / "ok.pspec")
+        self._cache_split(tmp_path, (tmp_path / "ok.pspec").read_bytes())
+        meta = {"arch": {"in_channels": 3, "num_classes": 3}, "input_mode": "rgb",
+                "input_size": 32, "fold": 0}
+        state = build_resnet18(in_channels=3, num_classes=3).state_arrays()
+        state["stem_conv.weight"].flat[0] = np.nan
+        nn.write_checkpoint(tmp_path / "nan.ckpt", meta, state)
+        self._fails_on_one_line(["eval", "--checkpoint", "nan.ckpt", "--manifest",
+                                 "manifest.csv", "--folds", "folds.csv"], capsys,
+                                "nan.ckpt: tensor 'stem_conv.weight' holds NaN or Inf")
+
 
     @staticmethod
     def _column_mutations(text):
@@ -307,9 +339,9 @@ class TestMalformedInputs:
         self._fails_on_one_line(["train", "--manifest", "manifest.csv",
                                  "--folds", "folds.csv"], capsys, name)
 
-    def _train_on_cache(self, tmp_path, capsys, payload):
+    def _cache_split(self, tmp_path, payload):
         """Two samples per class, two folds, every cache file holding ``payload``;
-        ``train`` must fail on one line naming a cache file."""
+        returns the ``train`` arguments for fold 0."""
         from paddyspec import dataset as ds
         ids = [f"{label}{i}" for label in ds.LABELS for i in range(2)]
         records = [ds.SampleRecord(id=sid, rgb_path="", rgnir_path="", label=sid[:-1])
@@ -321,8 +353,11 @@ class TestMalformedInputs:
         (tmp_path / "cache").mkdir()
         for sid in ids:
             (tmp_path / "cache" / f"{sid}.pspec").write_bytes(payload)
-        self._fails_on_one_line(["train", "--manifest", "manifest.csv", "--folds",
-                                 "folds.csv", "--fold", "0"], capsys, ".pspec")
+        return ["train", "--manifest", "manifest.csv", "--folds", "folds.csv", "--fold", "0"]
+
+    def _train_on_cache(self, tmp_path, capsys, payload):
+        """``train`` on a ``_cache_split`` must fail on one line naming a cache file."""
+        self._fails_on_one_line(self._cache_split(tmp_path, payload), capsys, ".pspec")
 
     def test_truncated_fused_cache(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -334,6 +369,29 @@ class TestMalformedInputs:
         spectral.save_fused(np.zeros((4, 32, 32), np.float32), tmp_path / "whole.pspec")
         raw = (tmp_path / "whole.pspec").read_bytes()
         self._train_on_cache(tmp_path, capsys, raw[:-4])
+
+    def test_non_finite_fused_cache(self, tmp_path, monkeypatch, capsys):
+        from paddyspec import spectral
+        monkeypatch.chdir(tmp_path)
+        sample = np.zeros((4, 32, 32), np.float32)
+        sample[3, 5, 7] = np.nan
+        spectral.save_fused(sample, tmp_path / "nan.pspec")
+        (tmp_path / "config.json").write_text(json.dumps({"training": {"input_size": 32}}))
+        train = self._cache_split(tmp_path, (tmp_path / "nan.pspec").read_bytes())
+        self._fails_on_one_line(["--config", "config.json"] + train + ["--max-steps", "1"],
+                                capsys, ".pspec: tensor 'fused' holds NaN or Inf")
+
+    def test_diverging_training(self, tmp_path, monkeypatch, capsys):
+        from paddyspec import spectral
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(0)
+        spectral.save_fused(rng.uniform(0.0, 1.0, (4, 32, 32)).astype(np.float32),
+                            tmp_path / "ok.pspec")
+        (tmp_path / "config.json").write_text(json.dumps(
+            {"training": {"lr_max": 1e30, "input_size": 32}}))
+        train = self._cache_split(tmp_path, (tmp_path / "ok.pspec").read_bytes())
+        self._fails_on_one_line(["--config", "config.json"] + train + ["--max-steps", "4"],
+                                capsys, "NaN or Inf")
 
     def test_garbage_mask_png(self, tmp_path, monkeypatch, capsys):
         from paddyspec import dataset as ds
@@ -372,6 +430,7 @@ class TestMalformedInputs:
         ("roi", ["a", 1, 2, 3], "roi must be 4 integers"),
         ("roi", [1.5, 1, 2, 3], "roi must be 4 integers"),
         ("roi", [1, 2, 3], "roi must be 4 integers"),
+        ("reflectance", [0.5, 0.5], "panel 1 needs one reflectance per band (3), got 2"),
     ])
     def test_mistyped_session_file(self, tmp_path, monkeypatch, capsys, key, value, needle):
         from paddyspec import calibration as cal
@@ -387,6 +446,21 @@ class TestMalformedInputs:
         (tmp_path / "session.json").write_text(json.dumps(payload))
         self._fails_on_one_line(["calibrate", "--session", "session.json",
                                  "--pairs", "pairs.csv"], capsys, needle)
+
+    def test_negative_roi_extent(self, tmp_path, monkeypatch, capsys):
+        # w * h = 25 passes the size check, but the ROI selects no pixel
+        from paddyspec import calibration as cal
+        from paddyspec import dataset as ds
+        from paddyspec.synthetic import make_calibration_board
+        monkeypatch.chdir(tmp_path)
+        board, panels = make_calibration_board(np.random.default_rng(0))
+        save_image(board, tmp_path / "board.png")
+        panels.panels[1].roi = cal.PanelRoi(x=60, y=60, w=-5, h=-5)
+        cal.save_session(tmp_path / "session.json", "board.png", panels)
+        ds.write_manifest_csv(ds.Manifest(records=[]), tmp_path / "pairs.csv")
+        self._fails_on_one_line(["calibrate", "--session", "session.json",
+                                 "--pairs", "pairs.csv"], capsys, "must have w >= 1 and h >= 1")
+        assert not (tmp_path / "out" / "calibration.json").exists()
 
 @pytest.mark.slow
 class TestPipeline:

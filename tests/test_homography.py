@@ -1,4 +1,5 @@
 """DLT + RANSAC homography estimation and whole-pair registration."""
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -10,7 +11,7 @@ from paddyspec import registration as reg
 from paddyspec import synthetic
 from paddyspec.imaging import ImageF
 from paddyspec.registration import RegistrationError
-from paddyspec.registration.homography import Homography, RansacResult
+from paddyspec.registration.homography import RansacResult
 
 
 class Keypoint(NamedTuple):
@@ -38,7 +39,33 @@ def match_list(matches: reg.Matches) -> list[Match]:
 
 
 # The per-iteration RANSAC that the batched estimate_homography replaced,
-# kept unchanged as the oracle it must match bit for bit.
+# kept unchanged as the oracle it must match bit for bit, with the homography
+# class it was written against.
+@dataclass
+class Homography:
+    """3x3 projective map, scaled so h33 == 1 whenever |h33| > 1e-12."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        mat = np.asarray(self.matrix, dtype=np.float64)
+        if mat.shape != (3, 3):
+            raise ValueError(f"homography must be 3x3, got {mat.shape}")
+        if abs(mat[2, 2]) > 1e-12:
+            mat = mat / mat[2, 2]
+        self.matrix = mat
+
+    def inverse(self) -> "Homography":
+        return Homography(np.linalg.inv(self.matrix))
+
+    def apply(self, points: np.ndarray) -> np.ndarray:
+        """Map (N, 2) points through the transform."""
+        pts = np.asarray(points, dtype=np.float64)
+        ones = np.ones((len(pts), 1))
+        proj = np.hstack([pts, ones]) @ self.matrix.T
+        return proj[:, :2] / proj[:, 2:3]
+
+
 def _reference_normalization(points: np.ndarray) -> np.ndarray:
     """Hartley similarity: centroid to origin, mean radius to sqrt(2)."""
     centroid = points.mean(axis=0)
@@ -153,8 +180,8 @@ def reference_estimate_homography(matches, kps_a, kps_b, *, iters: int = 2000,
     refit = reference_dlt_homography(src[best_mask], dst[best_mask])
     residuals = reference_symmetric_transfer_error(refit, src[best_mask], dst[best_mask])
     inliers = [m for m, keep in zip(canon, best_mask) if keep]
-    return RansacResult(homography=refit, inliers=inliers,
-                        mean_residual=float(residuals.mean()), n_input=n)
+    return RansacResult(homography=refit.matrix, inliers=inliers,
+                        mean_residual=float(residuals.mean()))
 
 
 def ransac_outcome(estimate, matches, kps_a, kps_b, **kwargs):
@@ -165,8 +192,7 @@ def ransac_outcome(estimate, matches, kps_a, kps_b, **kwargs):
         return ("error", exc.stage, str(exc))
     inliers = result.inliers
     return (inliers if isinstance(inliers, list) else match_list(inliers),
-            result.homography.matrix.tobytes(),
-            np.float64(result.mean_residual).tobytes(), result.n_input)
+            result.homography.tobytes(), np.float64(result.mean_residual).tobytes())
 
 
 def reference_outcome(matches, kps_a, kps_b, **kwargs):
@@ -186,21 +212,21 @@ class TestDlt:
         kps_a, kps_b, matches = synthetic.make_correspondences(rng, h_true, n=4)
         result = reg.estimate_homography(matches, kps_a, kps_b,
                                          iters=50, seed=1)
-        assert np.abs(result.homography.matrix - h_true).max() < 1e-6
+        assert np.abs(result.homography - h_true).max() < 1e-6
 
     def test_identity_correspondences(self):
         rng = np.random.default_rng(1)
         kps_a, kps_b, matches = synthetic.make_correspondences(rng, np.eye(3), n=12)
         result = reg.estimate_homography(matches, kps_a, kps_b,
                                          iters=100, seed=2)
-        assert np.abs(result.homography.matrix - np.eye(3)).max() < 1e-9
+        assert np.abs(result.homography - np.eye(3)).max() < 1e-9
 
     def test_dlt_recovers_projective_map(self):
         rng = np.random.default_rng(2)
         h_true = synthetic.random_projective_homography(rng)
         kps_a, kps_b, _ = synthetic.make_correspondences(rng, h_true, n=30)
         h = reg.dlt_homography(kps_a.xy, kps_b.xy)
-        assert synthetic.corner_reprojection_error(h.matrix, h_true) < 1e-8
+        assert synthetic.corner_reprojection_error(h, h_true) < 1e-8
 
     def test_degenerate_sample_rejected(self):
         src = np.array([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0], [5.0, 7.0]])  # 3 collinear
@@ -223,7 +249,7 @@ class TestRansac:
             rng, h_true, n=100, outlier_fraction=0.30)
         result = reg.estimate_homography(matches, kps_a, kps_b,
                                          iters=2000, seed=5)
-        err = synthetic.corner_reprojection_error(result.homography.matrix, h_true)
+        err = synthetic.corner_reprojection_error(result.homography, h_true)
         assert err < 1.0
         assert len(result.inliers) >= 60
 
@@ -239,7 +265,7 @@ class TestRansac:
         set_a = set(zip(first.inliers.index_a.tolist(), first.inliers.index_b.tolist()))
         set_b = set(zip(second.inliers.index_a.tolist(), second.inliers.index_b.tolist()))
         assert set_a == set_b
-        assert np.allclose(first.homography.matrix, second.homography.matrix)
+        assert np.allclose(first.homography, second.homography)
 
     def test_noise_free_matches_refit_equals_global_dlt(self):
         rng = np.random.default_rng(8)
@@ -249,7 +275,7 @@ class TestRansac:
                                          iters=300, seed=9)
         assert len(result.inliers) == 40
         direct = reg.dlt_homography(kps_a.xy, kps_b.xy)
-        assert np.abs(result.homography.matrix - direct.matrix).max() < 1e-9
+        assert np.abs(result.homography - direct).max() < 1e-9
 
     def test_insufficient_consensus_errors(self):
         rng = np.random.default_rng(10)
@@ -265,7 +291,7 @@ class TestRansac:
         rng = np.random.default_rng(12)
         h_true = synthetic.random_projective_homography(rng)
         kps_a, kps_b, _ = synthetic.make_correspondences(rng, h_true, n=10)
-        err = reg.symmetric_transfer_error(reg.Homography(h_true), kps_a.xy, kps_b.xy)
+        err = reg.symmetric_transfer_error(h_true, kps_a.xy, kps_b.xy)
         assert err.max() < 1e-9
 
 
@@ -278,11 +304,11 @@ class TestRegisterPair:
         result = reg.register_pair(rgb, rgnir, params, pair_id="t0")
         grid = np.stack(np.meshgrid(np.linspace(10, 209, 15),
                                     np.linspace(10, 209, 15)), axis=-1).reshape(-1, 2)
-        true_h = reg.Homography(h_true)
+        true_h = Homography(h_true)
         mapped_true = true_h.apply(grid)
         inside = ((mapped_true[:, 0] >= 0) & (mapped_true[:, 0] <= 219)
                   & (mapped_true[:, 1] >= 0) & (mapped_true[:, 1] <= 219))
-        mapped_est = result.homography.apply(grid)
+        mapped_est = Homography(result.homography).apply(grid)
         err = np.linalg.norm(mapped_est[inside] - mapped_true[inside], axis=1)
         assert err.mean() < 1.0, f"mean reprojection error {err.mean():.3f}"
 
@@ -295,7 +321,7 @@ class TestRegisterPair:
                                         ransac_iters=800, seed=16)
         result = reg.register_pair(img, img, params)
         corners = np.array([[0.0, 0.0], [199.0, 0.0], [0.0, 199.0], [199.0, 199.0]])
-        moved = result.homography.apply(corners)
+        moved = Homography(result.homography).apply(corners)
         assert np.linalg.norm(moved - corners, axis=1).max() < 0.5
 
     def test_textureless_pair_fails_at_detection(self):
@@ -311,7 +337,7 @@ class TestRegisterPair:
                                         ransac_iters=3000, seed=18)
         result = reg.register_pair(rgb, rgnir, params)
         # the wide-FOV RGB content must map to a larger region in the R-G-NIR frame
-        sv = np.linalg.svd(result.homography.matrix[:2, :2], compute_uv=False)
+        sv = np.linalg.svd(result.homography[:2, :2], compute_uv=False)
         assert sv.min() > 1.2
 
     def test_diagnostics_record_fields(self):
@@ -489,6 +515,6 @@ class TestBatchedRansacOracle:
         for m in (4, 5, 37, 300, 1100):
             h = reg.dlt_homography(src[:m], dst[:m])
             ref = reference_dlt_homography(src[:m], dst[:m])
-            assert h.matrix.tobytes() == ref.matrix.tobytes()
+            assert h.tobytes() == ref.matrix.tobytes()
             assert (reg.symmetric_transfer_error(h, src, dst).tobytes()
                     == reference_symmetric_transfer_error(ref, src, dst).tobytes())

@@ -220,6 +220,24 @@ class TestCheckpoint:
         with pytest.raises(nn.CheckpointError):
             nn.read_checkpoint(path)
 
+    def test_non_float32_dtype_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        nn.write_checkpoint(path, {}, {"a": np.ones(2), "b": np.ones(3)})
+        raw = path.read_bytes()
+        first = raw.index(b'"float32"')
+        path.write_bytes(raw[:first] + b'"float64"' + raw[first + len(b'"float32"'):])
+        with pytest.raises(nn.CheckpointError, match=r"m\.ckpt: tensor 'a' has dtype 'float64'"):
+            nn.read_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        state = build_resnet18(seed=9).state_arrays()
+        state["stem_conv.weight"].flat[5] = value
+        nn.write_checkpoint(tmp_path / "m.ckpt", {}, state)
+        with pytest.raises(nn.CheckpointError,
+                           match=r"m\.ckpt: tensor 'stem_conv.weight' holds NaN or Inf"):
+            nn.read_checkpoint(tmp_path / "m.ckpt")
+
     @pytest.mark.parametrize("name", ["stem_bn.running_mean", "stem_bn.running_var",
                                       "stage4.0.down_bn.running_var"])
     def test_wrong_statistic_shape_rejected(self, name):
