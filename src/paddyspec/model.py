@@ -24,14 +24,19 @@ class ConvBN:
     """A bias-free He-initialized convolution followed by batchnorm.
 
     ``conv_name`` and ``bn_name`` are the layer paths its weight, affine and
-    running statistics are stored under in a checkpoint.
+    running statistics are stored under in a checkpoint. The weight has shape
+    (O, C, kh, kw) and is stored (O, kh, kw, C)-contiguous, so it is
+    ``conv2d``'s (O, kh*kw*C) weight matrix without a copy; its values,
+    checkpoint shape and bytes do not depend on that layout.
     """
 
     def __init__(self, rng, conv_name: str, bn_name: str, in_ch: int, out_ch: int,
                  kernel: int, stride: int, padding: int, dtype):
         std = np.sqrt(2.0 / (in_ch * kernel * kernel))
         weight = rng.normal(0.0, std, size=(out_ch, in_ch, kernel, kernel))
-        self.weight = Tensor(weight.astype(dtype), requires_grad=True)
+        stored = np.empty((out_ch, kernel, kernel, in_ch), dtype=dtype).transpose(0, 3, 1, 2)
+        stored[...] = weight
+        self.weight = Tensor(stored, requires_grad=True)
         self.bn = BatchNormParams.create(out_ch, dtype=dtype)
         self.stride = stride
         self.padding = padding

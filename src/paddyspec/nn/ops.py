@@ -17,19 +17,27 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
-def _im2col(padded: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """(B, C, Hp, Wp) -> (B, Ho*Wo, C*kh*kw) patch matrix."""
-    win = sliding_window_view(padded, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    b, c, ho, wo = win.shape[:4]
-    return win.transpose(0, 2, 3, 1, 4, 5).reshape(b, ho * wo, c * kh * kw)
+def _channels_last(a: np.ndarray) -> np.ndarray:
+    """The (B, H, W, C) view of a (B, C, H, W) array; free for channels-last memory."""
+    return a.transpose(0, 2, 3, 1)
+
+
+def _nchw(a: np.ndarray) -> np.ndarray:
+    """The (B, C, H, W) view of a (B, H, W, C) array: channels-last memory."""
+    return a.transpose(0, 3, 1, 2)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2D cross-correlation over a zero-padded input.
 
-    x: (B, C, H, W); weight: (O, C, kh, kw); bias: (O,) or None.
+    x: (B, C, H, W); weight: (O, C, kh, kw); bias: (O,) or None. Shapes are
+    NCHW/OIHW, memory may be any layout. The patch matrix is built in
+    (kh, kw, C) order from the channels-last view of x, so an input stored
+    (B, H, W, C)-contiguous is read in channel blocks, and other inputs cost
+    one transposing copy. A weight stored (O, kh, kw, C)-contiguous is its
+    own (O, kh*kw*C) matrix; any other weight is copied into that order.
+    The output, and the input gradient, are channels-last.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d: input must be 4D, got {x.shape}")
@@ -48,43 +56,44 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
 
     ho = conv_output_size(h, kh, stride, padding)
     wo = conv_output_size(w, kw, stride, padding)
+    p = padding
 
-    if padding:
-        padded = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        padded = x.data
-    cols = _im2col(padded, kh, kw, stride)               # (B, HoWo, C*kh*kw)
-    wmat = weight.data.reshape(o, -1)                    # (O, C*kh*kw)
-    out = cols @ wmat.T                                  # (B, HoWo, O)
+    padded = _channels_last(x.data)
+    if p:
+        padded = np.pad(padded, ((0, 0), (p, p), (p, p), (0, 0)))
+    win = sliding_window_view(padded, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(b * ho * wo, kh * kw * c)
+    wmat = _channels_last(weight.data).reshape(o, kh * kw * c)
+    out = cols @ wmat.T                                  # (B*Ho*Wo, O)
     if bias is not None:
         out += bias.data
-    out = out.transpose(0, 2, 1).reshape(b, o, ho, wo)
 
     def backward(grad: np.ndarray) -> None:
-        g = grad.reshape(b, o, ho * wo).transpose(0, 2, 1)   # (B, HoWo, O)
+        g = _channels_last(grad).reshape(b * ho * wo, o)
         if weight.requires_grad:
-            gw = np.tensordot(g, cols, axes=([0, 1], [0, 1]))  # (O, C*kh*kw)
-            weight._accumulate(gw.reshape(weight.shape))
+            weight._accumulate(_nchw((g.T @ cols).reshape(o, kh, kw, c)))
         if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 2, 3)))
+            bias._accumulate(g.sum(axis=0))
         if x.requires_grad:
-            gcols = g @ wmat                                  # (B, HoWo, C*kh*kw)
-            gwin = gcols.reshape(b, ho, wo, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-            gpad = np.zeros_like(padded)
+            gcols = (g @ wmat).reshape(b, ho, wo, kh, kw, c)
+            gpad = np.zeros((b, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
             for i in range(kh):
                 for j in range(kw):
-                    gpad[:, :, i:i + stride * ho:stride,
-                         j:j + stride * wo:stride] += gwin[:, :, :, :, i, j]
-            if padding:
-                gpad = gpad[:, :, padding:padding + h, padding:padding + w]
-            x._accumulate(gpad)
+                    gpad[:, i:i + stride * ho:stride,
+                         j:j + stride * wo:stride] += gcols[:, :, :, i, j]
+            x._accumulate(_nchw(gpad[:, p:p + h, p:p + w]))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor.from_op(out, parents, backward, name="conv2d")
+    return Tensor.from_op(_nchw(out.reshape(b, ho, wo, o)), parents, backward,
+                          name="conv2d")
 
 
 def maxpool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
-    """Max pooling; backward routes each gradient to its window's argmax."""
+    """Max pooling; backward routes each gradient to its window's argmax.
+
+    A window's argmax is its first maximum in row-major tap order. Pools the
+    channels-last view of x and returns channels-last memory.
+    """
     if kernel < 1 or stride < 1:
         raise ShapeError(f"maxpool2d: kernel/stride must be positive, got {kernel}/{stride}")
     if padding < 0 or padding >= kernel:
@@ -94,32 +103,37 @@ def maxpool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
     b, c, h, w = x.shape
     ho = conv_output_size(h, kernel, stride, padding)
     wo = conv_output_size(w, kernel, stride, padding)
+    p = padding
 
-    pad_val = -np.inf
-    padded = np.full((b, c, h + 2 * padding, w + 2 * padding), pad_val, dtype=x.dtype)
-    padded[:, :, padding:padding + h, padding:padding + w] = x.data
-    win = sliding_window_view(padded, (kernel, kernel), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride].reshape(b, c, ho, wo, kernel * kernel)
-    arg = win.argmax(axis=-1)
-    out = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
+    def tap(a: np.ndarray, k: int) -> np.ndarray:
+        i, j = divmod(k, kernel)
+        return a[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
+
+    hp, wp = h + 2 * p, w + 2 * p
+    padded = np.full((b, hp, wp, c), -np.inf, dtype=x.dtype)
+    padded[:, p:p + h, p:p + w] = _channels_last(x.data)
+    out = tap(padded, 0).copy()
+    arg = np.zeros(out.shape, dtype=np.min_scalar_type(kernel * kernel - 1))
+    for k in range(1, kernel * kernel):
+        v = tap(padded, k)
+        arg = np.where(v > out, k, arg)                  # strict: the first max wins
+        # on equal values np.maximum returns its second operand, so a tie
+        # keeps the earlier tap's bits (+0.0 vs -0.0)
+        np.maximum(v, out, out=out)
     if not np.isfinite(out).all():
         raise ShapeError("maxpool2d: a pooling window contained no input cells")
 
-    di, dj = np.divmod(arg, kernel)
-    oi = np.arange(ho)[:, None] * stride
-    oj = np.arange(wo)[None, :] * stride
-    src_i = oi[None, None] + di - padding                # unpadded row coords
-    src_j = oj[None, None] + dj - padding
-    bc = (np.arange(b)[:, None, None, None] * c + np.arange(c)[None, :, None, None])
-    flat_idx = (bc * h + src_i) * w + src_j              # (B, C, Ho, Wo)
-
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            gx = np.bincount(flat_idx.ravel(), weights=grad.ravel(),
-                             minlength=b * c * h * w)
-            x._accumulate(gx.reshape(b, c, h, w).astype(x.dtype))
+            di, dj = np.divmod(arg, kernel)
+            rows = np.arange(ho)[:, None, None] * stride + di
+            cols = np.arange(wo)[:, None] * stride + dj
+            flat = ((np.arange(b)[:, None, None, None] * hp + rows) * wp + cols) * c + np.arange(c)
+            gpad = np.bincount(flat.ravel(), weights=_channels_last(grad).ravel(),
+                               minlength=b * hp * wp * c).reshape(b, hp, wp, c)
+            x._accumulate(_nchw(gpad[:, p:p + h, p:p + w]))
 
-    return Tensor.from_op(out, (x,), backward, name="maxpool2d")
+    return Tensor.from_op(_nchw(out), (x,), backward, name="maxpool2d")
 
 
 def global_avgpool(x: Tensor) -> Tensor:
@@ -131,8 +145,7 @@ def global_avgpool(x: Tensor) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            g = np.broadcast_to(grad[:, :, None, None] / (h * w), x.shape)
-            x._accumulate(g.astype(x.dtype))
+            x._accumulate(np.broadcast_to(grad[:, :, None, None] / (h * w), x.shape))
 
     return Tensor.from_op(out, (x,), backward, name="global_avgpool")
 
@@ -168,6 +181,8 @@ def batchnorm2d(x: Tensor, params: BatchNormParams, train: bool) -> Tensor:
     Train mode normalizes by the population (biased) batch variance and
     blends running statistics with the configured momentum (running variance
     uses the unbiased estimate). Eval mode normalizes by running statistics.
+    Works on the (B*H*W, C) view of x, a copy unless x is channels-last, and
+    returns channels-last memory.
     """
     if x.ndim != 4:
         raise ShapeError(f"batchnorm2d: input must be 4D, got {x.shape}")
@@ -177,12 +192,13 @@ def batchnorm2d(x: Tensor, params: BatchNormParams, train: bool) -> Tensor:
     same_dtype("batchnorm2d", x.data, params.gamma.data, params.beta.data)
     gamma, beta = params.gamma, params.beta
     n = b * h * w
+    rows = _channels_last(x.data).reshape(n, c)
 
     if train:
         if n < 2:
             raise ShapeError(f"batchnorm2d: train mode needs B*H*W >= 2, got {n}")
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))                     # biased
+        mean = rows.mean(axis=0)
+        var = rows.var(axis=0)                               # biased
         m = params.momentum
         unbiased = var * (n / (n - 1))
         params.running_mean[...] = (1.0 - m) * params.running_mean + m * mean
@@ -195,34 +211,40 @@ def batchnorm2d(x: Tensor, params: BatchNormParams, train: bool) -> Tensor:
         var = params.running_var
 
     inv_std = 1.0 / np.sqrt(var + params.eps)
-    xhat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    xhat = rows - mean
+    xhat *= inv_std
+    out = xhat * gamma.data
+    out += beta.data
 
     def backward(grad: np.ndarray) -> None:
+        g = _channels_last(grad).reshape(n, c)
+        g_xhat = g * xhat
         if gamma.requires_grad:
-            gamma._accumulate((grad * xhat).sum(axis=(0, 2, 3)))
+            gamma._accumulate(g_xhat.sum(axis=0))
         if beta.requires_grad:
-            beta._accumulate(grad.sum(axis=(0, 2, 3)))
+            beta._accumulate(g.sum(axis=0))
         if x.requires_grad:
-            scale = (gamma.data * inv_std)[None, :, None, None]
+            scale = gamma.data * inv_std
             if train:
-                gmean = grad.mean(axis=(0, 2, 3))[None, :, None, None]
-                gxhat = (grad * xhat).mean(axis=(0, 2, 3))[None, :, None, None]
-                x._accumulate(scale * (grad - gmean - xhat * gxhat))
+                gx = xhat * g_xhat.mean(axis=0)
+                np.subtract(g, gx, out=gx)
+                gx -= g.mean(axis=0)
+                gx *= scale
             else:
-                x._accumulate(scale * grad)
+                gx = g * scale
+            x._accumulate(_nchw(gx.reshape(b, h, w, c)))
 
-    return Tensor.from_op(out, (x, gamma, beta), backward, name="batchnorm2d")
+    return Tensor.from_op(_nchw(out.reshape(b, h, w, c)), (x, gamma, beta), backward,
+                          name="batchnorm2d")
 
 
 def relu(x: Tensor) -> Tensor:
-    """Elementwise max(0, x)."""
-    mask = x.data > 0
-    out = np.where(mask, x.data, 0).astype(x.dtype)
+    """Elementwise max(0, x), in x's memory layout."""
+    out = np.maximum(x.data, 0)
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(grad * mask)
+            x._accumulate(grad * (out > 0))
 
     return Tensor.from_op(out, (x,), backward, name="relu")
 

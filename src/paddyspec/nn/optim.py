@@ -45,10 +45,22 @@ class Adam:
                 g = np.zeros_like(p.data)
             elif g.shape != p.data.shape:
                 raise ShapeError(f"Adam: grad shape {g.shape} != param shape {p.data.shape}")
+            # two scratch buffers per call, none kept: the update is
+            # m*b1 + (1-b1)*g, v*b2 + (1-b2)*(g*g), lr*(m/bc1) / (sqrt(v/bc2) + eps),
+            # in that operation order and the parameter's dtype
+            a = np.empty_like(p.data)
+            d = np.empty_like(p.data)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(1.0 - self.beta1, g, out=a)
+            m += a
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            mhat = m / bc1
-            vhat = v / bc2
-            p.data -= (lr * mhat / (np.sqrt(vhat) + self.eps)).astype(p.data.dtype)
+            np.multiply(g, g, out=a)
+            np.multiply(1.0 - self.beta2, a, out=a)
+            v += a
+            np.divide(m, bc1, out=a)
+            np.multiply(lr, a, out=a)
+            np.divide(v, bc2, out=d)
+            np.sqrt(d, out=d)
+            d += self.eps
+            a /= d
+            p.data -= a

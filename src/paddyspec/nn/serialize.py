@@ -29,6 +29,8 @@ def write_checkpoint(path, meta: dict, tensors: dict[str, np.ndarray]) -> None:
     blobs = []
     offset = 0
     for name, arr in tensors.items():
+        # blobs are row-major and written straight from the array: a
+        # channels-last conv weight costs one transposing copy, others none
         data = np.ascontiguousarray(arr, dtype="<f4")
         directory.append({
             "name": name,
@@ -36,8 +38,8 @@ def write_checkpoint(path, meta: dict, tensors: dict[str, np.ndarray]) -> None:
             "dtype": "float32",
             "offset": offset,
         })
-        blobs.append(data.tobytes())
-        offset += len(blobs[-1])
+        blobs.append(data)
+        offset += data.nbytes
     header = json.dumps({"meta": meta, "tensors": directory, "blob_bytes": offset},
                         sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:

@@ -51,9 +51,10 @@ def no_grad() -> Iterator[None]:
 class Tensor:
     """N-dimensional real array with an optional gradient buffer.
 
-    ``data`` is row-major; ``grad``, when present, matches ``data`` in shape
-    and dtype. Tensors created by operations carry parent links forming the
-    tape used by :meth:`backward`.
+    ``data`` has a logical shape and any memory layout (4-D activations and
+    conv weights are stored channels-last); ``grad``, when present, matches
+    ``data`` in shape, dtype and layout. Tensors created by operations carry
+    parent links forming the tape used by :meth:`backward`.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
@@ -117,8 +118,16 @@ class Tensor:
     # -- reverse-mode differentiation ------------------------------------------
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        """Add *grad* (any memory layout) into this tensor's gradient.
+
+        The first gradient is copied into ``np.empty_like(data)``, so every
+        gradient has its tensor's memory layout whatever layout the op hands
+        over: channels-last activations get channels-last gradients, and a
+        parameter's gradient matches the parameter and its Adam moments.
+        """
         if self.grad is None:
-            self.grad = np.array(grad, dtype=self.data.dtype, copy=True)
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = grad
         else:
             self.grad += grad
 

@@ -39,7 +39,10 @@ def _project(mats: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarr
     # one BLAS matmul per matrix: BLAS may fuse the multiply-adds, so
     # x*h00 + y*h01 + h02 written out can differ in the last bit
     proj = np.hstack([points, np.ones((len(points), 1))]) @ np.swapaxes(mats, 1, 2)
-    return proj[..., 0] / proj[..., 2], proj[..., 1] / proj[..., 2]
+    # a point a sampled matrix sends to infinity gets an inf or NaN error,
+    # which no inlier threshold accepts
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return proj[..., 0] / proj[..., 2], proj[..., 1] / proj[..., 2]
 
 
 def _distance(xy: tuple[np.ndarray, np.ndarray], points: np.ndarray) -> np.ndarray:

@@ -63,7 +63,8 @@ class Homography:
         pts = np.asarray(points, dtype=np.float64)
         ones = np.ones((len(pts), 1))
         proj = np.hstack([pts, ones]) @ self.matrix.T
-        return proj[:, :2] / proj[:, 2:3]
+        with np.errstate(divide="ignore", invalid="ignore"):     # points sent to infinity
+            return proj[:, :2] / proj[:, 2:3]
 
 
 def _reference_normalization(points: np.ndarray) -> np.ndarray:

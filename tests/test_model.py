@@ -170,6 +170,48 @@ class TestForward:
             assert param.grad is not None, f"{name} got no gradient"
             assert np.abs(param.grad).max() > 0.0, f"{name} gradient is all zero"
 
+    def test_channels_last_memory_contract(self, monkeypatch):
+        """Inside the network every activation and every activation gradient
+        is stored (B, H, W, C)-contiguous behind its (B, C, H, W) shape, and
+        every parameter's gradient has its parameter's memory layout."""
+        def channels_last(a):
+            return a.transpose(0, 2, 3, 1).flags.c_contiguous
+
+        def layout(a):                  # strides of size-1 axes carry no layout
+            return [s for s, n in zip(a.strides, a.shape) if n > 1]
+
+        seen = {"conv_in": [], "bn_in": [], "conv_grad": []}
+        conv2d, batchnorm2d = nn.conv2d, nn.batchnorm2d
+
+        def traced_conv(x, *args):
+            seen["conv_in"].append(x.data)
+            out = conv2d(x, *args)
+            backward = out._backward_fn
+
+            def traced_backward(grad):
+                seen["conv_grad"].append(grad)
+                backward(grad)
+            out._backward_fn = traced_backward
+            return out
+
+        def traced_bn(x, *args):
+            seen["bn_in"].append(x.data)
+            return batchnorm2d(x, *args)
+
+        monkeypatch.setattr(nn, "conv2d", traced_conv)
+        monkeypatch.setattr(nn, "batchnorm2d", traced_bn)
+        model = build_resnet18(in_channels=4, seed=2)
+        x = np.random.default_rng(5).standard_normal((2, 4, 32, 32)).astype(np.float32)
+        logits = model.forward(Tensor(x), train=True)
+        nn.weighted_cross_entropy(logits, np.array([0, 2]), np.ones(3)).backward()
+
+        assert [len(v) for v in seen.values()] == [20, 20, 20]
+        assert not channels_last(seen["conv_in"][0])     # the stem reads the NCHW batch
+        assert all(channels_last(a) for a in seen["conv_in"][1:])
+        assert all(channels_last(a) for a in seen["bn_in"] + seen["conv_grad"])
+        for name, param in model.named_parameters():
+            assert layout(param.grad) == layout(param.data), name
+
 
 class TestCheckpoint:
     @pytest.mark.parametrize("in_channels", [3, 4])

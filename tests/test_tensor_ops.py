@@ -6,12 +6,177 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from numpy.lib.stride_tricks import sliding_window_view
+
 from paddyspec import nn
 from paddyspec.nn import Tensor
+from paddyspec.nn.ops import BatchNormParams, conv_output_size
+from paddyspec.nn.tensor import ShapeError, same_dtype
 
 
 def t64(values, requires_grad=False):
     return Tensor(np.asarray(values, dtype=np.float64), requires_grad=requires_grad)
+
+
+# -- reference ops: the NCHW implementations the channels-last ones replaced ------
+
+
+def _im2col(padded: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """(B, C, Hp, Wp) -> (B, Ho*Wo, C*kh*kw) patch matrix."""
+    win = sliding_window_view(padded, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]
+    b, c, ho, wo = win.shape[:4]
+    return win.transpose(0, 2, 3, 1, 4, 5).reshape(b, ho * wo, c * kh * kw)
+
+
+def reference_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
+                     stride: int = 1, padding: int = 0) -> Tensor:
+    """2D cross-correlation over a zero-padded input.
+
+    x: (B, C, H, W); weight: (O, C, kh, kw); bias: (O,) or None.
+    """
+    if x.ndim != 4:
+        raise ShapeError(f"conv2d: input must be 4D, got {x.shape}")
+    if weight.ndim != 4:
+        raise ShapeError(f"conv2d: weight must be 4D, got {weight.shape}")
+    if stride < 1:
+        raise ShapeError(f"conv2d: stride must be positive, got {stride}")
+    if padding < 0:
+        raise ShapeError(f"conv2d: padding must be non-negative, got {padding}")
+    b, c, h, w = x.shape
+    o, ci, kh, kw = weight.shape
+    if c != ci:
+        raise ShapeError(f"conv2d: input channels {c} != kernel in_channels {ci}")
+    arrays = [x.data, weight.data] + ([bias.data] if bias is not None else [])
+    same_dtype("conv2d", *arrays)
+
+    ho = conv_output_size(h, kh, stride, padding)
+    wo = conv_output_size(w, kw, stride, padding)
+
+    if padding:
+        padded = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    else:
+        padded = x.data
+    cols = _im2col(padded, kh, kw, stride)               # (B, HoWo, C*kh*kw)
+    wmat = weight.data.reshape(o, -1)                    # (O, C*kh*kw)
+    out = cols @ wmat.T                                  # (B, HoWo, O)
+    if bias is not None:
+        out += bias.data
+    out = out.transpose(0, 2, 1).reshape(b, o, ho, wo)
+
+    def backward(grad: np.ndarray) -> None:
+        g = grad.reshape(b, o, ho * wo).transpose(0, 2, 1)   # (B, HoWo, O)
+        if weight.requires_grad:
+            gw = np.tensordot(g, cols, axes=([0, 1], [0, 1]))  # (O, C*kh*kw)
+            weight._accumulate(gw.reshape(weight.shape))
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(grad.sum(axis=(0, 2, 3)))
+        if x.requires_grad:
+            gcols = g @ wmat                                  # (B, HoWo, C*kh*kw)
+            gwin = gcols.reshape(b, ho, wo, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+            gpad = np.zeros_like(padded)
+            for i in range(kh):
+                for j in range(kw):
+                    gpad[:, :, i:i + stride * ho:stride,
+                         j:j + stride * wo:stride] += gwin[:, :, :, :, i, j]
+            if padding:
+                gpad = gpad[:, :, padding:padding + h, padding:padding + w]
+            x._accumulate(gpad)
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor.from_op(out, parents, backward, name="conv2d")
+
+
+def reference_maxpool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
+    """Max pooling; backward routes each gradient to its window's argmax."""
+    if kernel < 1 or stride < 1:
+        raise ShapeError(f"maxpool2d: kernel/stride must be positive, got {kernel}/{stride}")
+    if padding < 0 or padding >= kernel:
+        raise ShapeError(f"maxpool2d: padding {padding} must satisfy 0 <= padding < kernel")
+    if x.ndim != 4:
+        raise ShapeError(f"maxpool2d: input must be 4D, got {x.shape}")
+    b, c, h, w = x.shape
+    ho = conv_output_size(h, kernel, stride, padding)
+    wo = conv_output_size(w, kernel, stride, padding)
+
+    pad_val = -np.inf
+    padded = np.full((b, c, h + 2 * padding, w + 2 * padding), pad_val, dtype=x.dtype)
+    padded[:, :, padding:padding + h, padding:padding + w] = x.data
+    win = sliding_window_view(padded, (kernel, kernel), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride].reshape(b, c, ho, wo, kernel * kernel)
+    arg = win.argmax(axis=-1)
+    out = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
+    if not np.isfinite(out).all():
+        raise ShapeError("maxpool2d: a pooling window contained no input cells")
+
+    di, dj = np.divmod(arg, kernel)
+    oi = np.arange(ho)[:, None] * stride
+    oj = np.arange(wo)[None, :] * stride
+    src_i = oi[None, None] + di - padding                # unpadded row coords
+    src_j = oj[None, None] + dj - padding
+    bc = (np.arange(b)[:, None, None, None] * c + np.arange(c)[None, :, None, None])
+    flat_idx = (bc * h + src_i) * w + src_j              # (B, C, Ho, Wo)
+
+    def backward(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            gx = np.bincount(flat_idx.ravel(), weights=grad.ravel(),
+                             minlength=b * c * h * w)
+            x._accumulate(gx.reshape(b, c, h, w).astype(x.dtype))
+
+    return Tensor.from_op(out, (x,), backward, name="maxpool2d")
+
+
+def reference_batchnorm2d(x: Tensor, params: BatchNormParams, train: bool) -> Tensor:
+    """Channel-wise normalization; batch statistics in train mode.
+
+    Train mode normalizes by the population (biased) batch variance and
+    blends running statistics with the configured momentum (running variance
+    uses the unbiased estimate). Eval mode normalizes by running statistics.
+    """
+    if x.ndim != 4:
+        raise ShapeError(f"batchnorm2d: input must be 4D, got {x.shape}")
+    b, c, h, w = x.shape
+    if params.gamma.shape != (c,):
+        raise ShapeError(f"batchnorm2d: {c} channels vs {params.gamma.shape[0]} parameters")
+    same_dtype("batchnorm2d", x.data, params.gamma.data, params.beta.data)
+    gamma, beta = params.gamma, params.beta
+    n = b * h * w
+
+    if train:
+        if n < 2:
+            raise ShapeError(f"batchnorm2d: train mode needs B*H*W >= 2, got {n}")
+        mean = x.data.mean(axis=(0, 2, 3))
+        var = x.data.var(axis=(0, 2, 3))                     # biased
+        m = params.momentum
+        unbiased = var * (n / (n - 1))
+        params.running_mean[...] = (1.0 - m) * params.running_mean + m * mean
+        params.running_var[...] = (1.0 - m) * params.running_var + m * unbiased
+        params.initialized = True
+    else:
+        if not params.initialized:
+            raise ShapeError("batchnorm2d: eval mode before running statistics exist")
+        mean = params.running_mean
+        var = params.running_var
+
+    inv_std = 1.0 / np.sqrt(var + params.eps)
+    xhat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
+    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+
+    def backward(grad: np.ndarray) -> None:
+        if gamma.requires_grad:
+            gamma._accumulate((grad * xhat).sum(axis=(0, 2, 3)))
+        if beta.requires_grad:
+            beta._accumulate(grad.sum(axis=(0, 2, 3)))
+        if x.requires_grad:
+            scale = (gamma.data * inv_std)[None, :, None, None]
+            if train:
+                gmean = grad.mean(axis=(0, 2, 3))[None, :, None, None]
+                gxhat = (grad * xhat).mean(axis=(0, 2, 3))[None, :, None, None]
+                x._accumulate(scale * (grad - gmean - xhat * gxhat))
+            else:
+                x._accumulate(scale * grad)
+
+    return Tensor.from_op(out, (x, gamma, beta), backward, name="batchnorm2d")
 
 
 class TestConv2d:
@@ -298,3 +463,121 @@ class TestPrecisionModes:
             x = Tensor(np.zeros((1, 1, 4, 4), dtype=dtype))
             w = Tensor(np.zeros((2, 1, 3, 3), dtype=dtype))
             assert nn.conv2d(x, w, None, padding=1).dtype == dtype
+
+
+# -- old-vs-new oracle: the channels-last ops against the references above -------
+
+# max |new - reference| as a share of max |reference|, per dtype
+ORACLE_BOUND = {np.float32: 1e-5, np.float64: 1e-12}
+
+
+def stored(a: np.ndarray, channels_last: bool) -> np.ndarray:
+    """*a* with its (B, C, H, W) shape, stored NCHW or (B, H, W, C)-contiguous."""
+    if not channels_last:
+        return np.ascontiguousarray(a)
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def assert_close(new: np.ndarray, ref: np.ndarray, dtype) -> None:
+    assert new.shape == ref.shape and new.dtype == ref.dtype
+    scale = max(float(np.abs(ref).max()), np.finfo(dtype).tiny)
+    assert float(np.abs(new - ref).max()) <= ORACLE_BOUND[dtype] * scale
+
+
+def run_op(op, data: dict, coeffs: np.ndarray, call) -> tuple:
+    """Forward and backward of ``call(op, tensors)`` against fixed upstream
+    coefficients, from fresh tensors; returns (output, {name: grad})."""
+    tensors = {k: Tensor(v.copy(order="K"), requires_grad=True) for k, v in data.items()}
+    out = call(op, tensors)
+    nn.weighted_sum(out, coeffs).backward()
+    return out.data, {k: t.grad for k, t in tensors.items()}
+
+
+class TestChannelsLastOracle:
+    @given(dtype=st.sampled_from([np.float32, np.float64]),
+           b=st.integers(1, 3), c=st.integers(1, 5), o=st.integers(1, 5),
+           size=st.integers(1, 11), kernel=st.sampled_from([1, 3, 7]),
+           stride=st.sampled_from([1, 2]), pad_share=st.integers(0, 3),
+           x_cl=st.booleans(), g_cl=st.booleans(), w_cl=st.booleans(),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_conv2d(self, dtype, b, c, o, size, kernel, stride, pad_share,
+                    x_cl, g_cl, w_cl, seed):
+        padding = min(pad_share, kernel // 2)
+        if size + 2 * padding < kernel:
+            return
+        rng = np.random.default_rng(seed)
+        ho = conv_output_size(size, kernel, stride, padding)
+        data = {"x": stored(rng.standard_normal((b, c, size, size)).astype(dtype), x_cl),
+                "w": stored(rng.standard_normal((o, c, kernel, kernel)).astype(dtype), w_cl),
+                "b": rng.standard_normal(o).astype(dtype)}
+        coeffs = stored(rng.standard_normal((b, o, ho, ho)).astype(dtype), g_cl)
+
+        def call(op, t):
+            return op(t["x"], t["w"], t["b"], stride, padding)
+
+        out, grads = run_op(nn.conv2d, data, coeffs, call)
+        ref_out, ref_grads = run_op(reference_conv2d, data, coeffs, call)
+        assert_close(out, ref_out, dtype)
+        for name in data:
+            assert_close(grads[name], ref_grads[name], dtype)
+
+    @given(dtype=st.sampled_from([np.float32, np.float64]), train=st.booleans(),
+           b=st.integers(1, 4), c=st.integers(1, 6), size=st.integers(1, 9),
+           x_cl=st.booleans(), g_cl=st.booleans(), seed=st.integers(0, 2**16))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_batchnorm2d(self, dtype, train, b, c, size, x_cl, g_cl, seed):
+        if train and b * size * size < 2:
+            return
+        rng = np.random.default_rng(seed)
+        shape = (b, c, size, size)
+        data = {"x": stored(rng.standard_normal(shape).astype(dtype) * 3 + 1, x_cl),
+                "gamma": rng.uniform(0.5, 1.5, c).astype(dtype),
+                "beta": rng.standard_normal(c).astype(dtype)}
+        coeffs = stored(rng.standard_normal(shape).astype(dtype), g_cl)
+        running = (rng.standard_normal(c).astype(dtype),
+                    rng.uniform(0.5, 2.0, c).astype(dtype))
+        stats = {}
+
+        def call(op, t):
+            params = BatchNormParams(gamma=t["gamma"], beta=t["beta"],
+                                     running_mean=running[0].copy(),
+                                     running_var=running[1].copy(), initialized=True)
+            stats[op] = params
+            return op(t["x"], params, train)
+
+        out, grads = run_op(nn.batchnorm2d, data, coeffs, call)
+        ref_out, ref_grads = run_op(reference_batchnorm2d, data, coeffs, call)
+        assert_close(out, ref_out, dtype)
+        for name in data:
+            assert_close(grads[name], ref_grads[name], dtype)
+        new, ref = stats[nn.batchnorm2d], stats[reference_batchnorm2d]
+        assert_close(new.running_mean, ref.running_mean, dtype)
+        assert_close(new.running_var, ref.running_var, dtype)
+
+    @given(dtype=st.sampled_from([np.float32, np.float64]),
+           b=st.integers(1, 3), c=st.integers(1, 5), size=st.integers(1, 12),
+           kernel=st.integers(1, 4), stride=st.integers(1, 3), pad_share=st.integers(0, 3),
+           x_cl=st.booleans(), g_cl=st.booleans(), ties=st.booleans(),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_maxpool2d(self, dtype, b, c, size, kernel, stride, pad_share,
+                       x_cl, g_cl, ties, seed):
+        padding = min(pad_share, kernel - 1)
+        if size + 2 * padding < kernel:
+            return
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((b, c, size, size))
+        if ties:                                 # exercise the first-max tie-break
+            x = np.round(x)
+        ho = conv_output_size(size, kernel, stride, padding)
+        data = {"x": stored(x.astype(dtype), x_cl)}
+        coeffs = stored(rng.standard_normal((b, c, ho, ho)).astype(dtype), g_cl)
+
+        def call(op, t):
+            return op(t["x"], kernel, stride, padding)
+
+        out, grads = run_op(nn.maxpool2d, data, coeffs, call)
+        ref_out, ref_grads = run_op(reference_maxpool2d, data, coeffs, call)
+        assert out.tobytes(order="C") == ref_out.tobytes(order="C")
+        assert_close(grads["x"], ref_grads["x"], dtype)
