@@ -2,19 +2,34 @@
 
 Minimal 4-point samples are solved by direct linear transformation after
 Hartley normalization (centroid to origin, mean radius sqrt(2)); consensus
-uses the symmetric transfer error; the winning inlier set is re-fit by DLT.
+uses the symmetric transfer error. The winning inlier set is re-fit by DLT,
+and the matches within ``inlier_px`` of the refit replace it and are re-fit
+for as long as their number grows (Hartley & Zisserman, Algorithm 4.6): a
+4-point sample from noisy corners is slightly off, and the refit recovers
+the inliers it missed.
+
+RANSAC stops adaptively (Hartley & Zisserman, *Multiple View Geometry*,
+2nd ed., section 4.7.1). Every draw counts as one sample, collinear draws
+and failed solves included. After sample t (0-based) the loop stops once
+t + 1 >= ceil(log(1 - p) / log(1 - w**4)), where w is the best inlier count
+so far over the number of matches and p = ``CONFIDENCE``: by then an
+all-inlier sample has been drawn with probability p. ``iters`` caps the
+samples; w = 1 stops at once, and before any consensus there is no bound.
 
 RANSAC is batched. The samples are drawn in the same ``rng.choice`` sequence
-a per-iteration loop would draw, the collinear ones are dropped, and the
-rest are solved together: one stacked ``np.linalg.svd`` over the
-``(k, 8, 9)`` design matrices, with the rank, inverse and determinant checks
-run on the whole stack. Consensus is scored for ``SCORE_BLOCK`` homographies
-at a time against all N matches, so no ``(iters, N)`` array is ever held.
-Every stacked call does per matrix what the single-matrix call does, so the
-result is bit-identical to solving and scoring one sample at a time.
+a per-iteration loop would draw, ``SOLVE_CHUNK`` at a time, the collinear
+ones are dropped, and the rest are solved together: one stacked
+``np.linalg.svd`` over the ``(k, 8, 9)`` design matrices, with the rank,
+inverse and determinant checks run on the whole stack. Consensus is scored
+for ``SCORE_BLOCK`` homographies at a time against all N matches, so no
+``(iters, N)`` array is ever held. A solved or scored sample that lies past
+the stop is dropped. Every stacked call does per matrix what the
+single-matrix call does, so the result is bit-identical to solving and
+scoring one sample at a time and applying the stop rule after each.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +38,9 @@ from .errors import RegistrationError
 from .keypoints import Keypoints
 from .matching import Matches
 
-SOLVE_CHUNK = 2048  # samples drawn and solved together
+SOLVE_CHUNK = 64  # samples drawn and solved together
 SCORE_BLOCK = 16  # homographies scored together against every match
+CONFIDENCE = 0.99  # probability of having drawn one all-inlier sample at the stop
 
 
 def _unit_h33(mats: np.ndarray) -> np.ndarray:
@@ -151,18 +167,31 @@ def _collinear(points: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     return out
 
 
-def _solve_minimal(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Valid h33-scaled homographies of (k, 4, 2) samples, in sample order."""
+def _solve_minimal(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Valid h33-scaled homographies of (k, 4, 2) samples, in sample order,
+    and the (k,) mask of the samples they come from."""
     try:
         mats, failure = _dlt(src, dst)
     except np.linalg.LinAlgError:
         # one failed SVD or inverse fails the whole stack: solve one at a time
         # and skip the failures, as a per-sample loop would
         if len(src) == 1:
-            return np.empty((0, 3, 3))
-        return np.concatenate([_solve_minimal(src[i:i + 1], dst[i:i + 1])
-                               for i in range(len(src))])
-    return _unit_h33(mats[failure == 0])
+            return np.empty((0, 3, 3)), np.zeros(1, dtype=bool)
+        solved = [_solve_minimal(src[i:i + 1], dst[i:i + 1]) for i in range(len(src))]
+        return (np.concatenate([mats for mats, _ in solved]),
+                np.concatenate([valid for _, valid in solved]))
+    valid = failure == 0
+    return _unit_h33(mats[valid]), valid
+
+
+def _samples_needed(count: int, n: int) -> float:
+    """Samples after which a consensus of ``count`` of ``n`` matches stops
+    RANSAC: ceil(log(1 - CONFIDENCE) / log(1 - w**4)) with w = count / n."""
+    if count == 0:
+        return math.inf
+    if count == n:
+        return 1
+    return math.ceil(math.log(1.0 - CONFIDENCE) / math.log1p(-(count / n) ** 4))
 
 
 @dataclass
@@ -170,6 +199,7 @@ class RansacResult:
     homography: np.ndarray  # (3, 3)
     inliers: Matches
     mean_residual: float
+    samples: int  # samples drawn before the adaptive stop, at most ``iters``
 
 
 def estimate_homography(matches: Matches, kps_a: Keypoints,
@@ -182,6 +212,8 @@ def estimate_homography(matches: Matches, kps_a: Keypoints,
     (index_a, index_b, distance), so any permutation of the input yields the
     same result. The best sample has the most inliers; among equal counts,
     the least total inlier error; among equal totals, the first drawn.
+    Sampling stops by the adaptive rule in the module docstring, after at
+    most ``iters`` samples.
     """
     if len(matches) < 4:
         raise RegistrationError(
@@ -198,25 +230,35 @@ def estimate_homography(matches: Matches, kps_a: Keypoints,
     best_count = 0
     best_err = np.inf
     solved_any = False
-    for start in range(0, iters, SOLVE_CHUNK):
+    limit = iters  # samples to draw; shrinks as the consensus grows
+    start = 0
+    while start < limit:
         picks = np.array([rng.choice(n, size=4, replace=False)
-                          for _ in range(min(SOLVE_CHUNK, iters - start))])
+                          for _ in range(min(SOLVE_CHUNK, limit - start))])
         src4, dst4 = src[picks], dst[picks]
-        keep = ~(_collinear(src4) | _collinear(dst4))
-        mats = _solve_minimal(src4[keep], dst4[keep])
+        keep = np.flatnonzero(~(_collinear(src4) | _collinear(dst4)))
+        mats, valid = _solve_minimal(src4[keep], dst4[keep])
+        sample = start + keep[valid]  # the 0-based draw index of each of mats
         solved_any = solved_any or len(mats) > 0
         for lo in range(0, len(mats), SCORE_BLOCK):
+            if sample[lo] >= limit:
+                break
             err = _transfer_errors(mats[lo:lo + SCORE_BLOCK], src, dst)
             mask = err < inlier_px
             counts = mask.sum(axis=1)
             # only a count >= the best so far can win
             for row in np.flatnonzero(counts >= best_count):
+                t = int(sample[lo + row])
+                if t >= limit:
+                    break
                 count = int(counts[row])
                 total = float(err[row][mask[row]].sum()) if count else np.inf
                 if count > best_count or (count == best_count and total < best_err):
                     best_count = count
                     best_err = total
                     best_mask = mask[row]
+                    limit = min(limit, max(t + 1, _samples_needed(count, n)))
+        start += len(picks)
 
     if not solved_any:
         raise RegistrationError(
@@ -227,6 +269,12 @@ def estimate_homography(matches: Matches, kps_a: Keypoints,
             f"best consensus has {best_count} inliers; need at least {needed}")
 
     refit = dlt_homography(src[best_mask], dst[best_mask])
+    while True:
+        grown = symmetric_transfer_error(refit, src, dst) < inlier_px
+        if grown.sum() <= best_mask.sum():
+            break
+        best_mask = grown
+        refit = dlt_homography(src[best_mask], dst[best_mask])
     residuals = symmetric_transfer_error(refit, src[best_mask], dst[best_mask])
     return RansacResult(homography=refit, inliers=canon[best_mask],
-                        mean_residual=float(residuals.mean()))
+                        mean_residual=float(residuals.mean()), samples=limit)

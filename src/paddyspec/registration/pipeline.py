@@ -64,6 +64,7 @@ class RegistrationDiagnostics:
     filtered: int
     inliers: int
     mean_residual: float
+    samples: int
     homography: list[float]
 
     def record(self) -> str:
@@ -72,7 +73,8 @@ class RegistrationDiagnostics:
         return (f"pair={self.pair_id} kp_a={self.keypoints_a} kp_b={self.keypoints_b} "
                 f"desc_a={self.described_a} desc_b={self.described_b} "
                 f"matches={self.matches} filtered={self.filtered} "
-                f"inliers={self.inliers} mean_residual={self.mean_residual:.6f} H=[{h}]")
+                f"inliers={self.inliers} mean_residual={self.mean_residual:.6f} "
+                f"samples={self.samples} H=[{h}]")
 
 
 @dataclass
@@ -124,6 +126,7 @@ def register_pair(rgb: ImageF, rgnir: ImageF,
         filtered=len(filtered),
         inliers=len(result.inliers),
         mean_residual=result.mean_residual,
+        samples=result.samples,
         homography=[float(v) for v in result.homography.ravel()],
     )
     return RegistrationResult(image=warped, mask=mask,

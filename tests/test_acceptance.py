@@ -100,13 +100,17 @@ def test_registration_accuracy():
     assert worst_clean < 0.5, f"noise-free corner error {worst_clean:.3f} >= 0.5 px"
 
     def oracle(a, b):
-        out = []
-        for i in range(len(a)):
-            dists = [int(np.bitwise_count(np.bitwise_xor(a[i], b[j])).sum())
-                     for j in range(len(b))]
-            j = int(np.argmin(dists))
-            out.append((i, j, dists[j]))
-        return out
+        def nearest(x, y):
+            out = []
+            for i in range(len(x)):
+                dists = [int(np.bitwise_count(np.bitwise_xor(x[i], y[j])).sum())
+                         for j in range(len(y))]
+                j = int(np.argmin(dists))
+                out.append((j, dists[j]))
+            return out
+
+        b_to_a = nearest(b, a)
+        return [(i, j, d) for i, (j, d) in enumerate(nearest(a, b)) if b_to_a[j][0] == i]
 
     for trial in range(12):
         na = int(rng.integers(1, 257))

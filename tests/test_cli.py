@@ -390,8 +390,11 @@ class TestMalformedInputs:
         (tmp_path / "config.json").write_text(json.dumps(
             {"training": {"lr_max": 1e30, "input_size": 32}}))
         train = self._cache_split(tmp_path, (tmp_path / "ok.pspec").read_bytes())
-        self._fails_on_one_line(["--config", "config.json"] + train + ["--max-steps", "4"],
-                                capsys, "NaN or Inf")
+        # the divergence itself: batchnorm's xhat * gamma overflows before
+        # check_finite reports the non-finite output
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            self._fails_on_one_line(["--config", "config.json"] + train + ["--max-steps", "4"],
+                                    capsys, "NaN or Inf")
 
     def test_garbage_mask_png(self, tmp_path, monkeypatch, capsys):
         from paddyspec import dataset as ds

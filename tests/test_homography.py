@@ -1,4 +1,6 @@
 """DLT + RANSAC homography estimation and whole-pair registration."""
+import math
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -11,7 +13,7 @@ from paddyspec import registration as reg
 from paddyspec import synthetic
 from paddyspec.imaging import ImageF
 from paddyspec.registration import RegistrationError
-from paddyspec.registration.homography import RansacResult
+from paddyspec.registration.homography import CONFIDENCE, SCORE_BLOCK, RansacResult
 
 
 class Keypoint(NamedTuple):
@@ -38,9 +40,10 @@ def match_list(matches: reg.Matches) -> list[Match]:
                                        matches.distance.tolist())]
 
 
-# The per-iteration RANSAC that the batched estimate_homography replaced,
-# kept unchanged as the oracle it must match bit for bit, with the homography
-# class it was written against.
+# The per-iteration RANSAC that the batched estimate_homography replaced, with
+# the adaptive stop checked after every sample and the refit repeated while
+# its inliers grow, kept as the oracle it must match bit for bit, with the
+# homography class it was written against.
 @dataclass
 class Homography:
     """3x3 projective map, scaled so h33 == 1 whenever |h33| > 1e-12."""
@@ -152,23 +155,31 @@ def reference_estimate_homography(matches, kps_a, kps_b, *, iters: int = 2000,
     best_count = 0
     best_err = np.inf
     solved_any = False
-    for _ in range(iters):
+    for t in range(iters):
         pick = rng.choice(n, size=4, replace=False)
-        if _reference_collinear(src[pick]) or _reference_collinear(dst[pick]):
-            continue
-        try:
-            h = reference_dlt_homography(src[pick], dst[pick])
-        except ValueError:
-            continue
-        solved_any = True
-        err = reference_symmetric_transfer_error(h, src, dst)
-        mask = err < inlier_px
-        count = int(mask.sum())
-        total = float(err[mask].sum()) if count else np.inf
-        if count > best_count or (count == best_count and total < best_err):
-            best_count = count
-            best_err = total
-            best_mask = mask
+        h = None
+        if not (_reference_collinear(src[pick]) or _reference_collinear(dst[pick])):
+            try:
+                h = reference_dlt_homography(src[pick], dst[pick])
+            except ValueError:
+                pass
+        if h is not None:
+            solved_any = True
+            err = reference_symmetric_transfer_error(h, src, dst)
+            mask = err < inlier_px
+            count = int(mask.sum())
+            total = float(err[mask].sum()) if count else np.inf
+            if count > best_count or (count == best_count and total < best_err):
+                best_count = count
+                best_err = total
+                best_mask = mask
+        # adaptive stop: an all-inlier sample has been drawn with probability
+        # CONFIDENCE at the inlier share w of the best consensus so far
+        samples = t + 1
+        w = best_count / n
+        if w == 1.0 or (w > 0.0 and samples >= math.ceil(
+                math.log(1.0 - CONFIDENCE) / math.log1p(-w ** 4))):
+            break
 
     if not solved_any:
         raise RegistrationError(
@@ -179,10 +190,17 @@ def reference_estimate_homography(matches, kps_a, kps_b, *, iters: int = 2000,
             f"best consensus has {best_count} inliers; need at least {needed}")
 
     refit = reference_dlt_homography(src[best_mask], dst[best_mask])
+    # re-estimate from the inliers of the refit while their number grows
+    while True:
+        grown = reference_symmetric_transfer_error(refit, src, dst) < inlier_px
+        if grown.sum() <= best_mask.sum():
+            break
+        best_mask = grown
+        refit = reference_dlt_homography(src[best_mask], dst[best_mask])
     residuals = reference_symmetric_transfer_error(refit, src[best_mask], dst[best_mask])
     inliers = [m for m, keep in zip(canon, best_mask) if keep]
     return RansacResult(homography=refit.matrix, inliers=inliers,
-                        mean_residual=float(residuals.mean()))
+                        mean_residual=float(residuals.mean()), samples=samples)
 
 
 def ransac_outcome(estimate, matches, kps_a, kps_b, **kwargs):
@@ -193,13 +211,19 @@ def ransac_outcome(estimate, matches, kps_a, kps_b, **kwargs):
         return ("error", exc.stage, str(exc))
     inliers = result.inliers
     return (inliers if isinstance(inliers, list) else match_list(inliers),
-            result.homography.tobytes(), np.float64(result.mean_residual).tobytes())
+            result.homography.tobytes(), np.float64(result.mean_residual).tobytes(),
+            result.samples)
 
 
 def reference_outcome(matches, kps_a, kps_b, **kwargs):
     """``ransac_outcome`` of the oracle, given the lists the arrays hold."""
     return ransac_outcome(reference_estimate_homography, match_list(matches),
                           keypoint_list(kps_a), keypoint_list(kps_b), **kwargs)
+
+
+# The benchmark's ingest pool splits 8 pairs in the paper's 2135:1095:585
+# class ratio (largest remainder) and draws them in this order.
+INGEST_LABELS = ("blast",) * 5 + ("brown_spot",) * 2 + ("healthy",)
 
 
 def translation(tx, ty):
@@ -275,6 +299,7 @@ class TestRansac:
         result = reg.estimate_homography(matches, kps_a, kps_b,
                                          iters=300, seed=9)
         assert len(result.inliers) == 40
+        assert result.samples == 1  # every match is an inlier: w = 1 stops at once
         direct = reg.dlt_homography(kps_a.xy, kps_b.xy)
         assert np.abs(result.homography - direct).max() < 1e-9
 
@@ -348,10 +373,35 @@ class TestRegisterPair:
                                         ransac_iters=1000, seed=20)
         result = reg.register_pair(rgb, rgnir, params, pair_id="abc")
         line = result.diagnostics.record()
-        for token in ("pair=abc", "matches=", "inliers=", "mean_residual=", "H=["):
+        for token in ("pair=abc", "matches=", "inliers=", "mean_residual=", "samples=", "H=["):
             assert token in line
+        # the sample count sits before the H=[...] suffix that report readers split on
+        samples = re.search(r" samples=(\d+) H=\[", line)
+        assert samples and 1 <= int(samples.group(1)) <= params.ransac_iters
+        assert line.startswith("pair=abc ") and line.endswith("]")
         assert result.mask.shape == (rgnir.height, rgnir.width)
         assert result.image.band_labels == ("R", "G", "B")
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_default_params_register_ingest_pairs(self, seed):
+        # the 8 pairs per seed of the benchmark's ingest pool, in memory
+        rng = np.random.default_rng(seed)
+        errs = []
+        for label in INGEST_LABELS:
+            rgb, rgnir, h_true = synthetic.make_registration_pair(
+                rng, scene_size=420, out_size=256, nir_level=synthetic.NIR_LEVELS[label])
+            result = reg.register_pair(rgb, rgnir, reg.RegistrationParams())
+            errs.append(synthetic.corner_reprojection_error(result.homography, h_true, 256))
+        assert max(errs) <= 3.0, f"corner errors {np.round(errs, 2).tolist()} px"
+
+    @pytest.mark.parametrize("rng_seed", [13, 17])
+    def test_default_params_register_fixture_pairs(self, rng_seed):
+        # the pairs above, at default params rather than 1,200 corners and 3,000 iterations
+        rng = np.random.default_rng(rng_seed)
+        rgb, rgnir, h_true = synthetic.make_registration_pair(rng, out_size=220)
+        result = reg.register_pair(rgb, rgnir, reg.RegistrationParams())
+        assert synthetic.corner_reprojection_error(result.homography, h_true, 220) <= 3.0
 
     def test_one_pyramid_per_image(self, monkeypatch):
         from paddyspec.registration import keypoints
@@ -506,6 +556,22 @@ class TestBatchedRansacOracle:
                       min_inliers=params.min_inliers, seed=seed)
         assert (ransac_outcome(reg.estimate_homography, matches, *kps, **kwargs)
                 == reference_outcome(matches, *kps, **kwargs))
+
+    @pytest.mark.parametrize("rng_seed, outliers, noise, inlier_px", [
+        (30, 0.25, 0.0, 3.0), (31, 0.4, 0.0, 3.0), (30, 0.25, 0.5, 1.0)])
+    def test_stop_inside_scoring_block(self, rng_seed, outliers, noise, inlier_px):
+        # the stop comes after 13, 34 or 27 samples, inside a block of
+        # homographies already scored; in the noisy case a sample scored past
+        # the stop would replace the best consensus if it were not dropped
+        rng = np.random.default_rng(rng_seed)
+        h_true = synthetic.random_projective_homography(rng)
+        kps_a, kps_b, matches = synthetic.make_correspondences(
+            rng, h_true, n=60, outlier_fraction=outliers, noise=noise)
+        kwargs = dict(iters=2000, seed=rng_seed, inlier_px=inlier_px)
+        got = ransac_outcome(reg.estimate_homography, matches, kps_a, kps_b, **kwargs)
+        assert got == reference_outcome(matches, kps_a, kps_b, **kwargs)
+        samples = got[-1]
+        assert samples < kwargs["iters"] and samples % SCORE_BLOCK != 0
 
     def test_refit_and_residual_match_reference(self):
         rng = np.random.default_rng(22)

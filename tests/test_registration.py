@@ -29,32 +29,38 @@ def match_list(matches: reg.Matches) -> list[Match]:
                                        matches.distance.tolist())]
 
 
-# The XOR/popcount matcher that the GEMM match_bruteforce replaced, kept
-# unchanged as the oracle it must match exactly.
+# The XOR/popcount matcher that the GEMM match_bruteforce replaced, run in
+# both directions as the oracle it must match exactly: a pair is kept when
+# each side is the other's nearest neighbor.
 def hamming_distance(d1: np.ndarray, d2: np.ndarray) -> int:
     """Popcount of the XOR of two packed 256-bit descriptors."""
     return int(np.bitwise_count(np.bitwise_xor(d1, d2)).sum())
 
 
-def reference_match_bruteforce(descs_a: np.ndarray, descs_b: np.ndarray,
-                               chunk: int = 512) -> list[Match]:
-    """For each descriptor in A, its nearest neighbor in B by Hamming distance."""
-    if len(descs_a) == 0 or len(descs_b) == 0:
-        raise RegistrationError("match", "cannot match against an empty descriptor set")
+def _nearest_by_xor(descs_a: np.ndarray, descs_b: np.ndarray,
+                    chunk: int = 512) -> tuple[np.ndarray, np.ndarray]:
+    """For each descriptor in A, the index of its nearest neighbor in B
+    (lowest index on ties) and the distance to it."""
     a64 = np.ascontiguousarray(descs_a).view(np.uint64)
     b64 = np.ascontiguousarray(descs_b).view(np.uint64)
-    matches: list[Match] = []
+    nearest, best = [], []
     for start in range(0, len(a64), chunk):
         block = a64[start:start + chunk]
         dists = np.bitwise_count(block[:, None, :] ^ b64[None, :, :]).sum(
             axis=2, dtype=np.int32)
-        nearest = dists.argmin(axis=1)
-        best = dists[np.arange(len(block)), nearest]
-        for row in range(len(block)):
-            matches.append(Match(index_a=start + row,
-                                 index_b=int(nearest[row]),
-                                 distance=int(best[row])))
-    return matches
+        nearest.append(dists.argmin(axis=1))
+        best.append(dists.min(axis=1))
+    return np.concatenate(nearest), np.concatenate(best)
+
+
+def reference_match_bruteforce(descs_a: np.ndarray, descs_b: np.ndarray) -> list[Match]:
+    """Mutual nearest neighbors of A and B by Hamming distance, in A order."""
+    if len(descs_a) == 0 or len(descs_b) == 0:
+        raise RegistrationError("match", "cannot match against an empty descriptor set")
+    a_to_b, distance = _nearest_by_xor(descs_a, descs_b)
+    b_to_a, _ = _nearest_by_xor(descs_b, descs_a)
+    return [Match(index_a=i, index_b=int(j), distance=int(distance[i]))
+            for i, j in enumerate(a_to_b) if b_to_a[j] == i]
 
 
 # The per-keypoint subpixel refinement that _subpixel_offsets replaced, kept
@@ -317,16 +323,20 @@ class TestMatching:
             reg.match_bruteforce(d, np.empty((0, 32), dtype=np.uint8))
 
     def _oracle(self, a, b):
-        out = []
-        for i in range(len(a)):
-            best_j, best_d = 0, 257
-            for j in range(len(b)):
-                d = int(bin(int.from_bytes(np.bitwise_xor(a[i], b[j]).tobytes(),
-                                           "big")).count("1"))
-                if d < best_d:
-                    best_j, best_d = j, d
-            out.append((i, best_j, best_d))
-        return out
+        def nearest(x, y):
+            out = []
+            for i in range(len(x)):
+                best_j, best_d = 0, 257
+                for j in range(len(y)):
+                    d = int(bin(int.from_bytes(np.bitwise_xor(x[i], y[j]).tobytes(),
+                                               "big")).count("1"))
+                    if d < best_d:
+                        best_j, best_d = j, d
+                out.append((best_j, best_d))
+            return out
+
+        b_to_a = nearest(b, a)
+        return [(i, j, d) for i, (j, d) in enumerate(nearest(a, b)) if b_to_a[j][0] == i]
 
     @given(na=st.integers(1, 48), nb=st.integers(1, 48), seed=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -355,7 +365,26 @@ class TestMatching:
         copied = rng.random(na) < 0.5
         a[copied] = b[rng.integers(0, nb, size=int(copied.sum()))]
         assert (match_list(reg.match_bruteforce(a, b, chunk=chunk))
-                == reference_match_bruteforce(a, b, chunk=chunk))
+                == reference_match_bruteforce(a, b))
+
+    @pytest.mark.parametrize("chunk", [1, 3, 512])
+    def test_column_ties_across_chunks_go_to_lowest_a(self, chunk):
+        rng = np.random.default_rng(29)
+        a = self._random_descs(rng, 1030)
+        b = self._random_descs(rng, 6)
+        # B[1]: exact copies in A straddle the boundaries of every chunk size
+        a[[2, 3, 511, 512, 1025]] = b[1]
+        a[0] = b[1] ^ np.eye(32, dtype=np.uint8)[0]  # distance 1, in an earlier block
+        # B[2]: a closer A row in a later block replaces an earlier one
+        a[500] = b[2] ^ np.eye(32, dtype=np.uint8)[3]
+        a[700] = b[2]
+        # B[3]: two different A rows at the same distance 1, 509 rows apart
+        a[4] = b[3] ^ np.eye(32, dtype=np.uint8)[0]
+        a[513] = b[3] ^ np.eye(32, dtype=np.uint8)[5]
+        matches = reg.match_bruteforce(a, b, chunk=chunk)
+        assert match_list(matches) == reference_match_bruteforce(a, b)
+        kept = dict(zip(matches.index_b.tolist(), matches.index_a.tolist()))
+        assert (kept[1], kept[2], kept[3]) == (2, 700, 4)
 
     @pytest.mark.parametrize("rng_seed, size, target", [
         (13, 220, 1200), (17, 220, 1200), (19, 200, 700)])
