@@ -4,19 +4,26 @@ Writing always uses filter type 0 (None) with zlib compression; reading
 understands all five scanline filters but rejects palette, alpha, and
 interlaced files. 16-bit samples follow the PNG big-endian convention.
 Each filter predicts a byte from the decoded bytes left (a), up (b) and
-up-left (c) of it (W3C PNG 2nd ed. section 9); the decoder evaluates that
-one predictor for all pixels of an anti-diagonal at once, in h + w - 1
-steps, and skips it for files whose rows all use filter 0. Every
-unreadable, malformed (bad chunk CRC or length, no IEND, corrupt zlib
-data) or unsupported file raises :class:`ImageFormatError`.
+up-left (c) of it (W3C PNG 2nd ed. section 9). Every filtered row's
+prediction is c + g(a - c, b - c), or 0 for None, so one lazily built
+(5, 511, 511) uint8 table holds g mod 256 for all five filters. The decoder
+works through the anti-diagonals in h + w - 1 steps, each pixel waiting only
+on the two before it, with one table lookup per diagonal; it stores the
+image diagonal-major, so each diagonal and its a, b and c are contiguous
+slices, and it skips all of this for files whose rows all use filter 0.
+Every unreadable, malformed (bad chunk CRC or length, IHDR not first or
+repeated, no IEND, corrupt zlib data) or unsupported file raises
+:class:`ImageFormatError`.
 """
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 _SIGNATURE = b"\x89PNG\r\n\x1a\n"
 
@@ -60,6 +67,29 @@ def write_png(path, arr: np.ndarray) -> None:
     Path(path).write_bytes(data)
 
 
+@functools.cache
+def _predictor_table() -> np.ndarray:
+    """Flat (5 * 511 * 511,) uint8 table g of every filter's prediction.
+
+    Filter f > 0 predicts c + g[f, a - c + 255, b - c + 255] (mod 256), with
+    g[f] = Sub a - c, Up b - c, Average (a - c + b - c) >> 1, and Paeth
+    a - c, b - c or 0, comparing |p - a| = |b - c|, |p - b| = |a - c| and
+    |p - c| = |a - c + b - c| in the spec's a, b, c tie order. None predicts
+    0, and g[0] is 0.
+    """
+    da = np.arange(-255, 256, dtype=np.int16)[:, None]      # a - c
+    db = da.reshape(1, -1)                                   # b - c
+    pa, pb, pc = np.abs(db), np.abs(da), np.abs(da + db)
+    table = np.zeros((5, 511, 511), dtype=np.uint8)
+    table[1] = da & 0xFF
+    table[2] = db & 0xFF
+    table[3] = ((da + db) >> 1) & 0xFF
+    table[4] = np.where((pa <= pb) & (pa <= pc), da, np.where(pb <= pc, db, 0)) & 0xFF
+    table = table.reshape(-1)
+    table.flags.writeable = False
+    return table
+
+
 def _unfilter(raw: np.ndarray, h: int, stride: int, bpp: int) -> np.ndarray:
     """Reverse per-row filtering; raw is (h, 1 + stride) uint8."""
     ftype = raw[:, 0]
@@ -67,24 +97,35 @@ def _unfilter(raw: np.ndarray, h: int, stride: int, bpp: int) -> np.ndarray:
         raise ImageFormatError(f"unsupported scanline filter {ftype.max()}")
     if not ftype.any():
         return raw[:, 1:].copy()
+    table = _predictor_table()
     w = stride // bpp
-    # pixel (y, x) sits at out[y + 1, x + 1], so a, b and c read 0 at the
-    # edges; in the flat view the anti-diagonal y + x = d is a slice of step w
-    out = np.zeros((h + 1, w + 1, bpp), dtype=np.int16)
-    out[1:, 1:] = raw[:, 1:].reshape(h, w, bpp)
-    flat = out.reshape(-1, bpp)
+    # pixel (y, x) sits at cell (y + x + 2) * s + y + 1 of buf, and the zero
+    # row y = -1 and column x = -1 at the cells that formula gives them. Each
+    # anti-diagonal y + x = d is then a run of cells, and a, b and c sit s,
+    # s + 1 and 2s + 1 cells before x; s = min(h + 1, w) keeps the cells of
+    # the (h + 1) x (w + 1) padded image distinct.
+    s = min(h + 1, w)
+    buf = np.zeros(((h + w) * s + h + 1, bpp), dtype=np.uint8)
+    pixels = as_strided(buf[2 * s + 1:], shape=(h, w, bpp),
+                        strides=((s + 1) * bpp, s * bpp, 1))
+    pixels[...] = raw[:, 1:].reshape(h, w, bpp)
+    # row y's table offset, and whether its prediction adds c (not None)
+    offset = np.repeat(ftype.astype(np.int32)[:, None] * 511 * 511 + 255 * 512, bpp, axis=1)
+    adds_c = np.repeat((ftype != 0).astype(np.uint8)[:, None], bpp, axis=1)
     for d in range(h + w - 1):
         lo, hi = max(0, d - w + 1), min(h, d + 1)
-        start = w + 2 + d + lo * w
-        stop = start + (hi - lo - 1) * w + 1
-        x, a, b, c = (flat[start - k:stop - k:w] for k in (0, 1, w + 1, w + 2))
-        p = a + b - c
-        pa, pb, pc = np.abs(p - a), np.abs(p - b), np.abs(p - c)
-        paeth = np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
-        f = ftype[lo:hi, None]
-        x += np.select([f == 1, f == 2, f == 3, f == 4], [a, b, (a + b) >> 1, paeth])
-        x &= 0xFF
-    return out[1:, 1:].astype(np.uint8).reshape(h, stride)
+        start, stop = (d + 2) * s + lo + 1, (d + 2) * s + hi + 1
+        x = buf[start:stop]
+        a = buf[start - s:stop - s]
+        b = buf[start - s - 1:stop - s - 1]
+        c = buf[start - 2 * s - 1:stop - 2 * s - 1]
+        index = a * np.int32(511)
+        index += b
+        index -= c * np.int32(512)
+        index += offset[lo:hi]
+        x += table.take(index)
+        x += c * adds_c[lo:hi]
+    return pixels.reshape(h, stride)
 
 
 def read_png(path) -> np.ndarray:
@@ -96,6 +137,7 @@ def read_png(path) -> np.ndarray:
     if not data.startswith(_SIGNATURE):
         raise ImageFormatError(f"{path}: not a PNG file")
 
+    view = memoryview(data)
     pos, tag = len(_SIGNATURE), None
     ihdr = None
     idat = bytearray()
@@ -106,18 +148,20 @@ def read_png(path) -> np.ndarray:
         end = pos + 8 + length
         if end + 4 > len(data):
             raise ImageFormatError(f"{path}: {tag!r} chunk runs past the end of the file")
-        if zlib.crc32(data[pos + 4:end]) != int.from_bytes(data[end:end + 4], "big"):
+        if zlib.crc32(view[pos + 4:end]) != int.from_bytes(view[end:end + 4], "big"):
             raise ImageFormatError(f"{path}: {tag!r} chunk CRC mismatch")
-        payload = data[pos + 8:end]
+        payload = view[pos + 8:end]
         pos = end + 4
+        if ihdr is None and tag != b"IHDR":
+            raise ImageFormatError(f"{path}: first chunk is {tag!r}, not IHDR")
         if tag == b"IHDR":
+            if ihdr is not None:
+                raise ImageFormatError(f"{path}: second IHDR chunk")
             if len(payload) != 13:
                 raise ImageFormatError(f"{path}: IHDR has {len(payload)} bytes, need 13")
             ihdr = struct.unpack(">IIBBBBB", payload)
         elif tag == b"IDAT":
             idat.extend(payload)
-    if ihdr is None:
-        raise ImageFormatError(f"{path}: missing IHDR chunk")
 
     w, h, depth, color_type, compression, filt, interlace = ihdr
     if w == 0 or h == 0:
@@ -127,6 +171,9 @@ def read_png(path) -> np.ndarray:
     if color_type not in (0, 2):
         raise ImageFormatError(f"{path}: unsupported color type {color_type} "
                                "(need grayscale or RGB)")
+    if compression or filt:
+        raise ImageFormatError(f"{path}: unsupported compression method {compression} "
+                               f"or filter method {filt} (need 0 and 0)")
     if interlace:
         raise ImageFormatError(f"{path}: interlaced PNG not supported")
 
@@ -134,7 +181,7 @@ def read_png(path) -> np.ndarray:
     bpp = channels * (depth // 8)
     stride = w * bpp
     try:
-        raw = np.frombuffer(zlib.decompress(bytes(idat)), dtype=np.uint8)
+        raw = np.frombuffer(zlib.decompress(idat), dtype=np.uint8)
     except zlib.error as exc:
         raise ImageFormatError(f"{path}: corrupt image data: {exc}") from exc
     if raw.size != h * (stride + 1):

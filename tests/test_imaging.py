@@ -26,6 +26,14 @@ def _paeth(a: int, b: int, c: int) -> int:
     return c
 
 
+def w3c_predictions(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(5, ...) predictions of None, Sub, Up, Average and Paeth, ties as ``_paeth``."""
+    p = a + b - c
+    pa, pb, pc = np.abs(p - a), np.abs(p - b), np.abs(p - c)
+    paeth = np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
+    return np.stack([np.zeros_like(a), a, b, (a + b) >> 1, paeth])
+
+
 def reference_unfilter(raw: np.ndarray, h: int, stride: int, bpp: int) -> np.ndarray:
     """Reverse per-row filtering one byte at a time; raw is (h, 1 + stride) uint8.
 
@@ -165,6 +173,60 @@ class TestPngCodec:
         assert back.dtype == arr.dtype
         assert np.array_equal(back, arr)
 
+    def test_predictor_table_matches_w3c_for_every_byte_triple(self):
+        # c (filters 1-4) plus the table entry at (a - c, b - c) is the
+        # filter's prediction mod 256 for all (a, b, c) in [0, 255]^3
+        table = png_io._predictor_table().reshape(5, 511, 511).astype(np.int32)
+        a, b = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+        # the vectorised oracle breaks Paeth's ties (common at these levels)
+        # as `_paeth` does
+        levels = [0, 1, 2, 3, 64, 127, 128, 129, 191, 253, 254, 255]
+        triples = np.array(np.meshgrid(levels, levels, levels)).reshape(3, -1).T
+        assert (w3c_predictions(*triples.T)[4].tolist()
+                == [_paeth(*t) for t in triples.tolist()])
+        adds_c = np.array([0, 1, 1, 1, 1])[:, None, None]
+        for c in range(256):
+            got = (adds_c * c + table[:, a - c + 255, b - c + 255]) % 256
+            assert np.array_equal(got, w3c_predictions(a, b, np.full_like(a, c))), c
+
+    def test_predictor_table_built_on_first_filtered_decode(self, tmp_path, rng):
+        arr = rng.integers(0, 256, size=(4, 5, 3)).astype(np.uint8)
+        png_io._predictor_table.cache_clear()
+        imaging.write_png(tmp_path / "none.png", arr)
+        assert np.array_equal(imaging.read_png(tmp_path / "none.png"), arr)
+        assert png_io._predictor_table.cache_info().currsize == 0
+        (tmp_path / "sub.png").write_bytes(encode_png(arr, [1, 0, 0, 0]))
+        assert np.array_equal(imaging.read_png(tmp_path / "sub.png"), arr)
+        assert png_io._predictor_table.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+    @pytest.mark.parametrize("shape", [(2, 300), (300, 2), (2, 300, 3), (300, 2, 3)])
+    def test_decodes_wide_and_tall_images(self, rng, shape, dtype):
+        arr = rng.integers(0, np.iinfo(dtype).max + 1, size=shape).astype(dtype)
+        raw = filter_rows(arr, rng.integers(0, 5, size=shape[0]))
+        h, stride = raw.shape[0], raw.shape[1] - 1
+        bpp = stride // shape[1]
+        expected = reference_unfilter(raw, h, stride, bpp)
+        assert png_io._unfilter(raw, h, stride, bpp).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("levels", [3, 65536])
+    def test_decodes_none_runs_between_paeth_rows(self, rng, levels):
+        # rows cycle Paeth, None x 3, Sub, Up, Average over 16-bit RGB
+        arr = rng.integers(0, levels, size=(40, 57, 3)).astype(np.uint16)
+        filters = [(4, 0, 0, 0, 1, 2, 3)[y % 7] for y in range(40)]
+        raw = filter_rows(arr, filters)
+        expected = reference_unfilter(raw, 40, 57 * 6, 6)
+        assert png_io._unfilter(raw, 40, 57 * 6, 6).tobytes() == expected.tobytes()
+        assert np.array_equal(expected.view(">u2").reshape(arr.shape), arr)
+
+    def test_round_trips_256_rgb_with_random_row_filters(self, tmp_path, rng):
+        arr = rng.integers(0, 256, size=(256, 256, 3)).astype(np.uint8)
+        path = tmp_path / "big.png"
+        path.write_bytes(encode_png(arr, rng.integers(0, 5, size=256)))
+        back = imaging.read_png(path)
+        assert back.dtype == np.uint8
+        assert np.array_equal(back, arr)
+
     def test_truncated_or_bit_flipped_file(self, tmp_path, rng):
         arr = rng.integers(0, 65536, size=(3, 4, 3)).astype(np.uint16)
         blob = encode_png(arr, [1, 3, 4])
@@ -191,8 +253,19 @@ class TestPngCodec:
         (_png(struct.pack(">IIBBBBB", 2, 2, 8, 0, 0, 0, 0), bytes([5, 0, 0, 0, 0, 0])),
          "scanline filter 5"),
         (_png(struct.pack(">IIBBBBB", 0, 2, 8, 0, 0, 0, 0), bytes(2)), "empty image"),
+        (_png(struct.pack(">IIBBBBB", 2, 2, 8, 0, 1, 0, 0), bytes(6)), "compression method 1"),
+        (_png(struct.pack(">IIBBBBB", 2, 2, 8, 0, 0, 1, 0), bytes(6)), "filter method 1"),
+        (_png(struct.pack(">IIBBBBB", 2, 2, 8, 0, 7, 9, 0), bytes(6)),
+         "compression method 7 or filter method 9"),
+        (b"\x89PNG\r\n\x1a\n" + _chunk(b"IDAT", zlib.compress(bytes(6)))
+         + _chunk(b"IHDR", struct.pack(">IIBBBBB", 2, 2, 8, 0, 0, 0, 0))
+         + _chunk(b"IEND", b""), "first chunk is b'IDAT', not IHDR"),
+        (_png(struct.pack(">IIBBBBB", 2, 2, 8, 0, 0, 0, 0), bytes(6),
+              end=_chunk(b"IHDR", struct.pack(">IIBBBBB", 1, 1, 8, 0, 0, 0, 0))
+              + _chunk(b"IEND", b"")), "second IHDR"),
     ], ids=["short-ihdr", "no-iend", "chunk-past-end", "crc", "zlib", "filter-5",
-            "zero-width"])
+            "zero-width", "compression-1", "filter-method-1", "methods-7-9",
+            "ihdr-not-first", "ihdr-twice"])
     def test_malformed_file_is_typed_error(self, tmp_path, blob, needle):
         path = tmp_path / "bad.png"
         path.write_bytes(blob)
