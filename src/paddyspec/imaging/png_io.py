@@ -12,8 +12,9 @@ on the two before it, with one table lookup per diagonal; it stores the
 image diagonal-major, so each diagonal and its a, b and c are contiguous
 slices, and it skips all of this for files whose rows all use filter 0.
 Every unreadable, malformed (bad chunk CRC or length, IHDR not first or
-repeated, no IEND, corrupt zlib data) or unsupported file raises
-:class:`ImageFormatError`.
+repeated, IDAT chunks split by another chunk, no IEND, corrupt zlib data) or
+unsupported file (an unknown critical chunk, one whose type starts with an
+uppercase letter) raises :class:`ImageFormatError`.
 """
 from __future__ import annotations
 
@@ -141,6 +142,7 @@ def read_png(path) -> np.ndarray:
     pos, tag = len(_SIGNATURE), None
     ihdr = None
     idat = bytearray()
+    in_idat = after_idat = False
     while tag != b"IEND":
         if pos + 8 > len(data):
             raise ImageFormatError(f"{path}: file ends before IEND")
@@ -161,7 +163,15 @@ def read_png(path) -> np.ndarray:
                 raise ImageFormatError(f"{path}: IHDR has {len(payload)} bytes, need 13")
             ihdr = struct.unpack(">IIBBBBB", payload)
         elif tag == b"IDAT":
+            if after_idat:
+                raise ImageFormatError(f"{path}: IDAT chunks split by another chunk")
+            in_idat = True
             idat.extend(payload)
+        else:
+            # a lowercase first letter marks a chunk a decoder may skip
+            if not tag[0] & 0x20 and tag not in (b"PLTE", b"IEND"):
+                raise ImageFormatError(f"{path}: unknown critical chunk {tag!r}")
+            after_idat = in_idat
 
     w, h, depth, color_type, compression, filt, interlace = ihdr
     if w == 0 or h == 0:

@@ -1,5 +1,4 @@
-"""Training loop, cosine-annealing-with-restarts schedule, F1 metrics, and
-k-fold cross-validation over both input modes.
+"""Training loop, cosine-annealing-with-restarts schedule and F1 metrics.
 
 Defaults mirror the production configuration: 50 epochs, batch size 16,
 Adam, weighted cross-entropy, cosine annealing restarting every 10 epochs
@@ -169,19 +168,11 @@ class FusedCacheSource:
         return load_fused(self.cache_dir / f"{record.id}.pspec")
 
 
-class InMemorySource:
-    """Fused tensors already in memory, keyed by sample id."""
-
-    def __init__(self, arrays: dict[str, np.ndarray]):
-        self.arrays = arrays
-
-    def load(self, record: SampleRecord) -> np.ndarray:
-        return self.arrays[record.id]
-
-
 def load_sample_batch(source, records: list[SampleRecord], cfg: TrainConfig) -> np.ndarray:
-    rows = []
-    for record in records:
+    """The records' first ``cfg.channels`` bands, copied file by file into one array."""
+    size = cfg.input_size
+    batch = np.empty((len(records), cfg.channels, size, size), dtype=cfg.dtype)
+    for i, record in enumerate(records):
         try:
             arr = source.load(record)
         except Exception as exc:
@@ -193,8 +184,8 @@ def load_sample_batch(source, records: list[SampleRecord], cfg: TrainConfig) -> 
             raise TrainingError(
                 f"sample {record.id}: plane {arr.shape[1:]} != configured input size "
                 f"{cfg.input_size}; regenerate the fused cache")
-        rows.append(arr[:cfg.channels])
-    return np.stack(rows).astype(cfg.dtype)
+        batch[i] = arr[:cfg.channels]
+    return batch
 
 
 # -- training ------------------------------------------------------------------------
@@ -321,47 +312,3 @@ def train_fold(cfg: TrainConfig, manifest: Manifest, folds: FoldAssignment,
         start = end
     return TrainResult(model=model, history=history, val_result=validated[-1][1],
                        steps_taken=steps, class_weights=weights)
-
-
-# -- cross-validation -----------------------------------------------------------------
-
-
-@dataclass
-class CrossValReport:
-    """Each mode's held-out ``EvalResult`` per fold, in fold order."""
-
-    k: int
-    outcomes: dict[str, list[EvalResult]]
-
-    def mean_macro_f1(self, mode: str) -> float:
-        return float(np.mean([o.macro_f1 for o in self.outcomes[mode]]))
-
-    def mean_per_class(self, mode: str) -> np.ndarray:
-        return np.array([o.per_class_f1 for o in self.outcomes[mode]]).mean(axis=0)
-
-
-def cross_validate(cfg: TrainConfig, manifest: Manifest, folds: FoldAssignment,
-                   source, modes: tuple[str, ...] = INPUT_MODES,
-                   max_steps: int | None = None) -> CrossValReport:
-    """Run train_fold over every fold for each input mode (paired design)."""
-    outcomes: dict[str, list[EvalResult]] = {}
-    for mode in modes:
-        mode_cfg = TrainConfig(**{**cfg.__dict__, "input_mode": mode})
-        outcomes[mode] = [train_fold(mode_cfg, manifest, folds, fold, source,
-                                     max_steps=max_steps).val_result
-                          for fold in range(folds.k)]
-    return CrossValReport(k=folds.k, outcomes=outcomes)
-
-
-def render_results_table(report: CrossValReport) -> str:
-    """Per-class F1 table, one column per input mode, plus the macro mean."""
-    modes = list(report.outcomes)
-    lines = ["class        " + "".join(f"{m:>12}" for m in modes)]
-    names = ("blast", "spot", "healthy")
-    per_mode = {m: report.mean_per_class(m) for m in modes}
-    for ci, name in enumerate(names):
-        row = f"{name:<13}" + "".join(f"{per_mode[m][ci]:>11.2%} " for m in modes)
-        lines.append(row.rstrip())
-    lines.append(f"{'macro':<13}"
-                 + "".join(f"{report.mean_macro_f1(m):>11.2%} " for m in modes).rstrip())
-    return "\n".join(lines) + "\n"

@@ -263,14 +263,30 @@ class TestPngCodec:
         (_png(struct.pack(">IIBBBBB", 2, 2, 8, 0, 0, 0, 0), bytes(6),
               end=_chunk(b"IHDR", struct.pack(">IIBBBBB", 1, 1, 8, 0, 0, 0, 0))
               + _chunk(b"IEND", b"")), "second IHDR"),
+        (b"\x89PNG\r\n\x1a\n" + _chunk(b"IHDR", struct.pack(">IIBBBBB", 2, 2, 8, 0, 0, 0, 0))
+         + _chunk(b"ZZZZ", b"") + _chunk(b"IDAT", zlib.compress(bytes(6)))
+         + _chunk(b"IEND", b""), "unknown critical chunk b'ZZZZ'"),
+        (b"\x89PNG\r\n\x1a\n" + _chunk(b"IHDR", struct.pack(">IIBBBBB", 2, 2, 8, 0, 0, 0, 0))
+         + _chunk(b"IDAT", zlib.compress(bytes(6))[:5]) + _chunk(b"tEXt", b"k\0v")
+         + _chunk(b"IDAT", zlib.compress(bytes(6))[5:]) + _chunk(b"IEND", b""),
+         "IDAT chunks split"),
     ], ids=["short-ihdr", "no-iend", "chunk-past-end", "crc", "zlib", "filter-5",
             "zero-width", "compression-1", "filter-method-1", "methods-7-9",
-            "ihdr-not-first", "ihdr-twice"])
+            "ihdr-not-first", "ihdr-twice", "unknown-critical", "split-idat"])
     def test_malformed_file_is_typed_error(self, tmp_path, blob, needle):
         path = tmp_path / "bad.png"
         path.write_bytes(blob)
         with pytest.raises(ImageFormatError, match=needle):
             imaging.read_png(path)
+
+    def test_ancillary_chunks_and_consecutive_idats_decode(self, tmp_path):
+        data = zlib.compress(bytes([0, 1, 2, 0, 3, 4]))
+        path = tmp_path / "chunks.png"
+        path.write_bytes(
+            b"\x89PNG\r\n\x1a\n" + _chunk(b"IHDR", struct.pack(">IIBBBBB", 2, 2, 8, 0, 0, 0, 0))
+            + _chunk(b"tEXt", b"k\0v") + _chunk(b"IDAT", data[:5]) + _chunk(b"IDAT", data[5:])
+            + _chunk(b"tIME", bytes(7)) + _chunk(b"IEND", b""))
+        assert imaging.read_png(path).tolist() == [[1, 2], [3, 4]]
 
 
 class TestLoadSave:

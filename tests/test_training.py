@@ -1,21 +1,25 @@
 """Schedule, metrics, and training-loop behavior."""
+import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paddyspec import synthetic, training
-from paddyspec.dataset import LABELS, Manifest, ManifestError, SampleRecord, stratified_kfold
+from conftest import write_fused_cache, write_train_inputs
+from paddyspec import cli, nn, training
+from paddyspec.config import CACHE_ENV_VAR
+from paddyspec.dataset import LABELS, ManifestError, stratified_kfold
 from paddyspec.model import build_resnet18
 from paddyspec.training import (
+    INPUT_MODES,
     ConfusionMatrix,
-    InMemorySource,
+    FusedCacheSource,
     TrainConfig,
     TrainingError,
     confusion_from_pairs,
-    cross_validate,
     evaluate_model,
     f1_scores,
     lr_at,
@@ -118,20 +122,10 @@ class TestMetrics:
         assert abs(macro - oracle_macro) < 1e-12
 
 
-def tiny_dataset(n_per_class=4, size=16, seed=0):
-    """In-memory manifest + fused tensors with a strong NIR signal."""
-    rng = np.random.default_rng(seed)
-    arrays, labels = synthetic.make_classification_samples(n_per_class, size, rng)
-    records = []
-    store = {}
-    for i, (arr, y) in enumerate(zip(arrays, labels)):
-        label = LABELS[y]
-        sid = f"{label}{i:04d}"
-        records.append(SampleRecord(id=sid, rgb_path="", rgnir_path="", label=label))
-        store[sid] = arr
-    records.sort(key=lambda r: (r.label, r.id))
-    manifest = Manifest(records=records)
-    return manifest, InMemorySource(store)
+def tiny_dataset(tmp_path, n_per_class=4, size=16, seed=0):
+    """Manifest + fused cache under ``tmp_path`` with a strong NIR signal."""
+    manifest = write_fused_cache(tmp_path / "cache", n_per_class, size, seed)
+    return manifest, FusedCacheSource(tmp_path / "cache")
 
 
 class TestEvaluate:
@@ -149,10 +143,10 @@ class TestEvaluate:
 
 
 class TestTrainFold:
-    def test_zero_peak_lr_is_noop(self, monkeypatch):
+    def test_zero_peak_lr_is_noop(self, tmp_path, monkeypatch):
         # TrainConfig rejects lr_max <= 0, so the schedule itself is zeroed
         monkeypatch.setattr(training, "lr_at", lambda step_epoch, cfg: 0.0)
-        manifest, source = tiny_dataset(n_per_class=2)
+        manifest, source = tiny_dataset(tmp_path, n_per_class=2)
         folds = stratified_kfold(manifest, k=2, seed=0)
         cfg = small_cfg(epochs=2, batch_size=3, precision="float64")
         result = train_fold(cfg, manifest, folds, 0, source)
@@ -166,8 +160,8 @@ class TestTrainFold:
         losses = [e.train_loss for e in result.history]
         assert abs(losses[0] - losses[1]) < 1e-9
 
-    def test_deterministic_final_loss_in_test_precision(self):
-        manifest, source = tiny_dataset(n_per_class=3)
+    def test_deterministic_final_loss_in_test_precision(self, tmp_path):
+        manifest, source = tiny_dataset(tmp_path, n_per_class=3)
         folds = stratified_kfold(manifest, k=3, seed=1)
         cfg = small_cfg(precision="float64", epochs=2, batch_size=4, seed=5)
         a = train_fold(cfg, manifest, folds, 0, source)
@@ -176,8 +170,8 @@ class TestTrainFold:
         for (_, ta), (_, tb) in zip(a.model.named_parameters(), b.model.named_parameters()):
             assert ta.data.tobytes() == tb.data.tobytes()
 
-    def test_history_shape_and_weights(self):
-        manifest, source = tiny_dataset(n_per_class=4)
+    def test_history_shape_and_weights(self, tmp_path):
+        manifest, source = tiny_dataset(tmp_path, n_per_class=4)
         folds = stratified_kfold(manifest, k=2, seed=2)
         cfg = small_cfg(epochs=2)
         result = train_fold(cfg, manifest, folds, 0, source)
@@ -188,21 +182,21 @@ class TestTrainFold:
         # balanced training folds give near-uniform weights
         assert np.allclose(result.class_weights.sum(), 3.0, atol=1e-9)
 
-    def test_bad_fold_id(self):
-        manifest, source = tiny_dataset(n_per_class=2)
+    def test_bad_fold_id(self, tmp_path):
+        manifest, source = tiny_dataset(tmp_path, n_per_class=2)
         folds = stratified_kfold(manifest, k=2, seed=0)
         with pytest.raises(TrainingError):
             train_fold(small_cfg(), manifest, folds, 5, source)
 
-    def test_input_size_mismatch_names_sample(self):
-        manifest, source = tiny_dataset(n_per_class=2, size=16)
+    def test_input_size_mismatch_names_sample(self, tmp_path):
+        manifest, source = tiny_dataset(tmp_path, n_per_class=2, size=16)
         folds = stratified_kfold(manifest, k=2, seed=0)
         cfg = small_cfg(input_size=32)
         with pytest.raises(TrainingError, match="input size"):
             train_fold(cfg, manifest, folds, 0, source)
 
     def test_history_csv(self, tmp_path):
-        manifest, source = tiny_dataset(n_per_class=2)
+        manifest, source = tiny_dataset(tmp_path, n_per_class=2)
         folds = stratified_kfold(manifest, k=2, seed=0)
         result = train_fold(small_cfg(epochs=1, batch_size=3), manifest, folds, 0, source)
         path = tmp_path / "history.csv"
@@ -211,8 +205,8 @@ class TestTrainFold:
         assert lines[0] == "epoch,lr,train_loss,val_macro_f1,f1_blast,f1_spot,f1_healthy"
         assert len(lines) == 2
 
-    def test_folds_missing_an_id_fail_before_training(self):
-        manifest, source = tiny_dataset(n_per_class=2)
+    def test_folds_missing_an_id_fail_before_training(self, tmp_path):
+        manifest, source = tiny_dataset(tmp_path, n_per_class=2)
         folds = stratified_kfold(manifest, k=2, seed=0)
         del folds.fold_of[manifest.records[1].id]
         with pytest.raises(ManifestError, match=manifest.records[1].id):
@@ -229,8 +223,8 @@ class TestSingleLoop:
         y = np.array([LABELS.index(r.label) for r in records], dtype=np.int64)
         return x, y
 
-    def test_step_budget_cuts_last_epoch_and_still_validates(self):
-        manifest, source = tiny_dataset(n_per_class=4)
+    def test_step_budget_cuts_last_epoch_and_still_validates(self, tmp_path):
+        manifest, source = tiny_dataset(tmp_path, n_per_class=4)
         folds = stratified_kfold(manifest, k=2, seed=0)
         # 6 training samples at batch 3: two steps per epoch, so 3 steps end mid-epoch
         cfg = small_cfg(epochs=5, batch_size=3, precision="float64")
@@ -240,8 +234,8 @@ class TestSingleLoop:
         held_out = sum(1 for r in manifest.records if folds.fold_of[r.id] == 0)
         assert result.val_result.confusion.total() == held_out
 
-    def test_train_fold_equals_fit_on_fold_data(self):
-        manifest, source = tiny_dataset(n_per_class=4)
+    def test_train_fold_equals_fit_on_fold_data(self, tmp_path):
+        manifest, source = tiny_dataset(tmp_path, n_per_class=4)
         folds = stratified_kfold(manifest, k=2, seed=0)
         cfg = small_cfg(epochs=2, batch_size=3, precision="float64", seed=3)
         fold_id = 1
@@ -258,8 +252,8 @@ class TestSingleLoop:
         per_epoch = [float(np.mean(losses[i:i + 2])) for i in (0, 2)]
         assert [e.train_loss for e in result.history] == per_epoch
 
-    def test_step_budget_overrides_epochs(self):
-        manifest, source = tiny_dataset(n_per_class=4)
+    def test_step_budget_overrides_epochs(self, tmp_path):
+        manifest, source = tiny_dataset(tmp_path, n_per_class=4)
         folds = stratified_kfold(manifest, k=2, seed=0)
         cfg = small_cfg(epochs=1, batch_size=3)
         x, y = self.fold_data(cfg, manifest, source, folds, 0)
@@ -278,26 +272,60 @@ class TestSingleLoop:
                          np.zeros(2, np.int64), np.ones(3), max_steps=0)
 
 
-class TestCrossValidate:
-    def test_protocol_shape_two_folds_two_modes(self):
-        manifest, source = tiny_dataset(n_per_class=4)
-        folds = stratified_kfold(manifest, k=2, seed=3)
-        cfg = small_cfg(epochs=1)
-        report = cross_validate(cfg, manifest, folds, source, max_steps=2)
-        assert set(report.outcomes) == {"rgb", "rgb_ndvi"}
-        held_out = [sum(1 for r in manifest.records if folds.fold_of[r.id] == fold)
-                    for fold in (0, 1)]
-        for mode in report.outcomes:
-            assert [o.confusion.total() for o in report.outcomes[mode]] == held_out
-        table = training.render_results_table(report)
-        for token in ("blast", "spot", "healthy", "macro", "rgb_ndvi"):
-            assert token in table
+class TestLoadSampleBatch:
+    @pytest.mark.parametrize("precision", ("float32", "float64"))
+    @pytest.mark.parametrize("mode", INPUT_MODES)
+    def test_bytes_equal_stacked_files(self, tmp_path, mode, precision):
+        manifest, source = tiny_dataset(tmp_path, n_per_class=2)
+        cfg = small_cfg(input_mode=mode, precision=precision)
+        batch = training.load_sample_batch(source, manifest.records, cfg)
+        expected = np.stack([source.load(r)[:cfg.channels]
+                             for r in manifest.records]).astype(cfg.dtype)
+        assert batch.dtype == expected.dtype and batch.shape == expected.shape
+        assert batch.tobytes() == expected.tobytes()
 
-    def test_paired_folds_identical_across_modes(self):
-        manifest, source = tiny_dataset(n_per_class=3)
-        folds_a = stratified_kfold(manifest, k=3, seed=4)
-        folds_b = stratified_kfold(manifest, k=3, seed=4)
-        assert folds_a.fold_of == folds_b.fold_of
+    @pytest.mark.parametrize("mode", INPUT_MODES)
+    def test_peak_is_the_set_plus_one_file(self, tmp_path, mode):
+        manifest, source = tiny_dataset(tmp_path, n_per_class=16, size=32)
+        cfg = small_cfg(input_mode=mode, input_size=32)
+        one_file = (tmp_path / "cache" / f"{manifest.records[0].id}.pspec").stat().st_size
+        tracemalloc.start()
+        try:
+            batch = training.load_sample_batch(source, manifest.records, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one file read holds the file's bytes, its decoded copy and the
+        # previous sample
+        assert peak <= batch.nbytes + 4 * one_file, (peak, batch.nbytes, one_file)
+
+
+class TestTrainCommand:
+    def test_all_folds_both_modes(self, tmp_path, monkeypatch, capsys):
+        """``train --fold all`` writes a checkpoint and a history per fold and
+        mode; each checkpoint's meta names its fold and mode and repeats the
+        history's last held-out macro F1."""
+        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+        manifest, _ = tiny_dataset(tmp_path, n_per_class=4)
+        config = write_train_inputs(tmp_path, manifest, stratified_kfold(manifest, k=2, seed=3),
+                                    training={"epochs": 1, "batch_size": 4, "input_size": 16},
+                                    seed=0)
+        for mode in INPUT_MODES:
+            code = cli.main(["--config", str(config), "--input-mode", mode,
+                             "train", "--fold", "all", "--max-steps", "2"])
+            assert code == 0, capsys.readouterr().err
+        out = tmp_path / "out"
+        stems = sorted(f"fold{fold}_{mode}" for fold in (0, 1) for mode in INPUT_MODES)
+        assert sorted(p.stem for p in out.glob("*.ckpt")) == stems
+        assert sorted(p.name for p in out.glob("*_history.csv")) == [
+            f"{stem}_history.csv" for stem in stems]
+        for fold in (0, 1):
+            for mode in INPUT_MODES:
+                meta, _ = nn.read_checkpoint(out / f"fold{fold}_{mode}.ckpt")
+                assert (meta["fold"], meta["input_mode"]) == (fold, mode)
+                with open(out / f"fold{fold}_{mode}_history.csv", newline="") as fh:
+                    last = list(csv.DictReader(fh))[-1]
+                assert meta["metrics"]["val_macro_f1"] == float(last["val_macro_f1"])
 
 
 class TestConfigValidation:
