@@ -400,7 +400,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help="override the pipeline seed")
     parser.add_argument("--jobs", type=int,
                         default=argparse.SUPPRESS if suppress else 1,
-                        help="worker cap; 1 guarantees determinism")
+                        help="worker cap, at least 1; 1 guarantees determinism")
     parser.add_argument("--dry-run", action="store_true",
                         default=argparse.SUPPRESS if suppress else False,
                         help="validate inputs, write nothing")
@@ -489,6 +489,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         cfg = resolve_config(args.config, seed=args.seed, input_mode=args.input_mode)
         return args.func(cfg, args)
     except ConfigError as exc:

@@ -12,7 +12,8 @@ on the two before it, with one table lookup per diagonal; it stores the
 image diagonal-major, so each diagonal and its a, b and c are contiguous
 slices, and it skips all of this for files whose rows all use filter 0.
 Every unreadable, malformed (bad chunk CRC or length, IHDR not first or
-repeated, IDAT chunks split by another chunk, no IEND, corrupt zlib data) or
+repeated, IDAT chunks split by another chunk, a PLTE chunk in a grayscale
+image or after IDAT, no IEND, bytes after IEND, corrupt zlib data) or
 unsupported file (an unknown critical chunk, one whose type starts with an
 uppercase letter) raises :class:`ImageFormatError`.
 """
@@ -167,11 +168,20 @@ def read_png(path) -> np.ndarray:
                 raise ImageFormatError(f"{path}: IDAT chunks split by another chunk")
             in_idat = True
             idat.extend(payload)
+        elif tag == b"PLTE":
+            # W3C PNG 2nd ed. 11.2.3: a palette is forbidden in grayscale
+            # images (colour types 0 and 4) and must precede the image data
+            if ihdr[3] in (0, 4):
+                raise ImageFormatError(f"{path}: PLTE chunk in a grayscale image")
+            if in_idat:
+                raise ImageFormatError(f"{path}: PLTE chunk after IDAT")
         else:
             # a lowercase first letter marks a chunk a decoder may skip
-            if not tag[0] & 0x20 and tag not in (b"PLTE", b"IEND"):
+            if not tag[0] & 0x20 and tag != b"IEND":
                 raise ImageFormatError(f"{path}: unknown critical chunk {tag!r}")
             after_idat = in_idat
+    if pos != len(data):
+        raise ImageFormatError(f"{path}: data after IEND ({len(data) - pos} bytes)")
 
     w, h, depth, color_type, compression, filt, interlace = ihdr
     if w == 0 or h == 0:

@@ -54,14 +54,23 @@ def _make_test_pattern(n_tests: int = DESCRIPTOR_BITS,
 
 
 TEST_PATTERN = _make_test_pattern()
+# x and y of every sampled point: the 256 first points of the tests, then
+# the 256 second points
+_PX = np.concatenate([TEST_PATTERN[:, 0, 0], TEST_PATTERN[:, 1, 0]]).astype(np.float64)
+_PY = np.concatenate([TEST_PATTERN[:, 0, 1], TEST_PATTERN[:, 1, 1]]).astype(np.float64)
+
+# Corners are oriented and sampled this many at a time, so the per-corner
+# temporaries (BLOCK x 709 disc values, BLOCK x 512 rotated offsets and
+# samples) stay cache-sized instead of growing with the level's corner count.
+BLOCK = 128
 
 
 def _orientations(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Intensity-centroid angles of corners at least PATCH_BORDER px inside img."""
     w = img.shape[1]
-    vals = img.ravel()[(ys * w + xs)[:, None] + (_DISC_DY * w + _DISC_DX)[None, :]]
-    m10 = (vals * _DISC_DX[None, :]).sum(axis=1)
-    m01 = (vals * _DISC_DY[None, :]).sum(axis=1)
+    vals = img.ravel().take((ys * w + xs)[:, None] + (_DISC_DY * w + _DISC_DX))
+    m10 = (vals * _DISC_DX).sum(axis=1)
+    m01 = (vals * _DISC_DY).sum(axis=1)
     return np.arctan2(m01, m10)
 
 
@@ -77,13 +86,6 @@ def compute_descriptors(levels: list[np.ndarray],
     if len(keypoints) == 0:
         raise RegistrationError("describe", "no keypoints to describe")
 
-    ax = TEST_PATTERN[:, 0, 0].astype(np.float64)
-    ay = TEST_PATTERN[:, 0, 1].astype(np.float64)
-    bx = TEST_PATTERN[:, 1, 0].astype(np.float64)
-    by = TEST_PATTERN[:, 1, 1].astype(np.float64)
-    px = np.concatenate([ax, bx])
-    py = np.concatenate([ay, by])
-
     descs = np.zeros((len(keypoints), DESCRIPTOR_BYTES), dtype=np.uint8)
     described = np.zeros(len(keypoints), dtype=bool)
     xs, ys = keypoints.lvl_xy.T
@@ -93,16 +95,26 @@ def compute_descriptors(levels: list[np.ndarray],
         sel = ((keypoints.octave == lvl)
                & (xs >= PATCH_BORDER) & (xs < w - PATCH_BORDER)
                & (ys >= PATCH_BORDER) & (ys < h - PATCH_BORDER))
-        if not sel.any():
-            continue
-        angles = _orientations(levels[lvl], ys[sel], xs[sel])
-        cos = np.cos(angles)[:, None]
-        sin = np.sin(angles)[:, None]
-        rx = np.round(cos * px[None, :] - sin * py[None, :]).astype(np.intp)
-        ry = np.round(sin * px[None, :] + cos * py[None, :]).astype(np.intp)
-        vals = img_l[ys[sel][:, None] + ry, xs[sel][:, None] + rx]
-        bits = vals[:, :DESCRIPTOR_BITS] < vals[:, DESCRIPTOR_BITS:]
-        descs[sel] = np.packbits(bits, axis=1)
+        rows = np.flatnonzero(sel)
+        # contiguous, so _orientations' ravel is a view, not a copy per block
+        raw = np.ascontiguousarray(levels[lvl])
+        smooth = img_l.ravel()
+        for start in range(0, len(rows), BLOCK):
+            blk = rows[start:start + BLOCK]
+            blk_y, blk_x = ys[blk], xs[blk]
+            angles = _orientations(raw, blk_y, blk_x)
+            cos = np.cos(angles)[:, None]
+            sin = np.sin(angles)[:, None]
+            rx = np.round(cos * _PX - sin * _PY).astype(np.intp)
+            ry = np.round(sin * _PX + cos * _PY).astype(np.intp)
+            # the rotated pattern stays within PATCH_BORDER, so every flat
+            # index lands on its own (y, x) inside the level
+            ry *= w
+            ry += rx
+            ry += (blk_y * w + blk_x)[:, None]
+            vals = smooth.take(ry)
+            descs[blk] = np.packbits(vals[:, :DESCRIPTOR_BITS] < vals[:, DESCRIPTOR_BITS:],
+                                     axis=1)
         described |= sel
 
     kept = np.flatnonzero(described)

@@ -101,6 +101,14 @@ class TestConfig:
         assert err.startswith("paddyspec: ") and err.count("\n") == 1, err
         assert "--fold" in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, monkeypatch, capsys, jobs):
+        monkeypatch.chdir(tmp_path)
+        assert run(["register", "--pairs", "pairs.csv", "--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("paddyspec: ") and err.count("\n") == 1, err
+        assert f"--jobs must be >= 1, got {jobs}" in err
+
     def test_cache_env_override(self, tmp_path, monkeypatch):
         from paddyspec.config import resolve_config
         monkeypatch.setenv("PADDYSPEC_CACHE", "/tmp/elsewhere")

@@ -270,9 +270,17 @@ class TestPngCodec:
          + _chunk(b"IDAT", zlib.compress(bytes(6))[:5]) + _chunk(b"tEXt", b"k\0v")
          + _chunk(b"IDAT", zlib.compress(bytes(6))[5:]) + _chunk(b"IEND", b""),
          "IDAT chunks split"),
+        (b"\x89PNG\r\n\x1a\n" + _chunk(b"IHDR", struct.pack(">IIBBBBB", 2, 2, 8, 0, 0, 0, 0))
+         + _chunk(b"PLTE", bytes(3)) + _chunk(b"IDAT", zlib.compress(bytes(6)))
+         + _chunk(b"IEND", b""), "PLTE chunk in a grayscale image"),
+        (_png(struct.pack(">IIBBBBB", 1, 1, 8, 2, 0, 0, 0), bytes(4),
+              end=_chunk(b"PLTE", bytes(3)) + _chunk(b"IEND", b"")), "PLTE chunk after IDAT"),
+        (_png(struct.pack(">IIBBBBB", 2, 2, 8, 0, 0, 0, 0), bytes(6)) + b"\0",
+         "data after IEND"),
     ], ids=["short-ihdr", "no-iend", "chunk-past-end", "crc", "zlib", "filter-5",
             "zero-width", "compression-1", "filter-method-1", "methods-7-9",
-            "ihdr-not-first", "ihdr-twice", "unknown-critical", "split-idat"])
+            "ihdr-not-first", "ihdr-twice", "unknown-critical", "split-idat",
+            "plte-in-grayscale", "plte-after-idat", "bytes-after-iend"])
     def test_malformed_file_is_typed_error(self, tmp_path, blob, needle):
         path = tmp_path / "bad.png"
         path.write_bytes(blob)

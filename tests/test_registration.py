@@ -1,6 +1,7 @@
 """Feature detection, binary descriptors, and brute-force matching."""
 import math
 import re
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from paddyspec import registration as reg
 from paddyspec.registration import RegistrationError
 from paddyspec.registration.descriptors import (
-    DESCRIPTOR_BITS, DESCRIPTOR_BYTES, PATCH_BORDER, TEST_PATTERN, _orientations)
+    BLOCK, DESCRIPTOR_BITS, DESCRIPTOR_BYTES, PATCH_BORDER, TEST_PATTERN, _orientations)
 from paddyspec.registration.keypoints import _subpixel_offsets, gaussian_smooth
 from paddyspec.synthetic import make_registration_pair, smooth_texture
 
@@ -174,7 +175,11 @@ def assert_descriptors_match_reference(img: np.ndarray, target_count: int) -> No
     """compute_descriptors, its kept corners' angles and its failure all equal
     the reference's, which orients every detected corner."""
     levels = reg.build_pyramid(img)
-    kps = reg.detect_keypoints(levels, target_count)
+    assert_keypoints_described_as_reference(levels, reg.detect_keypoints(levels, target_count))
+
+
+def assert_keypoints_described_as_reference(levels: list[np.ndarray],
+                                            kps: reg.Keypoints) -> None:
     angle = reference_angles(levels, kps)
     try:
         ref_descs, ref_kept = reference_compute_descriptors(levels, kps, angle)
@@ -267,6 +272,46 @@ class TestDescriptors:
                                                out_size=size)
         for img in (rgb, rgnir):
             assert_descriptors_match_reference(img.band("G"), target)
+
+    @pytest.mark.parametrize("rng_seed", [1, 2, 3])
+    def test_blocks_match_reference_at_default_params(self, rng_seed):
+        rgb, rgnir, _ = make_registration_pair(np.random.default_rng(rng_seed), out_size=256)
+        for img in (rgb, rgnir):
+            levels = reg.build_pyramid(img.band("G"))
+            kps = reg.detect_keypoints(levels, reg.RegistrationParams().target_count)
+            assert_keypoints_described_as_reference(levels, kps)
+            _, kept = reg.compute_descriptors(levels, kps)
+            per_level = np.bincount(kps.octave[kept])
+            # several whole blocks and a partial last one on some level
+            assert ((per_level > 2 * BLOCK) & (per_level % BLOCK != 0)).any(), per_level
+
+        # one level with fewer corners than a block and one with an exact
+        # multiple of it, next to border corners that are never described
+        inside = np.zeros(len(kps), dtype=bool)
+        inside[kept] = True
+        rows = np.concatenate([np.flatnonzero(inside & (kps.octave == 0))[:2 * BLOCK],
+                               np.flatnonzero(inside & (kps.octave == 1))[:BLOCK // 3],
+                               np.flatnonzero(~inside)[:20]])
+        subset = kps[np.sort(rows)]
+        assert_keypoints_described_as_reference(levels, subset)
+        _, kept = reg.compute_descriptors(levels, subset)
+        assert np.bincount(subset.octave[kept]).tolist() == [2 * BLOCK, BLOCK // 3]
+
+    def test_memory_does_not_grow_with_corner_count(self):
+        rgb, _, _ = make_registration_pair(np.random.default_rng(1), out_size=256)
+        levels = reg.build_pyramid(rgb.band("G"))
+        peaks = []
+        for target in (2500, 10000):
+            kps = reg.detect_keypoints(levels, target)
+            tracemalloc.start()
+            try:
+                reg.compute_descriptors(levels, kps)
+                peaks.append((len(kps), tracemalloc.get_traced_memory()[1]))
+            finally:
+                tracemalloc.stop()
+        (n_small, small), (n_large, large) = peaks
+        assert n_small >= 2400 and n_large >= 7500, peaks
+        assert large <= 2 * small and large < 8 * 2**20, peaks
 
     def test_rotation_by_90_degrees_small_distance(self):
         img = smooth_texture(96, 96, np.random.default_rng(6), radius=1)
