@@ -62,12 +62,11 @@ class BandCalibration:
     band_labels: tuple[str, ...] = ("R", "G", "NIR")
 
 
-def extract_panel_stats(img: ImageF, panels: PanelSpec, trim: float = 0.05,
-                        max_std: float = 0.25) -> np.ndarray:
+def extract_panel_stats(img: ImageF, panels: PanelSpec) -> np.ndarray:
     """Trimmed per-panel per-band mean DN (drops top/bottom 5% of pixels).
 
     Trimming resists specular highlights; a per-band standard deviation above
-    ``max_std`` indicates a misplaced ROI and raises.
+    0.25 indicates a misplaced ROI and raises.
     """
     means = np.zeros((N_PANELS, img.channels))
     for i, panel in enumerate(panels.panels):
@@ -81,12 +80,12 @@ def extract_panel_stats(img: ImageF, panels: PanelSpec, trim: float = 0.05,
             raise CalibrationError(f"panel {i} ROI has {roi.w * roi.h} px; need >= 25")
         patch = img.data[roi.y:roi.y + roi.h, roi.x:roi.x + roi.w, :]
         flat = patch.reshape(-1, img.channels).astype(np.float64)
-        if (flat.std(axis=0) > max_std).any():
+        if (flat.std(axis=0) > 0.25).any():
             raise CalibrationError(
                 f"panel {i} ROI variance too high (std {flat.std(axis=0).max():.3f}); "
                 "is the ROI on the panel?")
         n = flat.shape[0]
-        k = int(np.floor(trim * n))
+        k = int(np.floor(0.05 * n))
         ordered = np.sort(flat, axis=0)
         means[i] = ordered[k:n - k].mean(axis=0)
     return means

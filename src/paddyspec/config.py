@@ -56,8 +56,9 @@ def default_config() -> PipelineConfig:
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
     d = dataclasses.asdict(cfg)
-    for section in ("training", "registration"):
-        d[section].pop("seed")  # the pipeline seed is the single source
+    for value in d.values():
+        if isinstance(value, dict):
+            value.pop("seed", None)  # the pipeline seed is the single source
     return d
 
 
@@ -70,18 +71,18 @@ def _check_type(name: str, value, default) -> None:
         raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
 
 
-def _apply_section(obj, values, section: str, skip: tuple[str, ...] = ()):
+def _apply_section(obj, values, section: str):
     """Copy of a config section with ``values`` applied, type-checked and validated."""
     if not isinstance(values, dict):
         raise ConfigError(f"{section} must be an object, got {values!r}")
-    for key in skip:
-        if key in values:
-            raise ConfigError(f"{section}.{key} is not a key; set the top-level {key}")
-    defaults = {f.name: f.default for f in dataclasses.fields(obj) if f.name not in skip}
+    defaults = {f.name: f.default for f in dataclasses.fields(obj)}
+    if "seed" in defaults and "seed" in values:
+        raise ConfigError(f"{section}.seed is not a key; set the top-level seed")
+    defaults.pop("seed", None)
     unknown = set(values) - set(defaults)
     if unknown:
-        raise ConfigError(f"unknown key(s) in {section}: {sorted(unknown)}; "
-                          f"allowed: {sorted(defaults)}")
+        named = ", ".join(f"{section}.{key}" for key in sorted(unknown))
+        raise ConfigError(f"unknown key(s) {named}; allowed in {section}: {sorted(defaults)}")
     for key, value in values.items():
         _check_type(f"{section}.{key}", value, defaults[key])
     try:
@@ -94,25 +95,20 @@ def config_from_dict(data: dict) -> PipelineConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be an object, got {type(data).__name__}")
     cfg = PipelineConfig()
-    top_allowed = {"paths", "registration", "calibration_session", "training", "seed"}
-    unknown = set(data) - top_allowed
+    names = [f.name for f in dataclasses.fields(cfg)]
+    unknown = set(data) - set(names)
     if unknown:
         raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}; "
-                          f"allowed: {sorted(top_allowed)}")
-    if "paths" in data:
-        cfg.paths = _apply_section(cfg.paths, data["paths"], "paths")
-    if "registration" in data:
-        cfg.registration = _apply_section(cfg.registration, data["registration"],
-                                          "registration", skip=("seed",))
-    if "training" in data:
-        cfg.training = _apply_section(cfg.training, data["training"], "training",
-                                      skip=("seed",))
-    if "calibration_session" in data:
-        _check_type("calibration_session", data["calibration_session"], "")
-        cfg.calibration_session = data["calibration_session"]
-    if "seed" in data:
-        _check_type("seed", data["seed"], 0)
-        cfg.seed = data["seed"]
+                          f"allowed: {sorted(names)}")
+    for name in names:
+        if name not in data:
+            continue
+        value, default = data[name], getattr(cfg, name)
+        if dataclasses.is_dataclass(default):
+            value = _apply_section(default, value, name)
+        else:
+            _check_type(name, value, default)
+        setattr(cfg, name, value)
     return cfg
 
 

@@ -186,6 +186,7 @@ def write_manifest_csv(manifest: Manifest, path) -> None:
 
 def read_manifest_csv(path) -> Manifest:
     records: list[SampleRecord] = []
+    seen: set[str] = set()
     with _csv_reader(path) as reader:
         header = next(reader, None)
         if header != MANIFEST_HEADER:
@@ -197,6 +198,9 @@ def read_manifest_csv(path) -> Manifest:
             sid, rgb, rgnir, label, session, lat, lon = row
             if label not in LABELS:
                 raise ManifestError(f"{path}: unknown label {label!r} for id {sid}")
+            if sid in seen:
+                raise ManifestError(f"{path}:{reader.line_num}: repeated id {sid!r}")
+            seen.add(sid)
             try:
                 lat, lon = (float(v) if v else None for v in (lat, lon))
             except ValueError as exc:
@@ -225,6 +229,8 @@ def read_folds_csv(path) -> FoldAssignment:
             if len(row) != 2 or not (row[1].isascii() and row[1].isdigit()):
                 raise ManifestError(f"{path}:{reader.line_num}: expected "
                                     f"'id,fold' with a fold >= 0, got {row}")
+            if row[0] in fold_of:
+                raise ManifestError(f"{path}:{reader.line_num}: repeated id {row[0]!r}")
             fold_of[row[0]] = int(row[1])
     k = (max(fold_of.values()) + 1) if fold_of else 0
     return FoldAssignment(k=k, fold_of=fold_of)

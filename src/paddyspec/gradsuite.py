@@ -111,8 +111,7 @@ def op_cases() -> dict:
     }
 
 
-def check_ops(trials: int = 20, seed: int = 0,
-              max_coords: int = 24) -> dict[str, float]:
+def check_ops(trials: int = 20, seed: int = 0) -> dict[str, float]:
     """Max relative error per op over the given number of random trials."""
     results: dict[str, float] = {}
     for case_idx, (name, case) in enumerate(op_cases().items()):
@@ -121,14 +120,14 @@ def check_ops(trials: int = 20, seed: int = 0,
             rng = np.random.default_rng([seed, case_idx, trial])
             loss_fn, tensors = case(rng)
             worst = max(worst, nn.check_gradients(loss_fn, tensors,
-                                                  max_coords_per_tensor=max_coords,
+                                                  max_coords_per_tensor=24,
                                                   rng=rng))
         results[name] = worst
     return results
 
 
 def check_full_network(trials: int = 20, seed: int = 0, input_size: int = 32,
-                       probes_per_trial: int = 3, h: float = 3e-7) -> float:
+                       probes_per_trial: int = 3) -> float:
     """Directional finite differences through the whole ResNet18 + loss.
 
     Per-coordinate probes are hopeless on a deep ReLU network: dead units
@@ -138,6 +137,7 @@ def check_full_network(trials: int = 20, seed: int = 0, input_size: int = 32,
     by only h/sqrt(n) (no kink crossings) while the directional derivative
     it checks stays well-scaled.
     """
+    h = 3e-7
     model = build_resnet18(in_channels=4, num_classes=3, seed=seed, dtype=np.float64)
     named = model.named_parameters()
     worst = 0.0
@@ -171,8 +171,8 @@ def check_full_network(trials: int = 20, seed: int = 0, input_size: int = 32,
     return worst
 
 
-def run_suite(trials: int = 5, seed: int = 0, full_net_trials: int = 2,
-              tolerance: float = nn.DEFAULT_TOLERANCE) -> tuple[dict[str, float], bool]:
+def run_suite(trials: int = 5, seed: int = 0,
+              full_net_trials: int = 2) -> tuple[dict[str, float], bool]:
     """Whole suite; returns (per-check worst errors, all_passed).
 
     The full-network probe stays at 32x32 inputs: anything smaller leaves
@@ -182,5 +182,5 @@ def run_suite(trials: int = 5, seed: int = 0, full_net_trials: int = 2,
     results = check_ops(trials=trials, seed=seed)
     results["resnet18_full"] = check_full_network(trials=full_net_trials, seed=seed,
                                                   input_size=32)
-    ok = all(v < tolerance for v in results.values())
+    ok = all(v < nn.DEFAULT_TOLERANCE for v in results.values())
     return results, ok

@@ -143,7 +143,7 @@ def read_png(path) -> np.ndarray:
     pos, tag = len(_SIGNATURE), None
     ihdr = None
     idat = bytearray()
-    in_idat = after_idat = False
+    in_idat = after_idat = has_plte = False
     while tag != b"IEND":
         if pos + 8 > len(data):
             raise ImageFormatError(f"{path}: file ends before IEND")
@@ -170,11 +170,18 @@ def read_png(path) -> np.ndarray:
             idat.extend(payload)
         elif tag == b"PLTE":
             # W3C PNG 2nd ed. 11.2.3: a palette is forbidden in grayscale
-            # images (colour types 0 and 4) and must precede the image data
+            # images (colour types 0 and 4), must precede the image data,
+            # appears at most once and holds 1 to 256 three-byte entries
             if ihdr[3] in (0, 4):
                 raise ImageFormatError(f"{path}: PLTE chunk in a grayscale image")
             if in_idat:
                 raise ImageFormatError(f"{path}: PLTE chunk after IDAT")
+            if has_plte:
+                raise ImageFormatError(f"{path}: second PLTE chunk")
+            if len(payload) % 3 or not 3 <= len(payload) <= 768:
+                raise ImageFormatError(f"{path}: PLTE has {len(payload)} bytes, "
+                                       "need 1 to 256 three-byte entries")
+            has_plte = True
         else:
             # a lowercase first letter marks a chunk a decoder may skip
             if not tag[0] & 0x20 and tag != b"IEND":

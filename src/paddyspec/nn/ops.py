@@ -159,19 +159,16 @@ class BatchNormParams:
     running_mean: np.ndarray
     running_var: np.ndarray
     eps: float = 1e-5
-    momentum: float = 0.1
     initialized: bool = False
 
     @staticmethod
-    def create(channels: int, eps: float = 1e-5, momentum: float = 0.1,
-               dtype=np.float32) -> "BatchNormParams":
+    def create(channels: int, eps: float = 1e-5, dtype=np.float32) -> "BatchNormParams":
         return BatchNormParams(
             gamma=Tensor(np.ones(channels, dtype=dtype), requires_grad=True),
             beta=Tensor(np.zeros(channels, dtype=dtype), requires_grad=True),
             running_mean=np.zeros(channels, dtype=dtype),
             running_var=np.ones(channels, dtype=dtype),
             eps=eps,
-            momentum=momentum,
         )
 
 
@@ -179,8 +176,8 @@ def batchnorm2d(x: Tensor, params: BatchNormParams, train: bool) -> Tensor:
     """Channel-wise normalization; batch statistics in train mode.
 
     Train mode normalizes by the population (biased) batch variance and
-    blends running statistics with the configured momentum (running variance
-    uses the unbiased estimate). Eval mode normalizes by running statistics.
+    blends running statistics with momentum 0.1 (running variance uses the
+    unbiased estimate). Eval mode normalizes by running statistics.
     Works on the (B*H*W, C) view of x, a copy unless x is channels-last, and
     returns channels-last memory.
     """
@@ -199,7 +196,7 @@ def batchnorm2d(x: Tensor, params: BatchNormParams, train: bool) -> Tensor:
             raise ShapeError(f"batchnorm2d: train mode needs B*H*W >= 2, got {n}")
         mean = rows.mean(axis=0)
         var = rows.var(axis=0)                               # biased
-        m = params.momentum
+        m = 0.1
         unbiased = var * (n / (n - 1))
         params.running_mean[...] = (1.0 - m) * params.running_mean + m * mean
         params.running_var[...] = (1.0 - m) * params.running_var + m * unbiased

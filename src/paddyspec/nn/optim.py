@@ -5,24 +5,17 @@ import numpy as np
 
 from .tensor import ShapeError, Tensor
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
-    """Per-parameter first/second moment state plus the update rule.
-
-    Defaults beta1=0.9, beta2=0.999, eps=1e-8. The learning rate is passed
-    to :meth:`step` so a schedule can drive it without touching state.
+    """Per-parameter first/second moment state plus the update rule, with
+    the standard BETA1, BETA2 and EPS. The learning rate is passed to
+    :meth:`step` so a schedule can drive it without touching state.
     """
 
-    def __init__(self, params: list[Tensor], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
-            raise ValueError(f"Adam: betas must lie in (0, 1), got {beta1}, {beta2}")
-        if eps <= 0:
-            raise ValueError(f"Adam: eps must be positive, got {eps}")
+    def __init__(self, params: list[Tensor]):
         self.params = list(params)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -37,8 +30,8 @@ class Adam:
             raise ValueError(f"Adam: learning rate must be positive, got {lr}")
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             if g is None:
@@ -50,17 +43,17 @@ class Adam:
             # in that operation order and the parameter's dtype
             a = np.empty_like(p.data)
             d = np.empty_like(p.data)
-            m *= self.beta1
-            np.multiply(1.0 - self.beta1, g, out=a)
+            m *= BETA1
+            np.multiply(1.0 - BETA1, g, out=a)
             m += a
-            v *= self.beta2
+            v *= BETA2
             np.multiply(g, g, out=a)
-            np.multiply(1.0 - self.beta2, a, out=a)
+            np.multiply(1.0 - BETA2, a, out=a)
             v += a
             np.divide(m, bc1, out=a)
             np.multiply(lr, a, out=a)
             np.divide(v, bc2, out=d)
             np.sqrt(d, out=d)
-            d += self.eps
+            d += EPS
             a /= d
             p.data -= a

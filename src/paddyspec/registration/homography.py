@@ -202,10 +202,9 @@ class RansacResult:
     samples: int  # samples drawn before the adaptive stop, at most ``iters``
 
 
-def estimate_homography(matches: Matches, kps_a: Keypoints,
-                        kps_b: Keypoints, *, iters: int = 2000,
-                        inlier_px: float = 3.0, min_inliers: int = 10,
-                        seed: int = 0) -> RansacResult:
+def estimate_homography(matches: Matches, kps_a: Keypoints, kps_b: Keypoints, *,
+                        iters: int, inlier_px: float, min_inliers: int,
+                        seed: int) -> RansacResult:
     """Robustly fit the homography mapping keypoints A onto keypoints B.
 
     Sampling order is fixed by the seed over the matches sorted by

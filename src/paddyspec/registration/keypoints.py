@@ -83,8 +83,8 @@ def gaussian_smooth(img: np.ndarray) -> np.ndarray:
     return _filter1d(_filter1d(img.astype(np.float64), k, 0), k, 1)
 
 
-def harris_response(img: np.ndarray, k: float = 0.04) -> np.ndarray:
-    """Harris corner response from Sobel gradients and binomial windowing."""
+def harris_response(img: np.ndarray) -> np.ndarray:
+    """Harris corner response (k = 0.04) from Sobel gradients and a binomial window."""
     smooth3 = np.array([1.0, 2.0, 1.0]) / 4.0
     diff = np.array([-0.5, 0.0, 0.5])
     gray = img.astype(np.float64)
@@ -94,7 +94,7 @@ def harris_response(img: np.ndarray, k: float = 0.04) -> np.ndarray:
     sxx = _filter1d(_filter1d(ix * ix, win, 0), win, 1)
     syy = _filter1d(_filter1d(iy * iy, win, 0), win, 1)
     sxy = _filter1d(_filter1d(ix * iy, win, 0), win, 1)
-    return sxx * syy - sxy * sxy - k * (sxx + syy) ** 2
+    return sxx * syy - sxy * sxy - 0.04 * (sxx + syy) ** 2
 
 
 def _nms(candidates: np.ndarray, response: np.ndarray) -> np.ndarray:
@@ -171,8 +171,7 @@ def build_pyramid(img: np.ndarray) -> list[np.ndarray]:
     return levels
 
 
-def detect_keypoints(levels: list[np.ndarray],
-                     target_count: int = 10000) -> Keypoints:
+def detect_keypoints(levels: list[np.ndarray], target_count: int) -> Keypoints:
     """Detect up to target_count corners over a ``build_pyramid`` pyramid,
     strongest Harris response first."""
     if target_count < 4:

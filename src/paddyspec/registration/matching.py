@@ -91,17 +91,12 @@ def match_bruteforce(descs_a: np.ndarray, descs_b: np.ndarray,
     return Matches(mutual, index_b[mutual], distance[mutual])
 
 
-def filter_matches(matches: Matches, drop_fraction: float = 0.10,
-                   drop_best: bool = False) -> Matches:
-    """Drop the worst ceil(N * drop_fraction) matches by distance.
-
-    ``drop_best=True`` flips the direction and discards the smallest-distance
-    matches instead. Output is ordered ascending by (distance, index_a,
-    index_b) either way.
-    """
+def filter_matches(matches: Matches, drop_fraction: float) -> Matches:
+    """Drop the worst ceil(N * drop_fraction) matches by distance; the rest
+    are ordered ascending by (distance, index_a, index_b)."""
     if not 0.0 <= drop_fraction < 1.0:
         raise RegistrationError("filter",
                                 f"drop_fraction must lie in [0, 1), got {drop_fraction}")
     order = np.lexsort((matches.index_b, matches.index_a, matches.distance))
     n_drop = math.ceil(len(order) * drop_fraction)
-    return matches[order[n_drop:] if drop_best else order[:len(order) - n_drop]]
+    return matches[order[:len(order) - n_drop]]

@@ -29,7 +29,6 @@ class RegistrationParams:
 
     target_count: int = 10000
     drop_fraction: float = 0.10
-    drop_best: bool = False
     ransac_iters: int = 2000
     inlier_px: float = 3.0
     min_inliers: int = 10
@@ -106,7 +105,7 @@ def register_pair(rgb: ImageF, rgnir: ImageF,
     kps_a, kps_b = kps_a[kept_a], kps_b[kept_b]
 
     matches = match_bruteforce(descs_a, descs_b)
-    filtered = filter_matches(matches, params.drop_fraction, params.drop_best)
+    filtered = filter_matches(matches, params.drop_fraction)
     result: RansacResult = estimate_homography(
         filtered, kps_a, kps_b, iters=params.ransac_iters, inlier_px=params.inlier_px,
         min_inliers=params.min_inliers, seed=params.seed)

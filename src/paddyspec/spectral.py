@@ -19,10 +19,11 @@ class SpectralError(ValueError):
     """Inputs violate the reflectance or shape contracts."""
 
 
-def compute_ndvi(red: np.ndarray, nir: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+def compute_ndvi(red: np.ndarray, nir: np.ndarray) -> np.ndarray:
     """Normalized difference vegetation index, clamped to [-1, 1].
 
-    The eps guard keeps zero-reflectance pixels at 0 instead of NaN.
+    A 1e-6 guard in the denominator keeps zero-reflectance pixels at 0
+    instead of NaN.
     """
     red = np.asarray(red, dtype=np.float64)
     nir = np.asarray(nir, dtype=np.float64)
@@ -30,7 +31,7 @@ def compute_ndvi(red: np.ndarray, nir: np.ndarray, eps: float = 1e-6) -> np.ndar
         raise SpectralError(f"band shapes differ: red {red.shape} vs nir {nir.shape}")
     if (red < 0).any() or (nir < 0).any():
         raise SpectralError("negative reflectance input; calibration contract violated")
-    ndvi = (nir - red) / (nir + red + eps)
+    ndvi = (nir - red) / (nir + red + 1e-6)
     return np.clip(ndvi, -1.0, 1.0).astype(np.float32)
 
 

@@ -34,8 +34,6 @@ class TrainConfig:
     lr_max: float = 0.05
     lr_min: float = 0.0
     cycle_epochs: int = 10
-    optimizer: str = "adam"
-    loss: str = "weighted_ce"
     input_mode: str = "rgb_ndvi"
     input_size: int = 256
     seed: int = 0
@@ -56,10 +54,6 @@ class TrainConfig:
             raise TrainingError(f"lr_min must be <= lr_max, got {self.lr_min} > {self.lr_max}")
         if self.input_size < 1:
             raise TrainingError(f"input_size must be >= 1, got {self.input_size}")
-        if self.optimizer != "adam":
-            raise TrainingError(f"unsupported optimizer {self.optimizer!r}")
-        if self.loss != "weighted_ce":
-            raise TrainingError(f"unsupported loss {self.loss!r}")
         if self.input_mode not in INPUT_MODES:
             raise TrainingError(f"input_mode must be one of {INPUT_MODES}, "
                                 f"got {self.input_mode!r}")
@@ -136,7 +130,7 @@ class EvalResult:
 
 
 def evaluate_model(model: ResNet18, arrays: np.ndarray, labels: np.ndarray,
-                   batch_size: int = 16) -> EvalResult:
+                   batch_size: int) -> EvalResult:
     """Argmax predictions over eval-mode softmax outputs."""
     if len(arrays) == 0:
         raise TrainingError("cannot evaluate on an empty sample set")

@@ -79,7 +79,7 @@ def test_gradient_suite():
 def test_registration_accuracy():
     """Known-homography recovery under outliers, plus matcher oracle equality."""
     rng = np.random.default_rng(31337)
-    params = dict(iters=2000, inlier_px=3.0, seed=7)
+    params = dict(iters=2000, inlier_px=3.0, min_inliers=10, seed=7)
 
     hits = 0
     for trial in range(100):

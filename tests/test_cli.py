@@ -54,8 +54,7 @@ class TestConfig:
         assert run(["config", "print-defaults"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert sorted(data["registration"]) == [
-            "drop_best", "drop_fraction", "inlier_px", "min_inliers", "ransac_iters",
-            "target_count"]
+            "drop_fraction", "inlier_px", "min_inliers", "ransac_iters", "target_count"]
 
     @pytest.mark.parametrize("config, needle", [
         ({"seed": "abc"}, "seed"),
@@ -65,7 +64,7 @@ class TestConfig:
         ({"paths": 3}, "paths must be an object"),
         ({"registration": "nope"}, "registration must be an object"),
         ({"registration": {"ransac_iters": "x"}}, "registration.ransac_iters"),
-        ({"registration": {"drop_best": 1}}, "registration.drop_best"),
+        ({"registration": {"drop_best": False}}, "registration.drop_best"),
         ({"registration": {"drop_fraction": 1.5}}, "drop_fraction"),
         ({"registration": {"ransac_iters": 0}}, "ransac_iters"),
         ({"registration": {"inlier_px": 0}}, "inlier_px"),
@@ -77,6 +76,8 @@ class TestConfig:
         ({"training": {"input_size": 0}}, "input_size must be >= 1"),
         ({"registration": {"min_inliers": 3}}, "min_inliers must be >= 4"),
         ({"registration": {"min_inliers": -3}}, "min_inliers must be >= 4"),
+        ({"training": {"optimizer": "adam"}}, "training.optimizer"),
+        ({"training": {"loss": "weighted_ce"}}, "training.loss"),
     ])
     def test_malformed_value_is_usage_error(self, tmp_path, capsys, config, needle):
         bad = tmp_path / "bad.json"
@@ -200,7 +201,7 @@ class TestMalformedInputs:
         self._fails_on_one_line(["train", "--manifest", "manifest.csv",
                                  "--folds", "folds.csv"], capsys, "brown_spot0")
 
-    @pytest.mark.parametrize("bad_row", ["healthy0", "healthy0,1,1", "healthy0,x"])
+    @pytest.mark.parametrize("bad_row", ["healthy0", "healthy0,1,1", "healthy0,x", "blast0,2"])
     def test_malformed_folds_row(self, tmp_path, monkeypatch, capsys, bad_row):
         monkeypatch.chdir(tmp_path)
         self._split_files(tmp_path, ["blast0,0", "brown_spot0,1", bad_row])
@@ -214,6 +215,14 @@ class TestMalformedInputs:
             fh.write("x,x_rgb.png,x_rgnir.png,blast\n")
         self._fails_on_one_line(["register", "--pairs", "manifest.csv"], capsys,
                                 "manifest.csv:5")
+
+    def test_repeated_manifest_id(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        self._split_files(tmp_path, [])
+        with open(tmp_path / "manifest.csv", "a") as fh:
+            fh.write("blast0,x_rgb.png,x_rgnir.png,healthy,,,\n")
+        self._fails_on_one_line(["register", "--pairs", "manifest.csv"], capsys,
+                                "manifest.csv:5: repeated id 'blast0'")
 
     def test_malformed_checkpoint_header(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

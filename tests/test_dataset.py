@@ -79,6 +79,14 @@ class TestBuildManifest:
         with pytest.raises(ManifestError, match="manifest.csv:2"):
             ds.read_manifest_csv(path)
 
+    def test_repeated_id_is_manifest_error(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_text(",".join(ds.MANIFEST_HEADER) + "\n"
+                        "a,a_rgb.png,a_rgnir.png,blast,,,\n"
+                        "a,b_rgb.png,b_rgnir.png,healthy,,,\n")
+        with pytest.raises(ManifestError, match="manifest.csv:3: repeated id 'a'"):
+            ds.read_manifest_csv(path)
+
 
 class TestStratifiedKfold:
     def _manifest(self, counts):
@@ -146,7 +154,7 @@ class TestStratifiedKfold:
         assert back.fold_of == folds.fold_of
         assert back.k == 3
 
-    @pytest.mark.parametrize("row", ["a", "a,0,1", "a,one", "a,-1", "a,1.5", "a,"])
+    @pytest.mark.parametrize("row", ["a", "a,0,1", "a,one", "a,-1", "a,1.5", "a,", "b,2"])
     def test_malformed_folds_row_is_manifest_error(self, tmp_path, row):
         path = tmp_path / "folds.csv"
         path.write_text("id,fold\nb,0\n" + row + "\n")

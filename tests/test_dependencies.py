@@ -1,6 +1,7 @@
 """The package imports nothing outside the standard library and numpy, and
 every public function and class in it has a caller outside the tests."""
 import ast
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -62,3 +63,33 @@ def test_public_definitions_have_a_caller():
                 and not any(stmt.name in names for other, names in used_by if other is not stmt)):
             uncalled.append(f"{path.relative_to(SRC)}:{stmt.lineno}: {stmt.name}")
     assert not uncalled, uncalled
+
+
+def test_config_fields_are_read():
+    """Every setting of the config dataclasses is read as an attribute in src/ or
+    perfbench/ outside its own class's ``__post_init__``: a setting that only its
+    validation reads changes nothing."""
+    from paddyspec.config import PathsConfig, PipelineConfig
+    from paddyspec.registration import RegistrationParams
+    from paddyspec.training import TrainConfig
+
+    classes = (PathsConfig, RegistrationParams, TrainConfig, PipelineConfig)
+    reads: dict[str, set[str]] = {}  # attribute -> classes whose __post_init__ reads it
+
+    def visit(node, owner):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        elif isinstance(node, ast.FunctionDef) and node.name != "__post_init__":
+            owner = None
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.setdefault(node.attr, set()).add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for root in (SRC, REPO / "perfbench"):
+        for path in sorted(root.rglob("*.py")):
+            visit(ast.parse(path.read_text(), filename=str(path)), None)
+    unread = [f"{cls.__name__}.{f.name}" for cls in classes
+              for f in dataclasses.fields(cls)
+              if not reads.get(f.name, set()) - {cls.__name__}]
+    assert not unread, unread

