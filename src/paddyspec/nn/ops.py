@@ -27,6 +27,20 @@ def _nchw(a: np.ndarray) -> np.ndarray:
     return a.transpose(0, 3, 1, 2)
 
 
+def _patch_matrix(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
+    """The (B*Ho*Wo, kh*kw*C) patch matrix of a (B, C, H, W) array: rows in
+    (b, ho, wo) order, columns in (kh, kw, C) order, read from x's
+    channels-last view after zero padding."""
+    b, c = x.shape[:2]
+    p = padding
+    padded = _channels_last(x)
+    if p:
+        padded = np.pad(padded, ((0, 0), (p, p), (p, p), (0, 0)))
+    win = sliding_window_view(padded, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    ho, wo = win.shape[1:3]
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(b * ho * wo, kh * kw * c)
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2D cross-correlation over a zero-padded input.
@@ -35,9 +49,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
     NCHW/OIHW, memory may be any layout. The patch matrix is built in
     (kh, kw, C) order from the channels-last view of x, so an input stored
     (B, H, W, C)-contiguous is read in channel blocks, and other inputs cost
-    one transposing copy. A weight stored (O, kh, kw, C)-contiguous is its
-    own (O, kh*kw*C) matrix; any other weight is copied into that order.
-    The output, and the input gradient, are channels-last.
+    one transposing copy. The patch matrix is dropped after the forward GEMM
+    and rebuilt from x for the weight gradient, so no (B*Ho*Wo, kh*kw*C)
+    array lives from forward to backward. A weight stored
+    (O, kh, kw, C)-contiguous is its own (O, kh*kw*C) matrix; any other
+    weight is copied into that order. The output, and the input gradient,
+    are channels-last.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d: input must be 4D, got {x.shape}")
@@ -58,20 +75,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
     wo = conv_output_size(w, kw, stride, padding)
     p = padding
 
-    padded = _channels_last(x.data)
-    if p:
-        padded = np.pad(padded, ((0, 0), (p, p), (p, p), (0, 0)))
-    win = sliding_window_view(padded, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(b * ho * wo, kh * kw * c)
     wmat = _channels_last(weight.data).reshape(o, kh * kw * c)
-    out = cols @ wmat.T                                  # (B*Ho*Wo, O)
+    out = _patch_matrix(x.data, kh, kw, stride, p) @ wmat.T   # (B*Ho*Wo, O)
     if bias is not None:
         out += bias.data
 
     def backward(grad: np.ndarray) -> None:
         g = _channels_last(grad).reshape(b * ho * wo, o)
         if weight.requires_grad:
-            weight._accumulate(_nchw((g.T @ cols).reshape(o, kh, kw, c)))
+            cols = _patch_matrix(x.data, kh, kw, stride, p)
+            weight._accumulate(_nchw((g.T @ cols).reshape(o, kh, kw, c)), owned=True)
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=0))
         if x.requires_grad:
@@ -229,7 +242,7 @@ def batchnorm2d(x: Tensor, params: BatchNormParams, train: bool) -> Tensor:
                 gx *= scale
             else:
                 gx = g * scale
-            x._accumulate(_nchw(gx.reshape(b, h, w, c)))
+            x._accumulate(_nchw(gx.reshape(b, h, w, c)), owned=True)
 
     return Tensor.from_op(_nchw(out.reshape(b, h, w, c)), (x, gamma, beta), backward,
                           name="batchnorm2d")
@@ -241,7 +254,7 @@ def relu(x: Tensor) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(grad * (out > 0))
+            x._accumulate(grad * (out > 0), owned=True)
 
     return Tensor.from_op(out, (x,), backward, name="relu")
 

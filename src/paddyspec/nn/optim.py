@@ -6,6 +6,7 @@ import numpy as np
 from .tensor import ShapeError, Tensor
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+BLOCK = 32 * 1024       # elements per update block: two block-sized scratch arrays
 
 
 class Adam:
@@ -38,22 +39,31 @@ class Adam:
                 g = np.zeros_like(p.data)
             elif g.shape != p.data.shape:
                 raise ShapeError(f"Adam: grad shape {g.shape} != param shape {p.data.shape}")
-            # two scratch buffers per call, none kept: the update is
-            # m*b1 + (1-b1)*g, v*b2 + (1-b2)*(g*g), lr*(m/bc1) / (sqrt(v/bc2) + eps),
-            # in that operation order and the parameter's dtype
-            a = np.empty_like(p.data)
-            d = np.empty_like(p.data)
-            m *= BETA1
-            np.multiply(1.0 - BETA1, g, out=a)
-            m += a
-            v *= BETA2
-            np.multiply(g, g, out=a)
-            np.multiply(1.0 - BETA2, a, out=a)
-            v += a
-            np.divide(m, bc1, out=a)
-            np.multiply(lr, a, out=a)
-            np.divide(v, bc2, out=d)
-            np.sqrt(d, out=d)
-            d += EPS
-            a /= d
-            p.data -= a
+            # the update is elementwise, so it walks the parameter's memory in
+            # order: flat views of p, m and v (m and v share p's layout), and g
+            # read in the same element order (a view when its layout is p's)
+            axes = np.argsort([-s for s in p.data.strides], kind="stable")
+            flat_p, flat_m, flat_v = (np.reshape(arr.transpose(axes), -1, copy=False)
+                                      for arr in (p.data, m, v))
+            flat_g = g.transpose(axes).reshape(-1)
+            a_full = np.empty(min(flat_p.size, BLOCK), dtype=p.data.dtype)
+            d_full = np.empty_like(a_full)
+            for lo in range(0, flat_p.size, BLOCK):
+                pb, mb, vb, gb = (f[lo:lo + BLOCK] for f in (flat_p, flat_m, flat_v, flat_g))
+                a, d = a_full[:pb.size], d_full[:pb.size]
+                # m*b1 + (1-b1)*g, v*b2 + (1-b2)*(g*g), lr*(m/bc1) / (sqrt(v/bc2) + eps),
+                # in that operation order and the parameter's dtype
+                mb *= BETA1
+                np.multiply(1.0 - BETA1, gb, out=a)
+                mb += a
+                vb *= BETA2
+                np.multiply(gb, gb, out=a)
+                np.multiply(1.0 - BETA2, a, out=a)
+                vb += a
+                np.divide(mb, bc1, out=a)
+                np.multiply(lr, a, out=a)
+                np.divide(vb, bc2, out=d)
+                np.sqrt(d, out=d)
+                d += EPS
+                a /= d
+                pb -= a

@@ -3,7 +3,8 @@
 Values live in numpy arrays (float32 in production, float64 when gradients
 are being checked against finite differences). Every operation that builds
 on tensors records its parents and a backward closure; calling
-``Tensor.backward()`` on a scalar result replays the tape in reverse.
+``Tensor.backward()`` on a scalar result replays the tape in reverse and
+releases it as it goes.
 """
 from __future__ import annotations
 
@@ -117,22 +118,34 @@ class Tensor:
 
     # -- reverse-mode differentiation ------------------------------------------
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
         """Add *grad* (any memory layout) into this tensor's gradient.
 
-        The first gradient is copied into ``np.empty_like(data)``, so every
-        gradient has its tensor's memory layout whatever layout the op hands
-        over: channels-last activations get channels-last gradients, and a
-        parameter's gradient matches the parameter and its Adam moments.
+        Every gradient has its tensor's memory layout whatever layout the op
+        hands over: channels-last activations get channels-last gradients,
+        and a parameter's gradient matches the parameter and its Adam
+        moments. A first gradient is adopted as it is when the op passes
+        ``owned=True`` (an array it has just allocated and hands to no one
+        else) and its dtype and strides match ``data``; otherwise it is
+        copied into ``np.empty_like(data)``.
         """
-        if self.grad is None:
+        if self.grad is not None:
+            self.grad += grad
+        elif owned and grad.dtype == self.data.dtype and grad.strides == self.data.strides:
+            self.grad = grad
+        else:
             self.grad = np.empty_like(self.data)
             self.grad[...] = grad
-        else:
-            self.grad += grad
 
     def backward(self) -> None:
-        """Propagate gradients from this scalar back through the tape."""
+        """Propagate gradients from this scalar back through the tape.
+
+        The tape is released as it is replayed: once a recorded node's
+        backward closure has run, its parents, its closure (and with it the
+        arrays the op saved for backward) and its gradient are dropped.
+        Leaves keep their ``.grad``. A second backward through a released
+        node raises BackwardError.
+        """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar loss, got shape {self.shape}")
         if self._backward_fn is None:
@@ -155,9 +168,23 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(order):
-            if node._backward_fn is not None and node.grad is not None:
+        # popping drops the walk's own reference, so a node is freed as soon
+        # as its closure and its children's parent links are gone
+        while order:
+            node = order.pop()
+            if node._backward_fn is None:
+                continue
+            if node.grad is not None:
                 node._backward_fn(node.grad)
+            node._parents = ()
+            node._backward_fn = _released
+            node.grad = None
+
+
+def _released(grad) -> None:
+    """The backward closure of a node whose tape a backward() has released."""
+    raise BackwardError("backward() through a graph whose tape was released by an "
+                        "earlier backward(); run the forward pass again")
 
 
 def same_dtype(op: str, *arrays: np.ndarray) -> None:

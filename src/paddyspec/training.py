@@ -140,7 +140,7 @@ def evaluate_model(model: ResNet18, arrays: np.ndarray, labels: np.ndarray,
     predictions = np.empty(len(arrays), dtype=np.int64)
     with nn.no_grad():
         for start in range(0, len(arrays), batch_size):
-            batch = arrays[start:start + batch_size].astype(model.dtype)
+            batch = arrays[start:start + batch_size].astype(model.dtype, copy=False)
             logits = model.forward(Tensor(batch), train=False)
             probs = nn.softmax(logits).data
             predictions[start:start + len(batch)] = probs.argmax(axis=1)
@@ -246,7 +246,7 @@ def fit(model: ResNet18, cfg: TrainConfig, arrays: np.ndarray, labels: np.ndarra
             if max_steps is not None and len(losses) >= max_steps:
                 break
             idx = order[i * cfg.batch_size:(i + 1) * cfg.batch_size]
-            x = Tensor(arrays[idx].astype(cfg.dtype))
+            x = Tensor(arrays[idx].astype(cfg.dtype, copy=False))
             logits = model.forward(x, train=True)
             loss = nn.weighted_cross_entropy(logits, labels[idx], weights)
             optimizer.zero_grad()
