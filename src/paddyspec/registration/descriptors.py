@@ -2,10 +2,12 @@
 
 Each corner at least ``PATCH_BORDER`` px inside its pyramid level gets an
 orientation from the intensity centroid of a radius-15 disc on the
-unsmoothed level. The test pattern is fixed at import time (seeded isotropic
-Gaussian point pairs, radius <= 13 so any rotation stays inside the border)
-and is rotated by that orientation before sampling. One bit per test:
-smoothed(a) < smoothed(b).
+unsmoothed level, quantized to one of ``ORIENTATION_BINS`` = 32 bins of
+11.25 degrees (ORB's precomputed rotated patterns, Rublee et al., ICCV 2011).
+The test pattern is fixed at import time (seeded isotropic Gaussian point
+pairs, radius <= 13 so any rotation stays inside the border) and is rotated
+and rounded once per bin; each corner samples the pattern of its bin. One bit
+per test: smoothed(a) < smoothed(b).
 """
 from __future__ import annotations
 
@@ -59,6 +61,13 @@ TEST_PATTERN = _make_test_pattern()
 _PX = np.concatenate([TEST_PATTERN[:, 0, 0], TEST_PATTERN[:, 1, 0]]).astype(np.float64)
 _PY = np.concatenate([TEST_PATTERN[:, 0, 1], TEST_PATTERN[:, 1, 1]]).astype(np.float64)
 
+# Bin k holds the pattern rotated by k * 2pi / ORIENTATION_BINS, rounded to
+# integer offsets; with 32 bins a quarter turn is exactly 8 bins.
+ORIENTATION_BINS = 32
+_BIN_ANGLES = np.arange(ORIENTATION_BINS)[:, None] * (2.0 * np.pi / ORIENTATION_BINS)
+_ROT_X = np.round(np.cos(_BIN_ANGLES) * _PX - np.sin(_BIN_ANGLES) * _PY).astype(np.intp)
+_ROT_Y = np.round(np.sin(_BIN_ANGLES) * _PX + np.cos(_BIN_ANGLES) * _PY).astype(np.intp)
+
 # Corners are oriented and sampled this many at a time, so the per-corner
 # temporaries (BLOCK x 709 disc values, BLOCK x 512 rotated offsets and
 # samples) stay cache-sized instead of growing with the level's corner count.
@@ -72,6 +81,12 @@ def _orientations(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray
     m10 = (vals * _DISC_DX).sum(axis=1)
     m01 = (vals * _DISC_DY).sum(axis=1)
     return np.arctan2(m01, m10)
+
+
+def _orientation_bins(angles: np.ndarray) -> np.ndarray:
+    """Nearest of the ORIENTATION_BINS pattern rotations to each angle (radians)."""
+    bins = np.round(angles * (ORIENTATION_BINS / (2.0 * np.pi))).astype(np.intp)
+    return bins % ORIENTATION_BINS
 
 
 def compute_descriptors(levels: list[np.ndarray],
@@ -99,20 +114,15 @@ def compute_descriptors(levels: list[np.ndarray],
         # contiguous, so _orientations' ravel is a view, not a copy per block
         raw = np.ascontiguousarray(levels[lvl])
         smooth = img_l.ravel()
+        # every rotated pattern stays within PATCH_BORDER, so every flat
+        # index lands on its own (y, x) inside the level
+        rotated = _ROT_Y * w + _ROT_X
         for start in range(0, len(rows), BLOCK):
             blk = rows[start:start + BLOCK]
             blk_y, blk_x = ys[blk], xs[blk]
-            angles = _orientations(raw, blk_y, blk_x)
-            cos = np.cos(angles)[:, None]
-            sin = np.sin(angles)[:, None]
-            rx = np.round(cos * _PX - sin * _PY).astype(np.intp)
-            ry = np.round(sin * _PX + cos * _PY).astype(np.intp)
-            # the rotated pattern stays within PATCH_BORDER, so every flat
-            # index lands on its own (y, x) inside the level
-            ry *= w
-            ry += rx
-            ry += (blk_y * w + blk_x)[:, None]
-            vals = smooth.take(ry)
+            idx = rotated[_orientation_bins(_orientations(raw, blk_y, blk_x))]
+            idx += (blk_y * w + blk_x)[:, None]
+            vals = smooth.take(idx)
             descs[blk] = np.packbits(vals[:, :DESCRIPTOR_BITS] < vals[:, DESCRIPTOR_BITS:],
                                      axis=1)
         described |= sel

@@ -45,13 +45,15 @@ class Matches:
 
 
 def match_bruteforce(descs_a: np.ndarray, descs_b: np.ndarray,
-                     chunk: int = 512) -> Matches:
+                     chunk: int = 256) -> Matches:
     """Mutual nearest neighbors between A and B by Hamming distance.
 
     Row i of A is kept when its nearest descriptor j in B has i as its own
     nearest descriptor in A. Ties break toward the lowest index on both
     sides; result order follows A. Equivalent to the exhaustive pairwise
-    scan in each direction, keeping the pairs on which both agree.
+    scan in each direction, keeping the pairs on which both agree. The
+    result does not depend on ``chunk``, which bounds the keys of a block
+    (chunk x len(B) float32, about 6 MB at the default and 6k descriptors).
     """
     if len(descs_a) == 0 or len(descs_b) == 0:
         raise RegistrationError("match", "cannot match against an empty descriptor set")

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from paddyspec import registration as reg
 from paddyspec.registration import RegistrationError
 from paddyspec.registration.descriptors import (
-    BLOCK, DESCRIPTOR_BITS, DESCRIPTOR_BYTES, PATCH_BORDER, TEST_PATTERN, _orientations)
+    BLOCK, DESCRIPTOR_BITS, DESCRIPTOR_BYTES, ORIENTATION_BINS, PATCH_BORDER, TEST_PATTERN,
+    _ROT_X, _ROT_Y, _orientation_bins, _orientations)
 from paddyspec.registration.keypoints import _subpixel_offsets, gaussian_smooth
 from paddyspec.synthetic import make_registration_pair, smooth_texture
 
@@ -99,8 +100,9 @@ def reference_filter_matches(matches: list[Match], drop_fraction: float = 0.10,
 
 
 # The clipped orientation step that detect_keypoints ran on every detected
-# corner, and the compute_descriptors that read those angles, kept unchanged
-# (the angles now passed in) as the oracles the descriptor-stage orientation
+# corner, and the compute_descriptors that read those angles (the angles now
+# passed in, and each snapped to the nearest of 32 bins of 11.25 degrees
+# before the pattern is rotated by it), as the oracles the descriptor stage
 # must match bit for bit.
 _REF_DISC_DY, _REF_DISC_DX = np.nonzero(
     (np.arange(-15, 16)[:, None] ** 2 + np.arange(-15, 16)[None, :] ** 2) <= 15 * 15)
@@ -130,6 +132,11 @@ def reference_angles(levels: list[np.ndarray], keypoints: reg.Keypoints) -> np.n
     return angle
 
 
+def reference_orientation_bins(angle: np.ndarray) -> np.ndarray:
+    """Index of the 32-bin orientation nearest to each angle, in [0, 32)."""
+    return np.round(angle * (32 / (2 * np.pi))).astype(np.int64) % 32
+
+
 def reference_compute_descriptors(levels: list[np.ndarray], keypoints: reg.Keypoints,
                                   angle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Descriptors for keypoints at least 16 px inside their level."""
@@ -154,7 +161,7 @@ def reference_compute_descriptors(levels: list[np.ndarray], keypoints: reg.Keypo
                & (ys >= PATCH_BORDER) & (ys < h - PATCH_BORDER))
         if not sel.any():
             continue
-        angles = angle[sel]
+        angles = reference_orientation_bins(angle[sel]) * (2 * np.pi / 32)
         cos = np.cos(angles)[:, None]
         sin = np.sin(angles)[:, None]
         rx = np.round(cos * px[None, :] - sin * py[None, :]).astype(np.intp)
@@ -340,6 +347,33 @@ class TestDescriptors:
         radii = np.sqrt((pattern.astype(float) ** 2).sum(axis=2))
         assert radii.max() <= 13.0
 
+    def test_rotated_pattern_table(self):
+        assert ORIENTATION_BINS == 32
+        assert _ROT_X.shape == _ROT_Y.shape == (32, 2 * DESCRIPTOR_BITS)
+        # every bin's samples stay inside the border, so no gather is clipped
+        assert np.abs(_ROT_X).max() <= PATCH_BORDER and np.abs(_ROT_Y).max() <= PATCH_BORDER
+        # bin 0 is the pattern itself; bin k + 8 is bin k turned by exactly
+        # 90 degrees, (x, y) -> (-y, x)
+        assert _ROT_X[0].tolist() == TEST_PATTERN[:, :, 0].T.ravel().tolist()
+        assert _ROT_Y[0].tolist() == TEST_PATTERN[:, :, 1].T.ravel().tolist()
+        turned = (np.arange(32) + 8) % 32
+        assert np.array_equal(_ROT_X[turned], -_ROT_Y)
+        assert np.array_equal(_ROT_Y[turned], _ROT_X)
+
+    def test_orientation_bins_at_fixed_angles(self):
+        assert _orientation_bins(np.array([-np.pi, 0.0, np.pi])).tolist() == [16, 0, 16]
+        # bin k covers the angles within half a bin of k * 11.25 degrees: one
+        # ulp below the edge between bins k and k + 1 lies in k, one ulp above
+        # in k + 1, and the edge itself goes to one of the two
+        k = np.arange(-16, 16)
+        edges = (k + 0.5) * (2 * np.pi / 32)
+        assert _orientation_bins(np.nextafter(edges, -np.inf)).tolist() == (k % 32).tolist()
+        assert (_orientation_bins(np.nextafter(edges, np.inf)).tolist()
+                == ((k + 1) % 32).tolist())
+        on_edge = _orientation_bins(edges)
+        assert ((on_edge == k % 32) | (on_edge == (k + 1) % 32)).all()
+        assert reference_orientation_bins(edges).tolist() == on_edge.tolist()
+
 
 class TestMatching:
     def _random_descs(self, rng, n):
@@ -441,7 +475,10 @@ class TestMatching:
             levels = reg.build_pyramid(img.band("G"))
             descs.append(reg.compute_descriptors(
                 levels, reg.detect_keypoints(levels, target))[0])
-        assert match_list(reg.match_bruteforce(*descs)) == reference_match_bruteforce(*descs)
+        matches = match_list(reg.match_bruteforce(*descs))
+        assert matches == reference_match_bruteforce(*descs)
+        # the default block size only changes how the keys are cut up
+        assert matches == match_list(reg.match_bruteforce(*descs, chunk=512))
 
 
 class TestFilterMatches:
