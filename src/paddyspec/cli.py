@@ -400,7 +400,8 @@ def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help="override the pipeline seed")
     parser.add_argument("--jobs", type=int,
                         default=argparse.SUPPRESS if suppress else 1,
-                        help="worker cap, at least 1; 1 guarantees determinism")
+                        help="cap on pairs registered at once, at least 1 (each "
+                             "pair also uses two threads); 1 guarantees determinism")
     parser.add_argument("--dry-run", action="store_true",
                         default=argparse.SUPPRESS if suppress else False,
                         help="validate inputs, write nothing")

@@ -61,12 +61,11 @@ def match_bruteforce(descs_a: np.ndarray, descs_b: np.ndarray,
     n_bits = 8 * descs_b.shape[1]
     rows = min(chunk, n_a, 2**24 // (2 * n_bits + 1))
     # ext_a row: [bits, popcount, 1, r]; ext_b row: [-2R bits, R, R popcount, 1]
-    bits_b = np.unpackbits(descs_b, axis=1)
     ext_b = np.empty((n_b, n_bits + 3), dtype=np.float32)
-    ext_b[:, :n_bits] = bits_b
+    ext_b[:, :n_bits] = np.unpackbits(descs_b, axis=1)
+    ext_b[:, n_bits + 1] = rows * ext_b[:, :n_bits].sum(axis=1)
     ext_b[:, :n_bits] *= -2.0 * rows
     ext_b[:, n_bits] = rows
-    ext_b[:, n_bits + 1] = rows * bits_b.sum(axis=1)
     ext_b[:, n_bits + 2] = 1.0
     ext_a = np.empty((rows, n_bits + 3), dtype=np.float32)
     ext_a[:, n_bits + 1] = 1.0
@@ -76,12 +75,14 @@ def match_bruteforce(descs_a: np.ndarray, descs_b: np.ndarray,
     distance = np.empty(n_a, dtype=np.int64)
     col_distance = np.full(n_b, n_bits + 1, dtype=np.int64)
     col_index = np.zeros(n_b, dtype=np.intp)
+    # every block's keys go into this one buffer, so one block is live at a time
+    keys_buffer = np.empty((rows, n_b), dtype=np.float32)
     for start in range(0, n_a, rows):
         bits = np.unpackbits(descs_a[start:start + rows], axis=1)
         block = ext_a[:len(bits)]
         block[:, :n_bits] = bits
         block[:, n_bits] = bits.sum(axis=1)
-        keys = block @ ext_b.T
+        keys = np.matmul(block, ext_b.T, out=keys_buffer[:len(bits)])
         nearest = keys.argmin(axis=1)
         index_b[start:start + rows] = nearest
         distance[start:start + rows] = keys[np.arange(len(bits)), nearest] // rows

@@ -5,12 +5,20 @@ one band present in RGB and R-G-NIR alike). The recovered homography maps
 RGB coordinates into the R-G-NIR frame, and the RGB image is warped there
 at the R-G-NIR resolution.
 
+Each image's pyramid, corners and descriptors depend on that image alone,
+so ``register_pair`` computes the R-G-NIR features on a worker thread while
+the calling thread computes the RGB ones; numpy releases the interpreter
+lock inside its loops, so the two overlap. Matching and everything after it
+run on the calling thread. The result is the same bytes as computing the
+two images one after the other.
+
 The survey camera sees a much narrower field (41 degrees) than the phone
 (123 degrees), so a correct homography upscales RGB content into the R-G-NIR
 frame.
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +27,7 @@ from ..imaging import ImageF, ImageFormatError, warp_perspective
 from .descriptors import compute_descriptors
 from .errors import RegistrationError
 from .homography import RansacResult, estimate_homography
-from .keypoints import build_pyramid, detect_keypoints
+from .keypoints import Keypoints, build_pyramid, detect_keypoints
 from .matching import filter_matches, match_bruteforce
 
 
@@ -84,6 +92,14 @@ class RegistrationResult:
     diagnostics: RegistrationDiagnostics
 
 
+def _features(gray: np.ndarray, target_count: int) -> tuple[int, Keypoints, np.ndarray]:
+    """(corners detected, described corners, their descriptors) of one image."""
+    levels = build_pyramid(gray)
+    kps = detect_keypoints(levels, target_count)
+    descs, kept = compute_descriptors(levels, kps)
+    return len(kps), kps[kept], descs
+
+
 def register_pair(rgb: ImageF, rgnir: ImageF,
                   params: RegistrationParams | None = None,
                   pair_id: str = "") -> RegistrationResult:
@@ -94,15 +110,12 @@ def register_pair(rgb: ImageF, rgnir: ImageF,
         if not img.has_band(band):
             raise RegistrationError("detect", f"{name} image has no {band} band")
 
-    levels_a = build_pyramid(rgb.band("G"))
-    levels_b = build_pyramid(rgnir.band("G"))
-
-    kps_a = detect_keypoints(levels_a, params.target_count)
-    kps_b = detect_keypoints(levels_b, params.target_count)
-    n_detected_a, n_detected_b = len(kps_a), len(kps_b)
-    descs_a, kept_a = compute_descriptors(levels_a, kps_a)
-    descs_b, kept_b = compute_descriptors(levels_b, kps_b)
-    kps_a, kps_b = kps_a[kept_a], kps_b[kept_b]
+    # the block joins the worker before any error leaves it, so when both
+    # images fail, rgb's error (raised on this thread) is the one raised
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        future_b = pool.submit(_features, rgnir.band("G"), params.target_count)
+        n_detected_a, kps_a, descs_a = _features(rgb.band("G"), params.target_count)
+        n_detected_b, kps_b, descs_b = future_b.result()
 
     matches = match_bruteforce(descs_a, descs_b)
     filtered = filter_matches(matches, params.drop_fraction)
@@ -119,8 +132,8 @@ def register_pair(rgb: ImageF, rgnir: ImageF,
         pair_id=pair_id,
         keypoints_a=n_detected_a,
         keypoints_b=n_detected_b,
-        described_a=len(kept_a),
-        described_b=len(kept_b),
+        described_a=len(kps_a),
+        described_b=len(kps_b),
         matches=len(matches),
         filtered=len(filtered),
         inliers=len(result.inliers),

@@ -1,5 +1,6 @@
 """Command-line surface: config handling, stage plumbing, exit codes."""
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -558,10 +559,20 @@ class TestPipeline:
         monkeypatch.chdir(work)
         base = ["--config", "config.json"]
         assert run(base + ["dataset", "build"]) == 0
+        registered = work / "out" / "registered"
+
+        def outputs():
+            # each pair thread starts one more thread for the rgb features
+            names = sorted(p.name for p in registered.iterdir())
+            assert [n for n in names if n.endswith("_rgb.png")], names
+            assert [n for n in names if n.endswith("_mask.png")], names
+            return {name: (registered / name).read_bytes() for name in names}
+
         assert run(base + ["--jobs", "1", "register", "--pairs", "out/manifest.csv"]) == 0
-        serial = (work / "out" / "registered" / "report.txt").read_bytes()
+        serial = outputs()
+        shutil.rmtree(registered)
         assert run(base + ["--jobs", "2", "register", "--pairs", "out/manifest.csv"]) == 0
-        assert (work / "out" / "registered" / "report.txt").read_bytes() == serial
+        assert outputs() == serial
 
     def test_textureless_pair_fails_with_stage_tag(self, fixture_workdir,
                                                    monkeypatch, capsys, tmp_path):

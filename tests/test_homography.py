@@ -1,6 +1,8 @@
 """DLT + RANSAC homography estimation and whole-pair registration."""
 import math
 import re
+import sys
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from paddyspec import registration as reg
 from paddyspec import synthetic
-from paddyspec.imaging import ImageF
+from paddyspec.imaging import ImageF, warp_perspective
 from paddyspec.registration import RegistrationError
 from paddyspec.registration.homography import CONFIDENCE, SCORE_BLOCK, RansacResult
 
@@ -432,6 +434,116 @@ class TestRegisterPair:
         with pytest.raises(RegistrationError) as exc:
             reg.RegistrationParams(**bad)
         assert exc.value.stage == "params"
+
+
+def serial_register_pair(rgb, rgnir, params, pair_id=""):
+    """``register_pair``'s stages on one thread, each stage run for rgb and
+    then for rgnir before the next: the reference for the threaded one.
+    Returns (homography, diagnostics record, warped image, mask)."""
+    levels_a = reg.build_pyramid(rgb.band("G"))
+    levels_b = reg.build_pyramid(rgnir.band("G"))
+    kps_a = reg.detect_keypoints(levels_a, params.target_count)
+    kps_b = reg.detect_keypoints(levels_b, params.target_count)
+    descs_a, kept_a = reg.compute_descriptors(levels_a, kps_a)
+    descs_b, kept_b = reg.compute_descriptors(levels_b, kps_b)
+    matches = reg.match_bruteforce(descs_a, descs_b)
+    filtered = reg.filter_matches(matches, params.drop_fraction)
+    result = reg.estimate_homography(
+        filtered, kps_a[kept_a], kps_b[kept_b], iters=params.ransac_iters,
+        inlier_px=params.inlier_px, min_inliers=params.min_inliers, seed=params.seed)
+    warped, mask = warp_perspective(rgb, result.homography, rgnir.width, rgnir.height)
+    diag = reg.RegistrationDiagnostics(
+        pair_id=pair_id, keypoints_a=len(kps_a), keypoints_b=len(kps_b),
+        described_a=len(kept_a), described_b=len(kept_b), matches=len(matches),
+        filtered=len(filtered), inliers=len(result.inliers),
+        mean_residual=result.mean_residual, samples=result.samples,
+        homography=[float(v) for v in result.homography.ravel()])
+    return result.homography, diag.record(), warped, mask
+
+
+def registration_case(case):
+    """(rgb, rgnir, params) of a TestRegisterPair fixture pair, or of pair
+    number ``seed`` of the benchmark's ingest pool drawn with that seed."""
+    kind, seed = case
+    rng = np.random.default_rng(seed)
+    if kind == "fixture":
+        size, target, iters = (200, 700, 1000) if seed == 19 else (220, 1200, 3000)
+        rgb, rgnir, _ = synthetic.make_registration_pair(rng, out_size=size)
+        return rgb, rgnir, reg.RegistrationParams(target_count=target,
+                                                  ransac_iters=iters, seed=seed + 1)
+    for label in INGEST_LABELS[:seed]:
+        rgb, rgnir, _ = synthetic.make_registration_pair(
+            rng, scene_size=420, out_size=256, nir_level=synthetic.NIR_LEVELS[label])
+    return rgb, rgnir, reg.RegistrationParams()
+
+
+def flat_image(size, bands):
+    return ImageF(np.full((size, size, 3), 0.5, dtype=np.float32), bands)
+
+
+def raised(fn, *args):
+    """(stage, message) of the RegistrationError fn(*args) raises."""
+    with pytest.raises(RegistrationError) as exc:
+        fn(*args)
+    return exc.value.stage, str(exc.value)
+
+
+class TestConcurrentFeatures:
+    """``register_pair`` computes the rgnir features on a worker thread while
+    the calling thread computes the rgb ones."""
+
+    @pytest.mark.parametrize("case", [("fixture", 13), ("fixture", 17), ("fixture", 19),
+                                      ("ingest", 1), ("ingest", 2), ("ingest", 3)],
+                             ids=lambda case: f"{case[0]}{case[1]}")
+    def test_bytes_equal_serial_stages(self, case):
+        rgb, rgnir, params = registration_case(case)
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the two chains as finely as it can
+        try:
+            result = reg.register_pair(rgb, rgnir, params, pair_id="p")
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+        homography, record, warped, mask = serial_register_pair(rgb, rgnir, params, "p")
+        assert result.homography.tobytes() == homography.tobytes()
+        assert result.diagnostics.record() == record
+        assert result.image.band_labels == warped.band_labels
+        assert result.image.data.tobytes() == warped.data.tobytes()
+        assert result.mask.tobytes() == mask.tobytes()
+
+    @pytest.mark.parametrize("failing", ["rgb", "rgnir"])
+    def test_one_failing_image_raises_its_serial_error(self, failing):
+        # a failing rgnir image raises on the worker, and a failing rgb one
+        # while the worker is still describing rgnir
+        rgb, rgnir, params = registration_case(("fixture", 19))
+        if failing == "rgb":
+            rgb = flat_image(200, ("R", "G", "B"))
+        else:
+            rgnir = flat_image(200, ("R", "G", "NIR"))
+        threads = threading.active_count()
+        error = raised(reg.register_pair, rgb, rgnir, params)
+        assert threading.active_count() == threads
+        assert error == raised(serial_register_pair, rgb, rgnir, params)
+        assert error[0] == "detect" and "corners found" in error[1]
+
+    @pytest.mark.parametrize("rgb_size, rgnir_size", [(512, 20), (20, 512)])
+    def test_both_failing_raise_rgb_error_after_joining(self, rgb_size, rgnir_size):
+        # A flat 20 px image fails at once, at the pyramid; a flat 512 px one
+        # fails at detection, after its pyramid. With rgb at 512 px the
+        # stage-by-stage order raised rgnir's error, the earlier stage; with
+        # rgnir at 512 px the worker is still running when rgb's error comes.
+        rgb = flat_image(rgb_size, ("R", "G", "B"))
+        rgnir = flat_image(rgnir_size, ("R", "G", "NIR"))
+        params = reg.RegistrationParams()
+        threads = threading.active_count()
+        error = raised(reg.register_pair, rgb, rgnir, params)
+        assert threading.active_count() == threads
+        assert error == raised(lambda: reg.detect_keypoints(
+            reg.build_pyramid(rgb.band("G")), params.target_count))
+        if rgb_size > rgnir_size:
+            assert (raised(serial_register_pair, rgb, rgnir, params)
+                    == raised(reg.build_pyramid, rgnir.band("G")))
 
 
 def _keypoints(points):

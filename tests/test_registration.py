@@ -480,6 +480,23 @@ class TestMatching:
         # the default block size only changes how the keys are cut up
         assert matches == match_list(reg.match_bruteforce(*descs, chunk=512))
 
+    def test_one_keys_block_live_at_a_time(self):
+        # a default-sized R-G-NIR side (5,757 descriptors) against five blocks of A
+        rng = np.random.default_rng(31)
+        a = self._random_descs(rng, 1000)
+        b = self._random_descs(rng, 5757)
+        rows = 256
+        operand = len(b) * (8 * b.shape[1] + 3) * 4   # B's float32 GEMM operand
+        block = rows * len(b) * 4                     # one block's float32 keys
+        tracemalloc.start()
+        try:
+            matches = reg.match_bruteforce(a, b, chunk=rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= operand + 1.5 * block, (peak, operand, block)
+        assert match_list(matches) == match_list(reg.match_bruteforce(a, b, chunk=512))
+
 
 class TestFilterMatches:
     def _matches(self, distances):
