@@ -3,7 +3,7 @@
 from .errors import RegistrationError
 from .keypoints import Keypoints, build_pyramid, detect_keypoints
 from .descriptors import DESCRIPTOR_BITS, TEST_PATTERN, compute_descriptors
-from .matching import Matches, filter_matches, match_bruteforce
+from .matching import Matches, filter_matches, match_bruteforce, match_guided
 from .homography import (
     RansacResult,
     dlt_homography,
@@ -34,6 +34,7 @@ __all__ = [
     "estimate_homography",
     "filter_matches",
     "match_bruteforce",
+    "match_guided",
     "register_pair",
     "symmetric_transfer_error",
 ]

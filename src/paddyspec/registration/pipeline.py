@@ -12,6 +12,19 @@ lock inside its loops, so the two overlap. Matching and everything after it
 run on the calling thread. The result is the same bytes as computing the
 two images one after the other.
 
+Matching runs in two passes (guided matching, Hartley & Zisserman,
+*Multiple View Geometry*, section 4.8). The first matches, filters and fits
+only the ``GUIDE_CORNERS`` strongest described corners of each image
+(descriptors come strongest first); the second pairs every RGB corner only
+with the R-G-NIR corners within ``inlier_px`` of where that first fit puts
+it, at a Hamming distance no larger than the first fit's worst inlier
+(``match_guided``), and filters and fits those as before. At 10k corners
+the first pass compares 1,000 x 1,000 descriptors where one exhaustive
+match compares about 5,800 x 5,800, and the second only a few per corner.
+If either pass raises a ``RegistrationError``, the pair is matched
+exhaustively instead, so a pair that cannot be registered fails with the
+error of the exhaustive path.
+
 The survey camera sees a much narrower field (41 degrees) than the phone
 (123 degrees), so a correct homography upscales RGB content into the R-G-NIR
 frame.
@@ -28,7 +41,9 @@ from .descriptors import compute_descriptors
 from .errors import RegistrationError
 from .homography import RansacResult, estimate_homography
 from .keypoints import Keypoints, build_pyramid, detect_keypoints
-from .matching import filter_matches, match_bruteforce
+from .matching import Matches, filter_matches, match_bruteforce, match_guided
+
+GUIDE_CORNERS = 1000  # strongest described corners per image in the first pass
 
 
 @dataclass
@@ -69,6 +84,7 @@ class RegistrationDiagnostics:
     described_b: int
     matches: int
     filtered: int
+    guide_inliers: int  # the first pass's inliers; 0 when exhaustive matching ran
     inliers: int
     mean_residual: float
     samples: int
@@ -80,8 +96,8 @@ class RegistrationDiagnostics:
         return (f"pair={self.pair_id} kp_a={self.keypoints_a} kp_b={self.keypoints_b} "
                 f"desc_a={self.described_a} desc_b={self.described_b} "
                 f"matches={self.matches} filtered={self.filtered} "
-                f"inliers={self.inliers} mean_residual={self.mean_residual:.6f} "
-                f"samples={self.samples} H=[{h}]")
+                f"guide_inliers={self.guide_inliers} inliers={self.inliers} "
+                f"mean_residual={self.mean_residual:.6f} samples={self.samples} H=[{h}]")
 
 
 @dataclass
@@ -98,6 +114,31 @@ def _features(gray: np.ndarray, target_count: int) -> tuple[int, Keypoints, np.n
     kps = detect_keypoints(levels, target_count)
     descs, kept = compute_descriptors(levels, kps)
     return len(kps), kps[kept], descs
+
+
+def _fit(matches: Matches, kps_a: Keypoints, kps_b: Keypoints,
+         params: RegistrationParams) -> tuple[Matches, RansacResult]:
+    """(filtered matches, RANSAC result) of one matching."""
+    filtered = filter_matches(matches, params.drop_fraction)
+    return filtered, estimate_homography(
+        filtered, kps_a, kps_b, iters=params.ransac_iters, inlier_px=params.inlier_px,
+        min_inliers=params.min_inliers, seed=params.seed)
+
+
+def _guided_fit(descs_a: np.ndarray, kps_a: Keypoints, descs_b: np.ndarray,
+                kps_b: Keypoints, params: RegistrationParams
+                ) -> tuple[int, Matches, Matches, RansacResult]:
+    """(first-pass inliers, guided matches, filtered matches, RANSAC result)."""
+    _, guide = _fit(match_bruteforce(descs_a[:GUIDE_CORNERS], descs_b[:GUIDE_CORNERS]),
+                    kps_a[:GUIDE_CORNERS], kps_b[:GUIDE_CORNERS], params)
+    mapped = np.hstack([kps_a.xy, np.ones((len(kps_a), 1))]) @ guide.homography.T
+    # a corner the fit sends to infinity gets a non-finite prediction,
+    # which match_guided leaves unmatched
+    with np.errstate(divide="ignore", invalid="ignore"):
+        predicted = mapped[:, :2] / mapped[:, 2:]
+    matches = match_guided(descs_a, descs_b, predicted, kps_b.xy, params.inlier_px,
+                           int(guide.inliers.distance.max()))
+    return (len(guide.inliers), matches) + _fit(matches, kps_a, kps_b, params)
 
 
 def register_pair(rgb: ImageF, rgnir: ImageF,
@@ -117,11 +158,13 @@ def register_pair(rgb: ImageF, rgnir: ImageF,
         n_detected_a, kps_a, descs_a = _features(rgb.band("G"), params.target_count)
         n_detected_b, kps_b, descs_b = future_b.result()
 
-    matches = match_bruteforce(descs_a, descs_b)
-    filtered = filter_matches(matches, params.drop_fraction)
-    result: RansacResult = estimate_homography(
-        filtered, kps_a, kps_b, iters=params.ransac_iters, inlier_px=params.inlier_px,
-        min_inliers=params.min_inliers, seed=params.seed)
+    try:
+        guide_inliers, matches, filtered, result = _guided_fit(
+            descs_a, kps_a, descs_b, kps_b, params)
+    except RegistrationError:
+        guide_inliers = 0
+        matches = match_bruteforce(descs_a, descs_b)
+        filtered, result = _fit(matches, kps_a, kps_b, params)
 
     try:
         warped, mask = warp_perspective(rgb, result.homography, rgnir.width, rgnir.height)
@@ -136,6 +179,7 @@ def register_pair(rgb: ImageF, rgnir: ImageF,
         described_b=len(kps_b),
         matches=len(matches),
         filtered=len(filtered),
+        guide_inliers=guide_inliers,
         inliers=len(result.inliers),
         mean_residual=result.mean_residual,
         samples=result.samples,

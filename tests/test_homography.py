@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from paddyspec import registration as reg
 from paddyspec import synthetic
 from paddyspec.imaging import ImageF, warp_perspective
-from paddyspec.registration import RegistrationError
+from paddyspec.registration import RegistrationError, pipeline
 from paddyspec.registration.homography import CONFIDENCE, SCORE_BLOCK, RansacResult
 
 
@@ -380,8 +380,12 @@ class TestRegisterPair:
                                         ransac_iters=1000, seed=20)
         result = reg.register_pair(rgb, rgnir, params, pair_id="abc")
         line = result.diagnostics.record()
-        for token in ("pair=abc", "matches=", "inliers=", "mean_residual=", "samples=", "H=["):
+        for token in ("pair=abc", "matches=", "guide_inliers=", "inliers=", "mean_residual=",
+                      "samples=", "H=["):
             assert token in line
+        # both passes ran: the first fit's inliers are recorded
+        guide = re.search(r" guide_inliers=(\d+) ", line)
+        assert guide and int(guide.group(1)) >= params.min_inliers
         # the sample count sits before the H=[...] suffix that report readers split on
         samples = re.search(r" samples=(\d+) H=\[", line)
         assert samples and 1 <= int(samples.group(1)) <= params.ransac_iters
@@ -436,9 +440,19 @@ class TestRegisterPair:
         assert exc.value.stage == "params"
 
 
-def serial_register_pair(rgb, rgnir, params, pair_id=""):
+def _reference_fit(matches, kps_a, kps_b, params):
+    filtered = reg.filter_matches(matches, params.drop_fraction)
+    return filtered, reg.estimate_homography(
+        filtered, kps_a, kps_b, iters=params.ransac_iters, inlier_px=params.inlier_px,
+        min_inliers=params.min_inliers, seed=params.seed)
+
+
+def serial_register_pair(rgb, rgnir, params, pair_id="", exhaustive=False):
     """``register_pair``'s stages on one thread, each stage run for rgb and
     then for rgnir before the next: the reference for the threaded one.
+    Matching takes two passes, the strongest ``GUIDE_CORNERS`` corners of
+    each image and then every corner guided by that fit, or one exhaustive
+    match when either pass fails or ``exhaustive`` is set.
     Returns (homography, diagnostics record, warped image, mask)."""
     levels_a = reg.build_pyramid(rgb.band("G"))
     levels_b = reg.build_pyramid(rgnir.band("G"))
@@ -446,16 +460,27 @@ def serial_register_pair(rgb, rgnir, params, pair_id=""):
     kps_b = reg.detect_keypoints(levels_b, params.target_count)
     descs_a, kept_a = reg.compute_descriptors(levels_a, kps_a)
     descs_b, kept_b = reg.compute_descriptors(levels_b, kps_b)
-    matches = reg.match_bruteforce(descs_a, descs_b)
-    filtered = reg.filter_matches(matches, params.drop_fraction)
-    result = reg.estimate_homography(
-        filtered, kps_a[kept_a], kps_b[kept_b], iters=params.ransac_iters,
-        inlier_px=params.inlier_px, min_inliers=params.min_inliers, seed=params.seed)
+    described_a, described_b = kps_a[kept_a], kps_b[kept_b]
+    try:
+        if exhaustive:
+            raise RegistrationError("match", "exhaustive matching asked for")
+        n = pipeline.GUIDE_CORNERS
+        _, guide = _reference_fit(reg.match_bruteforce(descs_a[:n], descs_b[:n]),
+                                  described_a[:n], described_b[:n], params)
+        predicted = Homography(guide.homography).apply(described_a.xy)
+        matches = reg.match_guided(descs_a, descs_b, predicted, described_b.xy,
+                                   params.inlier_px, int(guide.inliers.distance.max()))
+        filtered, result = _reference_fit(matches, described_a, described_b, params)
+        guide_inliers = len(guide.inliers)
+    except RegistrationError:
+        matches = reg.match_bruteforce(descs_a, descs_b)
+        filtered, result = _reference_fit(matches, described_a, described_b, params)
+        guide_inliers = 0
     warped, mask = warp_perspective(rgb, result.homography, rgnir.width, rgnir.height)
     diag = reg.RegistrationDiagnostics(
         pair_id=pair_id, keypoints_a=len(kps_a), keypoints_b=len(kps_b),
         described_a=len(kept_a), described_b=len(kept_b), matches=len(matches),
-        filtered=len(filtered), inliers=len(result.inliers),
+        filtered=len(filtered), guide_inliers=guide_inliers, inliers=len(result.inliers),
         mean_residual=result.mean_residual, samples=result.samples,
         homography=[float(v) for v in result.homography.ravel()])
     return result.homography, diag.record(), warped, mask
@@ -544,6 +569,68 @@ class TestConcurrentFeatures:
         if rgb_size > rgnir_size:
             assert (raised(serial_register_pair, rgb, rgnir, params)
                     == raised(reg.build_pyramid, rgnir.band("G")))
+
+
+class TestGuidedMatching:
+    """``register_pair`` fits the strongest ``GUIDE_CORNERS`` corners of each
+    image first and then matches every corner near where that fit puts it;
+    when either pass fails it matches all corners exhaustively."""
+
+    def assert_exhaustive(self, rgb, rgnir, params):
+        result = reg.register_pair(rgb, rgnir, params, pair_id="p")
+        homography, record, warped, mask = serial_register_pair(rgb, rgnir, params, "p",
+                                                                exhaustive=True)
+        assert result.homography.tobytes() == homography.tobytes()
+        assert result.diagnostics.record() == record
+        assert result.diagnostics.guide_inliers == 0
+        assert result.image.data.tobytes() == warped.data.tobytes()
+        assert result.mask.tobytes() == mask.tobytes()
+
+    @pytest.mark.parametrize("case", [("fixture", 13), ("ingest", 1)],
+                             ids=lambda case: f"{case[0]}{case[1]}")
+    def test_failed_first_pass_falls_back_to_exhaustive(self, case, monkeypatch):
+        # 4 corners a side give at most 3 filtered matches: the first fit fails
+        monkeypatch.setattr(pipeline, "GUIDE_CORNERS", 4)
+        self.assert_exhaustive(*registration_case(case))
+
+    def test_failed_second_pass_falls_back_to_exhaustive(self, monkeypatch):
+        def no_matches(descs_a, *args):
+            none = np.empty(0, dtype=np.intp)
+            return reg.Matches(none, none, none.astype(np.int64))
+
+        monkeypatch.setattr(pipeline, "match_guided", no_matches)
+        self.assert_exhaustive(*registration_case(("fixture", 13)))
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_unregistrable_pairs_fail_as_exhaustive_matching_does(self, seed):
+        # at a 2.5x field-of-view gap no fit reaches min_inliers, in either pass
+        rgb, rgnir, _ = synthetic.make_registration_pair(np.random.default_rng(seed),
+                                                         rgb_scale=0.4)
+        params = reg.RegistrationParams()
+        error = raised(reg.register_pair, rgb, rgnir, params)
+        assert error == raised(lambda: serial_register_pair(rgb, rgnir, params,
+                                                            exhaustive=True))
+        assert error[0] == "estimate" and "best consensus" in error[1]
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_registers_at_twice_the_field_of_view_gap(self, seed):
+        # exhaustive matching lost these pairs: 1,163 and 1,707 px off
+        rgb, rgnir, h_true = synthetic.make_registration_pair(
+            np.random.default_rng(seed), scene_size=int(256 / 0.5 + 40), rgb_scale=0.5)
+        result = reg.register_pair(rgb, rgnir, reg.RegistrationParams())
+        assert result.diagnostics.guide_inliers > 0
+        assert synthetic.corner_reprojection_error(result.homography, h_true, 256) <= 3.0
+
+    @pytest.mark.slow
+    def test_default_gap_accuracy_over_24_seeds(self):
+        errs = []
+        for seed in range(1, 25):
+            rgb, rgnir, h_true = synthetic.make_registration_pair(np.random.default_rng(seed))
+            result = reg.register_pair(rgb, rgnir, reg.RegistrationParams())
+            errs.append(synthetic.corner_reprojection_error(result.homography, h_true, 256))
+        summary = f"corner errors {np.round(errs, 2).tolist()} px"
+        assert max(errs) <= 1.5 and np.median(errs) <= 0.60, summary
 
 
 def _keypoints(points):

@@ -65,6 +65,24 @@ def reference_match_bruteforce(descs_a: np.ndarray, descs_b: np.ndarray) -> list
             for i, j in enumerate(a_to_b) if b_to_a[j] == i]
 
 
+def reference_match_guided(descs_a, descs_b, predicted, xy_b, radius, max_distance):
+    """Mutual nearest neighbors on the exhaustive XOR/popcount distance
+    matrix, with the pairs outside the window or over the cap masked out."""
+    a64 = np.ascontiguousarray(descs_a).view(np.uint64)
+    b64 = np.ascontiguousarray(descs_b).view(np.uint64)
+    dist = np.bitwise_count(a64[:, None, :] ^ b64[None, :, :]).sum(axis=2, dtype=np.int64)
+    near = np.hypot(predicted[:, None, 0] - xy_b[None, :, 0],
+                    predicted[:, None, 1] - xy_b[None, :, 1]) < radius
+    allowed = near & (dist <= max_distance)
+    masked = np.where(allowed, dist, np.iinfo(np.int64).max)
+    out = []
+    for i in np.flatnonzero(allowed.any(axis=1)):
+        j = int(masked[i].argmin())
+        if masked[:, j].argmin() == i:
+            out.append(Match(index_a=int(i), index_b=j, distance=int(dist[i, j])))
+    return out
+
+
 # The per-keypoint subpixel refinement that _subpixel_offsets replaced, kept
 # unchanged as the oracle it must match bit for bit.
 def reference_subpixel_offset(response: np.ndarray, y: int, x: int) -> tuple[float, float]:
@@ -496,6 +514,103 @@ class TestMatching:
             tracemalloc.stop()
         assert peak <= operand + 1.5 * block, (peak, operand, block)
         assert match_list(matches) == match_list(reg.match_bruteforce(a, b, chunk=512))
+
+
+@st.composite
+def guided_cases(draw):
+    """Descriptors from a few byte values and from each other, so distances
+    tie; B corners on a half-pixel lattice, so window distances tie; and A
+    predictions near B corners, far from all of them, or not finite."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    na, nb = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    values = rng.integers(0, 256, size=draw(st.sampled_from([2, 4, 256]))).astype(np.uint8)
+    b = values[rng.integers(0, len(values), size=(nb, 32))]
+    a = values[rng.integers(0, len(values), size=(na, 32))]
+    source = rng.integers(0, nb, size=na)   # the B row each A row is drawn near
+    copied = rng.random(na) < 0.5
+    a[copied] = b[source[copied]]
+    extent = draw(st.sampled_from([4.0, 20.0, 200.0]))
+    xy_b = rng.integers(0, 2 * extent + 1, size=(nb, 2)) / 2.0
+    predicted = xy_b[source] + rng.integers(-2, 3, size=(na, 2)) / 2.0
+    kind = rng.integers(0, 6, size=na)
+    predicted[kind == 0] += rng.normal(0.0, 2.0, size=(int((kind == 0).sum()), 2))
+    predicted[kind == 1] = [1e6, -1e6]
+    predicted[kind == 2, rng.integers(0, 2)] = rng.choice([np.nan, np.inf, -np.inf])
+    radius = draw(st.sampled_from([0.5, 1.0, 3.0, 7.25]))
+    max_distance = draw(st.sampled_from([0, 40, 128, 256]))
+    return a, b, predicted, xy_b, radius, max_distance
+
+
+class TestMatchGuided:
+    @given(case=guided_cases())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_masked_xor_oracle(self, case):
+        assert match_list(reg.match_guided(*case)) == reference_match_guided(*case)
+
+    def test_ties_break_to_lowest_index_on_both_sides(self):
+        b = np.zeros((4, 32), dtype=np.uint8)
+        b[1] = 255                                   # far in Hamming distance
+        xy_b = np.array([[10.0, 10.0], [10.0, 10.0], [11.0, 10.0], [9.0, 10.0]])
+        # row 0 reaches B[0] and B[2] at distance 0 and keeps B[0]; rows 0 and
+        # 2 both reach B[0], and row 0 wins it; rows 1, 2 and 3 reach B[3],
+        # and row 1 wins it
+        a = np.zeros((4, 32), dtype=np.uint8)
+        predicted = np.array([[10.5, 11.0], [8.0, 10.0], [10.0, 9.0], [8.0, 10.0]])
+        matches = reg.match_guided(a, b, predicted, xy_b, 1.5, 256)
+        assert match_list(matches) == [Match(0, 0, 0), Match(1, 3, 0)]
+        assert match_list(matches) == reference_match_guided(a, b, predicted, xy_b, 1.5, 256)
+
+    def test_rows_without_candidates_stay_unmatched(self):
+        rng = np.random.default_rng(41)
+        a = rng.integers(0, 256, size=(5, 32)).astype(np.uint8)
+        b = a.copy()
+        xy_b = np.array([[0.0, 0.0], [5.0, 0.0], [10.0, 0.0], [15.0, 0.0], [20.0, 0.0]])
+        predicted = xy_b.copy()
+        predicted[1] = [5.0, 3.0]          # exactly radius away: outside the window
+        predicted[2] = [np.nan, 0.0]
+        predicted[3] = [np.inf, -np.inf]
+        b[4] ^= 1                          # one bit over a cap of 0
+        matches = reg.match_guided(a, b, predicted, xy_b, 3.0, 0)
+        assert match_list(matches) == [Match(0, 0, 0)]
+        assert len(reg.match_guided(a, b, np.full((5, 2), np.nan), xy_b, 3.0, 256)) == 0
+
+    @staticmethod
+    def _fixture_features(rng_seed, size, target):
+        """(descriptors, corner xy) of both images, and the true homography."""
+        rgb, rgnir, h_true = make_registration_pair(np.random.default_rng(rng_seed),
+                                                    out_size=size)
+        features = []
+        for img in (rgb, rgnir):
+            levels = reg.build_pyramid(img.band("G"))
+            kps = reg.detect_keypoints(levels, target)
+            descs, kept = reg.compute_descriptors(levels, kps)
+            features.append((descs, kps[kept].xy))
+        return features, h_true
+
+    @pytest.mark.parametrize("rng_seed, size, target", [(13, 220, 1200), (19, 200, 700)])
+    def test_registration_fixtures_match_masked_xor_oracle(self, rng_seed, size, target):
+        ((descs_a, xy_a), (descs_b, xy_b)), h_true = self._fixture_features(
+            rng_seed, size, target)
+        mapped = np.hstack([xy_a, np.ones((len(xy_a), 1))]) @ h_true.T
+        predicted = mapped[:, :2] / mapped[:, 2:]
+        case = (descs_a, descs_b, predicted, xy_b, 3.0, 64)
+        matches = match_list(reg.match_guided(*case))
+        assert len(matches) > 50
+        assert matches == reference_match_guided(*case)
+
+    @pytest.mark.parametrize("rng_seed, size, target", [(13, 220, 1200), (19, 200, 700)])
+    def test_unbounded_window_and_cap_equal_bruteforce(self, rng_seed, size, target):
+        ((descs_a, xy_a), (descs_b, xy_b)), _ = self._fixture_features(rng_seed, size, target)
+        guided = reg.match_guided(descs_a, descs_b, np.zeros_like(xy_a), xy_b, 2.0 * size, 256)
+        assert match_list(guided) == match_list(reg.match_bruteforce(descs_a, descs_b))
+
+    def test_empty_input_errors(self):
+        d = np.zeros((3, 32), dtype=np.uint8)
+        xy = np.zeros((3, 2))
+        with pytest.raises(RegistrationError):
+            reg.match_guided(d[:0], d, xy[:0], xy, 3.0, 256)
+        with pytest.raises(RegistrationError):
+            reg.match_guided(d, d[:0], xy, xy[:0], 3.0, 256)
 
 
 class TestFilterMatches:
