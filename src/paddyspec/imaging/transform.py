@@ -20,11 +20,15 @@ def _bilinear_gather(data: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.nda
     x0 = np.floor(xs).astype(np.intp)
     y0 = np.floor(ys).astype(np.intp)
     x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
+    row0 = y0 * w
+    row1 = np.minimum(y0 + 1, h - 1) * w
     fx = (xs - x0).astype(data.dtype)[..., None]
     fy = (ys - y0).astype(data.dtype)[..., None]
-    top = data[y0, x0] * (1.0 - fx) + data[y0, x1] * fx
-    bottom = data[y1, x0] * (1.0 - fx) + data[y1, x1] * fx
+    gx = 1.0 - fx
+    # one (H * W, C) row per pixel: each tap is a single take along axis 0
+    flat = data.reshape(h * w, -1)
+    top = flat.take(row0 + x0, axis=0) * gx + flat.take(row0 + x1, axis=0) * fx
+    bottom = flat.take(row1 + x0, axis=0) * gx + flat.take(row1 + x1, axis=0) * fx
     return top * (1.0 - fy) + bottom * fy
 
 

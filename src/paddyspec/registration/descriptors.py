@@ -4,12 +4,17 @@ Each corner at least ``PATCH_BORDER`` px inside its pyramid level gets an
 orientation from the intensity centroid of a radius-15 disc on the
 unsmoothed level, quantized to one of ``ORIENTATION_BINS`` = 32 bins of
 11.25 degrees (ORB's precomputed rotated patterns, Rublee et al., ICCV 2011).
+The disc's moments come from its 31 horizontal runs: two row prefix sums per
+level, of I and of x * I (a summed-area table along rows, Crow, SIGGRAPH
+1984), give each run's sum and x-moment from two lookups apiece.
 The test pattern is fixed at import time (seeded isotropic Gaussian point
 pairs, radius <= 13 so any rotation stays inside the border) and is rotated
 and rounded once per bin; each corner samples the pattern of its bin. One bit
 per test: smoothed(a) < smoothed(b).
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -22,14 +27,11 @@ PATCH_BORDER = 16
 _PATTERN_RADIUS = 13.0
 
 # Only corners at least PATCH_BORDER px from every edge of their level are
-# oriented, so a disc radius <= PATCH_BORDER keeps every sample inside the
-# level and the gather needs no clipping.
+# oriented, so a disc radius <= PATCH_BORDER keeps every run inside the level.
+# Row dy of the disc is the run of dx with dx^2 + dy^2 <= radius^2.
 _DISC_RADIUS = 15
-_DISC_DY, _DISC_DX = np.nonzero(
-    (np.arange(-_DISC_RADIUS, _DISC_RADIUS + 1)[:, None] ** 2
-     + np.arange(-_DISC_RADIUS, _DISC_RADIUS + 1)[None, :] ** 2) <= _DISC_RADIUS ** 2)
-_DISC_DY = (_DISC_DY - _DISC_RADIUS).astype(np.intp)
-_DISC_DX = (_DISC_DX - _DISC_RADIUS).astype(np.intp)
+_RUN_DY = np.arange(-_DISC_RADIUS, _DISC_RADIUS + 1)
+_RUN_HALF = np.array([math.isqrt(_DISC_RADIUS ** 2 - dy * dy) for dy in _RUN_DY])
 
 
 def _make_test_pattern(n_tests: int = DESCRIPTOR_BITS,
@@ -69,18 +71,31 @@ _ROT_X = np.round(np.cos(_BIN_ANGLES) * _PX - np.sin(_BIN_ANGLES) * _PY).astype(
 _ROT_Y = np.round(np.sin(_BIN_ANGLES) * _PX + np.cos(_BIN_ANGLES) * _PY).astype(np.intp)
 
 # Corners are oriented and sampled this many at a time, so the per-corner
-# temporaries (BLOCK x 709 disc values, BLOCK x 512 rotated offsets and
-# samples) stay cache-sized instead of growing with the level's corner count.
+# temporaries (BLOCK x 31 disc-run sums and x-moments, BLOCK x 512 rotated
+# offsets and samples) stay cache-sized instead of growing with the level's
+# corner count.
 BLOCK = 128
 
 
 def _orientations(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Intensity-centroid angles of corners at least PATCH_BORDER px inside img."""
-    w = img.shape[1]
-    vals = img.ravel().take((ys * w + xs)[:, None] + (_DISC_DY * w + _DISC_DX))
-    m10 = (vals * _DISC_DX).sum(axis=1)
-    m01 = (vals * _DISC_DY).sum(axis=1)
-    return np.arctan2(m01, m10)
+    h, w = img.shape
+    # prefix[y, x] holds the sums of I and of x * I over img[y, :x]; the zero
+    # column in front makes every run's sums a difference of two entries
+    prefix = np.zeros((h, w + 1, 2))
+    np.cumsum(img, axis=1, out=prefix[:, 1:, 0])
+    np.cumsum(img * np.arange(w), axis=1, out=prefix[:, 1:, 1])
+    prefix = prefix.reshape(-1, 2)
+    angles = np.empty(len(ys))
+    for start in range(0, len(ys), BLOCK):
+        y, x = ys[start:start + BLOCK], xs[start:start + BLOCK]
+        row = (y[:, None] + _RUN_DY) * (w + 1) + x[:, None]
+        runs = prefix.take(row + (_RUN_HALF + 1), axis=0) - prefix.take(row - _RUN_HALF, axis=0)
+        # m10 = sum (x' - x) I over the disc, m01 = sum dy I
+        m10 = runs[:, :, 1].sum(axis=1) - x * runs[:, :, 0].sum(axis=1)
+        m01 = (runs[:, :, 0] * _RUN_DY).sum(axis=1)
+        angles[start:start + BLOCK] = np.arctan2(m01, m10)
+    return angles
 
 
 def _orientation_bins(angles: np.ndarray) -> np.ndarray:
@@ -111,8 +126,7 @@ def compute_descriptors(levels: list[np.ndarray],
                & (xs >= PATCH_BORDER) & (xs < w - PATCH_BORDER)
                & (ys >= PATCH_BORDER) & (ys < h - PATCH_BORDER))
         rows = np.flatnonzero(sel)
-        # contiguous, so _orientations' ravel is a view, not a copy per block
-        raw = np.ascontiguousarray(levels[lvl])
+        bins = _orientation_bins(_orientations(levels[lvl], ys[rows], xs[rows]))
         smooth = img_l.ravel()
         # every rotated pattern stays within PATCH_BORDER, so every flat
         # index lands on its own (y, x) inside the level
@@ -120,7 +134,7 @@ def compute_descriptors(levels: list[np.ndarray],
         for start in range(0, len(rows), BLOCK):
             blk = rows[start:start + BLOCK]
             blk_y, blk_x = ys[blk], xs[blk]
-            idx = rotated[_orientation_bins(_orientations(raw, blk_y, blk_x))]
+            idx = rotated[bins[start:start + BLOCK]]
             idx += (blk_y * w + blk_x)[:, None]
             vals = smooth.take(idx)
             descs[blk] = np.packbits(vals[:, :DESCRIPTOR_BITS] < vals[:, DESCRIPTOR_BITS:],

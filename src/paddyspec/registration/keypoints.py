@@ -64,16 +64,29 @@ def _fast_mask(img: np.ndarray, threshold: float) -> np.ndarray:
 
 
 def _filter1d(img: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+    """Correlate a 2-D float64 image with an odd-length kernel along one axis,
+    replicating edge values.
+
+    The bytes equal summing the taps in kernel order onto zeros: the first
+    tap is written straight into the output and then gets + 0.0, which
+    changes only a -0.0 (to +0.0), as adding it to a zero would.
+    """
+    out = np.empty(img.shape)
+    scratch = np.empty(img.shape)
+    # work along axis 0 of (transposed) views
+    src, acc, tap = (img, out, scratch) if axis == 0 else (img.T, out.T, scratch.T)
+    n = src.shape[0]
     r = len(kernel) // 2
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (r, r)
-    padded = np.pad(img, pad, mode="edge")
-    out = np.zeros_like(img, dtype=np.float64)
     for i, k in enumerate(kernel):
-        if axis == 0:
-            out += k * padded[i:i + img.shape[0], :]
-        else:
-            out += k * padded[:, i:i + img.shape[1]]
+        # dst[j] = k * src[clip(j + d, 0, n - 1)]; rows lo..hi read inside src
+        d = i - r
+        dst = tap if i else acc
+        lo = min(max(-d, 0), n)
+        hi = max(min(n - d, n), lo)
+        np.multiply(src[lo + d:hi + d], k, out=dst[lo:hi])
+        np.multiply(src[:1], k, out=dst[:lo])
+        np.multiply(src[n - 1:], k, out=dst[hi:])
+        acc += tap if i else 0.0
     return out
 
 

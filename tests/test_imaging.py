@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from paddyspec import imaging
 from paddyspec.imaging import ImageF, ImageFormatError, png_io
+from paddyspec.imaging import transform as transform_module
 
 
 @pytest.fixture
@@ -349,6 +350,37 @@ class TestLoadSave:
             imaging.load_image(tmp_path / "missing.png", "rgb")
 
 
+# Bilinear sampling as it was written before the flat-index taps: fancy
+# indexing at (y, x) with 1 - fx formed per tap pair, the oracle that
+# resize_bilinear and warp_perspective must equal byte for byte.
+def reference_bilinear_gather(data, xs, ys):
+    h, w = data.shape[:2]
+    xs = np.clip(xs, 0.0, w - 1.0)
+    ys = np.clip(ys, 0.0, h - 1.0)
+    x0 = np.floor(xs).astype(np.intp)
+    y0 = np.floor(ys).astype(np.intp)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = (xs - x0).astype(data.dtype)[..., None]
+    fy = (ys - y0).astype(data.dtype)[..., None]
+    top = data[y0, x0] * (1.0 - fx) + data[y0, x1] * fx
+    bottom = data[y1, x0] * (1.0 - fx) + data[y1, x1] * fx
+    return top * (1.0 - fy) + bottom * fy
+
+
+def assert_matches_reference_gather(transform, *args):
+    """transform(*args) gives the same bytes with the oracle gather patched in."""
+    got = transform(*args)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transform_module, "_bilinear_gather", reference_bilinear_gather)
+        want = transform(*args)
+    got, want = (r if isinstance(r, tuple) else (r,) for r in (got, want))
+    for a, b in zip(got, want, strict=True):
+        a = a.data if isinstance(a, ImageF) else a
+        b = b.data if isinstance(b, ImageF) else b
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestResize:
     def test_identity(self, rng):
         img = ImageF(rng.uniform(0, 1, (8, 6, 3)).astype(np.float32), ("R", "G", "B"))
@@ -374,6 +406,11 @@ class TestResize:
         for c in range(2):
             assert out.data[:, :, c].min() >= data[:, :, c].min()
             assert out.data[:, :, c].max() <= data[:, :, c].max()
+        # the upscaled axis samples beyond both edges, the other inside; on a
+        # 3-D and on a 2-D (one-band) array
+        assert_matches_reference_gather(imaging.resize_bilinear, img, 31, 9)
+        assert_matches_reference_gather(imaging.resize_bilinear,
+                                        ImageF(data[:, :, 1], ("NIR",)), 31, 9)
 
     def test_rejects_empty_target(self, rng):
         img = ImageF(rng.uniform(0, 1, (4, 4, 1)).astype(np.float32), ("G",))
@@ -399,6 +436,8 @@ class TestWarp:
         out, mask = imaging.warp_perspective(img, np.eye(3), 10, 12)
         assert mask.all()
         assert np.allclose(out.data, img.data, atol=1e-6)
+        # the last row and column sample exactly at the frame's edge
+        assert_matches_reference_gather(imaging.warp_perspective, img, np.eye(3), 10, 12)
 
     def test_pure_translation(self):
         img = ImageF(smooth_field(20, 20)[:, :, None], ("G",))
@@ -422,9 +461,15 @@ class TestWarp:
             imaging.warp_perspective(img, h, 4, 4)
 
     def test_mask_is_preimage_indicator(self, rng):
-        img = ImageF(rng.uniform(0, 1, (15, 15, 1)).astype(np.float32), ("G",))
+        data = rng.uniform(0, 1, (15, 15, 3)).astype(np.float32)
+        img = ImageF(data[:, :, 0], ("G",))
         h = np.array([[1.1, 0.02, -3.0], [0.01, 0.95, 2.0], [0.0001, 0.0, 1.0]])
         _, mask = imaging.warp_perspective(img, h, 15, 15)
+        # some preimages fall inside the frame and some beyond it; on a 2-D
+        # (one-band) and on a 3-D array
+        assert_matches_reference_gather(imaging.warp_perspective, img, h, 15, 15)
+        assert_matches_reference_gather(imaging.warp_perspective,
+                                        ImageF(data, ("R", "G", "NIR")), h, 15, 15)
         inv = np.linalg.inv(h)
         for i in range(15):
             for j in range(15):

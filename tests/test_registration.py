@@ -14,7 +14,8 @@ from paddyspec.registration import RegistrationError
 from paddyspec.registration.descriptors import (
     BLOCK, DESCRIPTOR_BITS, DESCRIPTOR_BYTES, ORIENTATION_BINS, PATCH_BORDER, TEST_PATTERN,
     _ROT_X, _ROT_Y, _orientation_bins, _orientations)
-from paddyspec.registration.keypoints import _subpixel_offsets, gaussian_smooth
+from paddyspec.registration.keypoints import (
+    _subpixel_offsets, gaussian_smooth, harris_response)
 from paddyspec.synthetic import make_registration_pair, smooth_texture
 
 
@@ -218,11 +219,68 @@ def assert_keypoints_described_as_reference(levels: list[np.ndarray],
     xs, ys = kps.lvl_xy[kept].T
     for lvl in np.unique(kps.octave[kept]):
         on = kps.octave[kept] == lvl
-        assert (_orientations(levels[lvl], ys[on], xs[on]).tobytes()
-                == angle[kept][on].tobytes())
+        # the disc-run prefix sums add in another order than the gather: the
+        # angles may differ in the last bits, never by a bin
+        got = _orientations(levels[lvl], ys[on], xs[on])
+        assert np.array_equal(_orientation_bins(got), _orientation_bins(angle[kept][on]))
+        assert np.abs(got - angle[kept][on]).max() <= 1e-9
+
+
+# The separable filters as they were written before the edge-padding slices:
+# np.pad(mode="edge"), then one product per tap added onto zeros in kernel
+# order, as the oracles harris_response and gaussian_smooth must equal to the
+# byte and to the sign of every zero.
+def reference_filter1d(img: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+    r = len(kernel) // 2
+    pad = [(0, 0), (0, 0)]
+    pad[axis] = (r, r)
+    padded = np.pad(img, pad, mode="edge")
+    out = np.zeros_like(img, dtype=np.float64)
+    for i, k in enumerate(kernel):
+        if axis == 0:
+            out += k * padded[i:i + img.shape[0], :]
+        else:
+            out += k * padded[:, i:i + img.shape[1]]
+    return out
+
+
+_BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
+
+
+def reference_gaussian_smooth(img: np.ndarray) -> np.ndarray:
+    return reference_filter1d(reference_filter1d(img.astype(np.float64), _BINOMIAL5, 0),
+                              _BINOMIAL5, 1)
+
+
+def reference_harris_response(img: np.ndarray) -> np.ndarray:
+    smooth3 = np.array([1.0, 2.0, 1.0]) / 4.0
+    diff = np.array([-0.5, 0.0, 0.5])
+    gray = img.astype(np.float64)
+    ix = reference_filter1d(reference_filter1d(gray, diff, 1), smooth3, 0)
+    iy = reference_filter1d(reference_filter1d(gray, diff, 0), smooth3, 1)
+    sxx = reference_filter1d(reference_filter1d(ix * ix, _BINOMIAL5, 0), _BINOMIAL5, 1)
+    syy = reference_filter1d(reference_filter1d(iy * iy, _BINOMIAL5, 0), _BINOMIAL5, 1)
+    sxy = reference_filter1d(reference_filter1d(ix * iy, _BINOMIAL5, 0), _BINOMIAL5, 1)
+    return sxx * syy - sxy * sxy - 0.04 * (sxx + syy) ** 2
 
 
 class TestDetect:
+    @given(h=st.integers(1, 40), w=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           float32=st.booleans())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_filters_match_edge_padded_reference(self, h, w, seed, float32):
+        # images narrower than a kernel, and runs of +0.0 and -0.0, where a
+        # skipped or reordered zero tap would flip only the sign of a zero
+        rng = np.random.default_rng(seed)
+        img = rng.uniform(-1.0, 1.0, size=(h, w))
+        img[rng.uniform(size=(h, w)) < 0.4] = 0.0
+        img[rng.uniform(size=(h, w)) < 0.2] = -0.0
+        img = img.astype(np.float32) if float32 else img
+        for got, want in ((gaussian_smooth(img), reference_gaussian_smooth(img)),
+                          (harris_response(img), reference_harris_response(img))):
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_constant_image_errors(self):
         img = np.full((64, 64), 0.5)
         with pytest.raises(RegistrationError) as exc:
@@ -278,17 +336,19 @@ class TestDescriptors:
         assert (kps.lvl_xy[kept] >= 16).all()
 
     @given(h=st.integers(32, 160), w=st.integers(32, 160), seed=st.integers(0, 2**32 - 1),
-           smooth=st.booleans(), inverted=st.booleans(),
+           smooth=st.booleans(), inverted=st.booleans(), float32=st.booleans(),
            target=st.sampled_from([4, 60, 400, 10000]))
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_matches_clipped_reference_on_textures(self, h, w, seed, smooth, inverted,
-                                                   target):
+                                                   float32, target):
         # small images put many corners, and at 32 px all of them, inside the
-        # 16 px border, where the reference oriented them with a clipped disc
+        # 16 px border, where the reference oriented them with a clipped disc;
+        # float32-valued images are what load_image hands to registration
         rng = np.random.default_rng(seed)
         img = (smooth_texture(h, w, rng, radius=1) if smooth
                else rng.uniform(0.0, 1.0, size=(h, w)))
-        assert_descriptors_match_reference(1.0 - img if inverted else img, target)
+        img = 1.0 - img if inverted else img
+        assert_descriptors_match_reference(img.astype(np.float32) if float32 else img, target)
 
     @pytest.mark.parametrize("rng_seed, size, target", [
         (13, 220, 1200), (17, 220, 1200), (19, 200, 700)])
