@@ -8,6 +8,7 @@ offset) fit by ordinary least squares over the 4 panel means.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -112,7 +113,7 @@ def fit_calibration(panel_means: np.ndarray, known_reflectance: np.ndarray,
                 f"band {b}: panel DN values are all equal; fit is rank deficient")
         g = ((x - x.mean()) * (y - y.mean())).mean() / var
         o = y.mean() - g * x.mean()
-        if g <= 0:
+        if not g > 0:
             raise CalibrationError(f"band {b}: non-positive gain {g:.4f}; "
                                    "panel readings are inconsistent")
         gain[b] = g
@@ -154,12 +155,18 @@ def load_calibration(path) -> BandCalibration:
         bands = tuple(payload["band_labels"])
         gain, offset, residual = (np.array(payload[k], dtype=np.float64)
                                   for k in ("gain", "offset", "fit_residual"))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CalibrationError(f"cannot read calibration file {path}: "
                                f"{type(exc).__name__}: {exc}") from exc
     if any(v.shape != (len(bands),) for v in (gain, offset, residual)):
         raise CalibrationError(f"calibration file {path}: gain, offset and fit_residual "
                                f"need one number per band of {bands}")
+    if not all(np.isfinite(v).all() for v in (gain, offset, residual)):
+        raise CalibrationError(f"calibration file {path}: gain, offset and fit_residual "
+                               "must be finite")
+    if not (gain > 0).all():
+        raise CalibrationError(f"calibration file {path}: gains must be > 0, "
+                               f"got {gain.tolist()}")
     return BandCalibration(gain=gain, offset=offset, fit_residual=residual,
                            band_labels=bands)
 
@@ -192,6 +199,13 @@ def load_session(path) -> tuple[str, PanelSpec, tuple[str, ...]]:
         if not _is_number_list(reflectance):
             raise CalibrationError(f"session file {path}: panel {i} reflectance must be "
                                    f"a list of numbers, got {reflectance!r}")
+        try:
+            finite = all(math.isfinite(v) for v in reflectance)
+        except OverflowError:  # an integer too large for a float
+            finite = False
+        if not finite:
+            raise CalibrationError(f"session file {path}: panel {i} reflectance must be "
+                                   f"finite, got {reflectance!r}")
         if len(reflectance) != len(bands):
             raise CalibrationError(f"session file {path}: panel {i} needs one reflectance "
                                    f"per band ({len(bands)}), got {len(reflectance)}")

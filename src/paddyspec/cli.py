@@ -19,7 +19,6 @@ from . import gradsuite, nn, training
 from .config import (
     ConfigError,
     PipelineConfig,
-    default_config,
     render_config,
     resolve_config,
     write_resolved_config,
@@ -42,6 +41,8 @@ from .training import FusedCacheSource, TrainingError
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
+# flags that count something; each must be at least 1 where given
+COUNT_FLAGS = ("jobs", "k", "max_steps", "trials", "full_net_trials")
 
 
 class CommandFailure(RuntimeError):
@@ -384,7 +385,7 @@ def cmd_gradcheck(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_config_print_defaults(_cfg: PipelineConfig, _args) -> int:
-    print(render_config(default_config()), end="")
+    print(render_config(PipelineConfig()), end="")
     return EXIT_OK
 
 
@@ -405,7 +406,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument("--dry-run", action="store_true",
                         default=argparse.SUPPRESS if suppress else False,
                         help="validate inputs, write nothing")
-    parser.add_argument("--input-mode", choices=("rgb", "rgb_ndvi"), default=default,
+    parser.add_argument("--input-mode", choices=training.INPUT_MODES, default=default,
                         help="override training.input_mode")
 
 
@@ -490,8 +491,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+        for name in COUNT_FLAGS:
+            value = getattr(args, name, None)
+            if value is not None and value < 1:
+                flag = "--" + name.replace("_", "-")
+                raise ConfigError(f"{flag} must be >= 1, got {value}")
         cfg = resolve_config(args.config, seed=args.seed, input_mode=args.input_mode)
         return args.func(cfg, args)
     except ConfigError as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .registration import RegistrationError, RegistrationParams
-from .training import TrainConfig, TrainingError
+from .training import INPUT_MODES, TrainConfig, TrainingError
 
 CACHE_ENV_VAR = "PADDYSPEC_CACHE"
 
@@ -48,10 +48,6 @@ class PipelineConfig:
     def registration_params(self) -> RegistrationParams:
         """Registration section with the pipeline seed folded in."""
         return dataclasses.replace(self.registration, seed=self.seed)
-
-
-def default_config() -> PipelineConfig:
-    return PipelineConfig()
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
@@ -126,16 +122,18 @@ def resolve_config(config_path: str | None, seed: int | None = None,
                    input_mode: str | None = None,
                    env: dict | None = None) -> PipelineConfig:
     """Defaults, then file, then environment, then flags."""
-    cfg = load_config(config_path) if config_path else default_config()
+    cfg = load_config(config_path) if config_path else PipelineConfig()
     env = os.environ if env is None else env
     cache_override = env.get(CACHE_ENV_VAR)
     if cache_override:
         cfg.paths.cache_dir = cache_override
     if seed is not None:
         cfg.seed = seed
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if input_mode is not None:
-        if input_mode not in ("rgb", "rgb_ndvi"):
-            raise ConfigError(f"--input-mode must be rgb or rgb_ndvi, got {input_mode}")
+        if input_mode not in INPUT_MODES:
+            raise ConfigError(f"--input-mode must be one of {INPUT_MODES}, got {input_mode}")
         cfg.training.input_mode = input_mode
     return cfg
 

@@ -9,7 +9,6 @@ folds, which is a known validity caveat of the protocol.
 from __future__ import annotations
 
 import csv
-import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,14 +52,6 @@ class Manifest:
         for r in self.records:
             counts[r.label] += 1
         return counts
-
-    @property
-    def checksum(self) -> str:
-        """SHA-256 over each record's id, label and paths, in record order."""
-        digest = hashlib.sha256()
-        for r in self.records:
-            digest.update(f"{r.id},{r.label},{r.rgb_path},{r.rgnir_path}\n".encode())
-        return digest.hexdigest()
 
 
 def build_manifest(root_dir) -> Manifest:

@@ -8,6 +8,12 @@ from . import nn
 from .model import build_resnet18
 from .nn import BatchNormParams, Tensor
 
+# The full-network probe stays at 32x32 inputs: anything smaller leaves the
+# deepest batchnorms normalizing over 2 values, where the loss is too
+# ill-conditioned for finite differences to resolve the tolerance.
+FULL_NET_INPUT_SIZE = 32
+FULL_NET_PROBES = 3  # parameter tensors probed per trial
+
 
 def _conv_case(rng, kernel, stride, padding, bias):
     x = Tensor(rng.standard_normal((2, 3, kernel + 4, kernel + 4)), requires_grad=True)
@@ -126,8 +132,7 @@ def check_ops(trials: int = 20, seed: int = 0) -> dict[str, float]:
     return results
 
 
-def check_full_network(trials: int = 20, seed: int = 0, input_size: int = 32,
-                       probes_per_trial: int = 3) -> float:
+def check_full_network(trials: int = 20, seed: int = 0) -> float:
     """Directional finite differences through the whole ResNet18 + loss.
 
     Per-coordinate probes are hopeless on a deep ReLU network: dead units
@@ -143,7 +148,7 @@ def check_full_network(trials: int = 20, seed: int = 0, input_size: int = 32,
     worst = 0.0
     for trial in range(trials):
         rng = np.random.default_rng([seed, 7777, trial])
-        x = Tensor(rng.standard_normal((2, 4, input_size, input_size)))
+        x = Tensor(rng.standard_normal((2, 4, FULL_NET_INPUT_SIZE, FULL_NET_INPUT_SIZE)))
         labels = rng.integers(0, 3, 2)
         weights = rng.uniform(0.5, 2.5, 3)
 
@@ -155,7 +160,7 @@ def check_full_network(trials: int = 20, seed: int = 0, input_size: int = 32,
             t.zero_grad()
         loss_fn().backward()
 
-        for i in rng.choice(len(named), size=probes_per_trial, replace=False):
+        for i in rng.choice(len(named), size=FULL_NET_PROBES, replace=False):
             _, t = named[i]
             v = rng.standard_normal(t.data.shape)
             v /= np.linalg.norm(v)
@@ -173,14 +178,8 @@ def check_full_network(trials: int = 20, seed: int = 0, input_size: int = 32,
 
 def run_suite(trials: int = 5, seed: int = 0,
               full_net_trials: int = 2) -> tuple[dict[str, float], bool]:
-    """Whole suite; returns (per-check worst errors, all_passed).
-
-    The full-network probe stays at 32x32 inputs: anything smaller leaves
-    the deepest batchnorms normalizing over 2 values, where the loss is too
-    ill-conditioned for finite differences to resolve the tolerance.
-    """
+    """Whole suite; returns (per-check worst errors, all_passed)."""
     results = check_ops(trials=trials, seed=seed)
-    results["resnet18_full"] = check_full_network(trials=full_net_trials, seed=seed,
-                                                  input_size=32)
+    results["resnet18_full"] = check_full_network(trials=full_net_trials, seed=seed)
     ok = all(v < nn.DEFAULT_TOLERANCE for v in results.values())
     return results, ok

@@ -109,30 +109,18 @@ class ResNet18:
 
     # -- forward ---------------------------------------------------------------
 
-    def forward(self, x: Tensor, train: bool,
-                trace_shapes: list | None = None) -> Tensor:
+    def forward(self, x: Tensor, train: bool) -> Tensor:
         """Logits for a (B, C, H, W) batch; ``train`` selects batchnorm mode."""
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ShapeError(
                 f"expected (B, {self.in_channels}, H, W) input, got {x.shape}")
-
-        def note(name, t):
-            if trace_shapes is not None:
-                trace_shapes.append((name, t.shape))
-
         out = nn.relu(self.stem(x, train))
-        note("stem_conv", out)
         out = nn.maxpool2d(out, kernel=3, stride=2, padding=1)
-        note("maxpool", out)
-        for si, blocks in enumerate(self.stages):
+        for blocks in self.stages:
             for block in blocks:
                 out = block(out, train)
-            note(f"stage{si + 1}", out)
         out = nn.global_avgpool(out)
-        note("avgpool", out)
-        logits = nn.linear(out, self.head_weight, self.head_bias)
-        note("head", logits)
-        return logits
+        return nn.linear(out, self.head_weight, self.head_bias)
 
     def predict_proba(self, x: Tensor) -> np.ndarray:
         """Eval-mode class probabilities, no tape recording."""
@@ -148,10 +136,6 @@ class ResNet18:
 
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
-
-    def count_parameters(self) -> int:
-        """Learnable scalars only; batchnorm running statistics excluded."""
-        return sum(t.numel() for t in self.parameters())
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Every parameter, then every running statistic, keyed by layer path.
@@ -181,7 +165,4 @@ class ResNet18:
             unit.bn.initialized = True
 
 
-def build_resnet18(in_channels: int = 3, num_classes: int = 3, seed: int = 0,
-                   dtype=np.float32) -> ResNet18:
-    return ResNet18(in_channels=in_channels, num_classes=num_classes,
-                    seed=seed, dtype=dtype)
+build_resnet18 = ResNet18

@@ -99,9 +99,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def numel(self) -> int:
-        return int(self.data.size)
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a scalar, got shape {self.shape}")

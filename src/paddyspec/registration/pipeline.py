@@ -141,12 +141,9 @@ def _guided_fit(descs_a: np.ndarray, kps_a: Keypoints, descs_b: np.ndarray,
     return (len(guide.inliers), matches) + _fit(matches, kps_a, kps_b, params)
 
 
-def register_pair(rgb: ImageF, rgnir: ImageF,
-                  params: RegistrationParams | None = None,
+def register_pair(rgb: ImageF, rgnir: ImageF, params: RegistrationParams,
                   pair_id: str = "") -> RegistrationResult:
     """Align an RGB image onto its paired R-G-NIR image."""
-    if params is None:
-        params = RegistrationParams()
     for img, name, band in ((rgb, "rgb", "G"), (rgnir, "rgnir", "G")):
         if not img.has_band(band):
             raise RegistrationError("detect", f"{name} image has no {band} band")

@@ -138,12 +138,10 @@ def evaluate_model(model: ResNet18, arrays: np.ndarray, labels: np.ndarray,
         raise TrainingError(f"samples have {arrays.shape[1]} channels, "
                             f"model expects {model.in_channels}")
     predictions = np.empty(len(arrays), dtype=np.int64)
-    with nn.no_grad():
-        for start in range(0, len(arrays), batch_size):
-            batch = arrays[start:start + batch_size].astype(model.dtype, copy=False)
-            logits = model.forward(Tensor(batch), train=False)
-            probs = nn.softmax(logits).data
-            predictions[start:start + len(batch)] = probs.argmax(axis=1)
+    for start in range(0, len(arrays), batch_size):
+        batch = arrays[start:start + batch_size].astype(model.dtype, copy=False)
+        probs = model.predict_proba(Tensor(batch))
+        predictions[start:start + len(batch)] = probs.argmax(axis=1)
     confusion = confusion_from_pairs(labels, predictions, model.num_classes)
     per_class, macro = f1_scores(confusion)
     return EvalResult(confusion=confusion, per_class_f1=per_class, macro_f1=macro)
@@ -213,8 +211,6 @@ class TrainResult:
     model: ResNet18
     history: list[EpochStats]
     val_result: EvalResult | None
-    steps_taken: int
-    class_weights: np.ndarray
 
 
 def model_seed(cfg_seed: int, fold_id: int) -> int:
@@ -291,8 +287,8 @@ def train_fold(cfg: TrainConfig, manifest: Manifest, folds: FoldAssignment,
         validated.append((steps, evaluate_model(trained, val_x, val_y, cfg.batch_size)))
         return False
 
-    losses, steps = fit(model, cfg, train_x, train_y, weights, max_steps=max_steps,
-                        shuffle_tag=fold_id, on_epoch=validate)
+    losses, _ = fit(model, cfg, train_x, train_y, weights, max_steps=max_steps,
+                    shuffle_tag=fold_id, on_epoch=validate)
     history = []
     start = 0
     for epoch, (end, result) in enumerate(validated):
@@ -304,5 +300,4 @@ def train_fold(cfg: TrainConfig, manifest: Manifest, folds: FoldAssignment,
             per_class_f1=tuple(float(v) for v in result.per_class_f1),
         ))
         start = end
-    return TrainResult(model=model, history=history, val_result=validated[-1][1],
-                       steps_taken=steps, class_weights=weights)
+    return TrainResult(model=model, history=history, val_result=validated[-1][1])

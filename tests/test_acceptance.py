@@ -64,9 +64,7 @@ def test_fusion_advantage(tmp_path, monkeypatch):
 def test_gradient_suite():
     """Every op and the full ResNet18 pass finite differences, 20+ trials."""
     start = time.time()
-    results = gradsuite.check_ops(trials=20, seed=0)
-    results["resnet18_full"] = gradsuite.check_full_network(
-        trials=20, seed=0, input_size=32, probes_per_trial=3)
+    results, _ = gradsuite.run_suite(trials=20, seed=0, full_net_trials=20)
     elapsed = time.time() - start
     assert elapsed < 600.0, f"gradient suite took {elapsed:.0f}s (> 10 min)"
     for name, err in results.items():
@@ -203,18 +201,17 @@ def test_dataset_accounting(tmp_path):
 
 def test_model_structure():
     """Exact parameter counts and the 256-input spatial trace."""
-    assert build_resnet18(in_channels=3).count_parameters() == 11_178_051
-    assert build_resnet18(in_channels=4).count_parameters() == 11_181_187
-
-    from test_model import tally_parameters
+    from test_model import count_parameters, shape_trace, tally_parameters
+    assert count_parameters(build_resnet18(in_channels=3)) == 11_178_051
+    assert count_parameters(build_resnet18(in_channels=4)) == 11_181_187
     assert tally_parameters(3, 3) == 11_178_051
     assert tally_parameters(4, 3) == 11_181_187
 
     model = build_resnet18(in_channels=4, seed=0)
     x = Tensor(np.zeros((1, 4, 256, 256), dtype=np.float32))
-    trace = []
     with nn.no_grad():
-        logits = model.forward(x, train=True, trace_shapes=trace)
+        trace, walked = shape_trace(model, x)
+        logits = model.forward(x, train=True)
     expected = [
         ("stem_conv", (1, 64, 128, 128)),
         ("maxpool", (1, 64, 64, 64)),
@@ -227,6 +224,7 @@ def test_model_structure():
     ]
     assert trace == expected
     assert logits.shape == (1, 3)
+    assert walked.data.tobytes() == logits.data.tobytes()
     print("\nPASS: model structure (11,178,051 / 11,181,187 parameters, "
           "trace 256-128-64-32-16-8-pool-3)")
 

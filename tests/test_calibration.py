@@ -112,6 +112,13 @@ class TestFitCalibration:
         with pytest.raises(CalibrationError, match="gain"):
             cal.fit_calibration(dn, refl)
 
+    def test_nan_gain_rejected(self):
+        refl = np.tile(np.array([0.1, 0.3, 0.6, 0.9])[:, None], (1, 3))
+        dn = refl * 0.8 + 0.05
+        refl[2, 1] = np.nan  # one unknown panel reflectance makes the slope NaN
+        with pytest.raises(CalibrationError, match="band 1: non-positive gain nan"):
+            cal.fit_calibration(dn, refl)
+
 
 class TestApplyCalibration:
     def _identity(self):
@@ -215,7 +222,21 @@ class TestRoundTrip:
          '"offset": [0, 0, 0], "fit_residual": [0, 0, 0]}', "ValueError"),
         ('{"band_labels": ["R", "G", "NIR"], "gain": [1, 1], '
          '"offset": [0, 0, 0], "fit_residual": [0, 0, 0]}', "one number per band"),
-    ], ids=["not-json", "not-object", "missing-key", "non-numeric", "short-list"])
+        ('{"band_labels": ["R", "G", "NIR"], "gain": [1, NaN, 1], '
+         '"offset": [0, 0, 0], "fit_residual": [0, 0, 0]}', "must be finite"),
+        ('{"band_labels": ["R", "G", "NIR"], "gain": [1, 1, 1], '
+         '"offset": [0, -Infinity, 0], "fit_residual": [0, 0, 0]}', "must be finite"),
+        ('{"band_labels": ["R", "G", "NIR"], "gain": [1, 1, 1], '
+         '"offset": [0, 0, 0], "fit_residual": [0, 0, NaN]}', "must be finite"),
+        ('{"band_labels": ["R", "G", "NIR"], "gain": [1, 0, 1], '
+         '"offset": [0, 0, 0], "fit_residual": [0, 0, 0]}', "gains must be > 0"),
+        ('{"band_labels": ["R", "G", "NIR"], "gain": [-1, -1, -1], '
+         '"offset": [0, 0, 0], "fit_residual": [0, 0, 0]}', "gains must be > 0"),
+        ('{"band_labels": ["R", "G", "NIR"], "gain": [1, 1, 1], '
+         '"offset": [0, 0, 1' + "0" * 400 + '], "fit_residual": [0, 0, 0]}', "OverflowError"),
+    ], ids=["not-json", "not-object", "missing-key", "non-numeric", "short-list",
+            "nan-gain", "infinite-offset", "nan-residual", "zero-gain", "negative-gains",
+            "huge-integer"])
     def test_malformed_calibration_file(self, tmp_path, text, needle):
         path = tmp_path / "calib.json"
         path.write_text(text)

@@ -111,6 +111,20 @@ class TestConfig:
         assert err.startswith("paddyspec: ") and err.count("\n") == 1, err
         assert f"--jobs must be >= 1, got {jobs}" in err
 
+    @pytest.mark.parametrize("argv, needle", [
+        (["dataset", "split", "--k", "0"], "--k must be >= 1, got 0"),
+        (["train", "--max-steps", "0"], "--max-steps must be >= 1, got 0"),
+        (["gradcheck", "--trials", "0"], "--trials must be >= 1, got 0"),
+        (["gradcheck", "--full-net-trials", "-2"], "--full-net-trials must be >= 1, got -2"),
+    ])
+    def test_count_flag_below_one_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                 argv, needle):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("paddyspec: config error: ") and err.count("\n") == 1, err
+        assert needle in err
+
     def test_cache_env_override(self, tmp_path, monkeypatch):
         from paddyspec.config import resolve_config
         monkeypatch.setenv("PADDYSPEC_CACHE", "/tmp/elsewhere")
@@ -145,6 +159,22 @@ class TestDatasetCommands:
         monkeypatch.chdir(tmp_path)
         assert run(["dataset", "build"]) == 1
         assert "lonely" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag_seed, file_seed", [("-1", None), (None, -3)])
+    def test_negative_seed_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                          flag_seed, file_seed):
+        self._touch_tree(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert run(["dataset", "build"]) == 0
+        (tmp_path / "config.json").write_text(json.dumps(
+            {} if file_seed is None else {"seed": file_seed}))
+        argv = ["--config", "config.json"] + ([] if flag_seed is None else ["--seed", flag_seed])
+        capsys.readouterr()
+        assert run(argv + ["dataset", "split", "--k", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("paddyspec: config error: ") and err.count("\n") == 1, err
+        assert f"seed must be >= 0, got {flag_seed or file_seed}" in err
+        assert not (tmp_path / "out" / "folds.csv").exists()
 
     def test_split_requires_enough_samples(self, tmp_path, monkeypatch):
         self._touch_tree(tmp_path, counts=(3, 3, 2))
@@ -452,6 +482,8 @@ class TestMalformedInputs:
         ("roi", [1.5, 1, 2, 3], "roi must be 4 integers"),
         ("roi", [1, 2, 3], "roi must be 4 integers"),
         ("reflectance", [0.5, 0.5], "panel 1 needs one reflectance per band (3), got 2"),
+        ("reflectance", [0.3, float("nan"), 0.3], "panel 1 reflectance must be finite"),
+        ("reflectance", [0.3, 10**400, 0.3], "panel 1 reflectance must be finite"),
     ])
     def test_mistyped_session_file(self, tmp_path, monkeypatch, capsys, key, value, needle):
         from paddyspec import calibration as cal

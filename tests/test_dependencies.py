@@ -1,8 +1,12 @@
-"""The package imports nothing outside the standard library and numpy, and
-every public function and class in it has a caller outside the tests."""
+"""The package imports nothing outside the standard library and numpy, every
+public function, class, method and property in it has a caller outside the
+tests, and every dataclass field in it is read there."""
 import ast
 import dataclasses
+import importlib
+import inspect
 import sys
+from collections import Counter
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -29,6 +33,10 @@ def test_absolute_imports_are_stdlib_or_numpy():
     assert not outside, outside
 
 
+def _program_sources():
+    return [path for root in (SRC, REPO / "perfbench") for path in sorted(root.rglob("*.py"))]
+
+
 def _names_in(node):
     """Every identifier, attribute, imported name and string constant under node;
     strings count because the benchmark patches functions by name."""
@@ -50,8 +58,7 @@ def test_public_definitions_have_a_caller():
     top-level statement in src/ or perfbench/, its own module included (the
     parser names the cli commands); the tests do not count."""
     # package __init__ files only re-export, which is not a use
-    sources = [path for root in (SRC, REPO / "perfbench") for path in sorted(root.rglob("*.py"))
-               if path.name != "__init__.py"]
+    sources = [path for path in _program_sources() if path.name != "__init__.py"]
     statements = [(path, stmt) for path in sources
                   for stmt in ast.parse(path.read_text(), filename=str(path)).body]
     used_by = [(stmt, _names_in(stmt)) for _, stmt in statements]
@@ -65,15 +72,55 @@ def test_public_definitions_have_a_caller():
     assert not uncalled, uncalled
 
 
-def test_config_fields_are_read():
-    """Every setting of the config dataclasses is read as an attribute in src/ or
-    perfbench/ outside its own class's ``__post_init__``: a setting that only its
-    validation reads changes nothing."""
-    from paddyspec.config import PathsConfig, PipelineConfig
-    from paddyspec.registration import RegistrationParams
-    from paddyspec.training import TrainConfig
+def _attributes_and_strings(node) -> Counter:
+    return Counter(sub.attr if isinstance(sub, ast.Attribute) else sub.value
+                   for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute)
+                   or (isinstance(sub, ast.Constant) and isinstance(sub.value, str)))
 
-    classes = (PathsConfig, RegistrationParams, TrainConfig, PipelineConfig)
+
+def test_public_methods_have_a_caller():
+    """A public method or property of a class in src/ must be named by an
+    attribute or a string in src/ or perfbench/ outside its own ``def``; the
+    tests do not count."""
+    trees = [(path, ast.parse(path.read_text(), filename=str(path)))
+             for path in _program_sources()]
+    named = sum((_attributes_and_strings(tree) for _, tree in trees), Counter())
+    uncalled = []
+    for path, tree in trees:
+        if not path.is_relative_to(SRC) or path.name in CALLER_EXEMPT:
+            continue
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if (isinstance(method, ast.FunctionDef) and not method.name.startswith("_")
+                        and named[method.name] == _attributes_and_strings(method)[method.name]):
+                    uncalled.append(f"{path.relative_to(SRC)}:{method.lineno}: "
+                                    f"{cls.name}.{method.name}")
+    assert not uncalled, uncalled
+
+
+def _dataclasses_in_src():
+    """Every dataclass defined in a module of the package; the package
+    __init__ files define none, they only re-export."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        name = ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
+        module = importlib.import_module(name)
+        found += [cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                  if cls.__module__ == name and dataclasses.is_dataclass(cls)]
+    return found
+
+
+def test_dataclass_fields_are_read():
+    """Every field of every dataclass in src/ is read as an attribute in src/ or
+    perfbench/ outside its own class's ``__post_init__``: a field that nothing
+    reads, or only its validation, changes nothing."""
+    classes = _dataclasses_in_src()
+    assert classes
     reads: dict[str, set[str]] = {}  # attribute -> classes whose __post_init__ reads it
 
     def visit(node, owner):
@@ -86,9 +133,8 @@ def test_config_fields_are_read():
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
-    for root in (SRC, REPO / "perfbench"):
-        for path in sorted(root.rglob("*.py")):
-            visit(ast.parse(path.read_text(), filename=str(path)), None)
+    for path in _program_sources():
+        visit(ast.parse(path.read_text(), filename=str(path)), None)
     unread = [f"{cls.__name__}.{f.name}" for cls in classes
               for f in dataclasses.fields(cls)
               if not reads.get(f.name, set()) - {cls.__name__}]

@@ -360,7 +360,7 @@ class TestRegisterPair:
     def test_textureless_pair_fails_at_detection(self):
         flat = ImageF(np.full((64, 64, 3), 0.5, dtype=np.float32), ("R", "G", "B"))
         with pytest.raises(RegistrationError) as exc:
-            reg.register_pair(flat, flat)
+            reg.register_pair(flat, flat, reg.RegistrationParams())
         assert exc.value.stage == "detect"
 
     def test_fov_gap_implies_upscaling(self):

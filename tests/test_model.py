@@ -30,6 +30,29 @@ def tally_parameters(in_channels: int, num_classes: int) -> int:
     return total
 
 
+def count_parameters(model) -> int:
+    """Learnable scalars only; batchnorm running statistics excluded."""
+    return sum(p.data.size for p in model.parameters())
+
+
+def shape_trace(model, x: Tensor, train: bool = True):
+    """([(layer, output shape)], logits), walking the model's layers by hand
+    in the order ``forward`` runs them."""
+    out = nn.relu(model.stem(x, train))
+    trace = [("stem_conv", out.shape)]
+    out = nn.maxpool2d(out, kernel=3, stride=2, padding=1)
+    trace.append(("maxpool", out.shape))
+    for si, blocks in enumerate(model.stages):
+        for block in blocks:
+            out = block(out, train)
+        trace.append((f"stage{si + 1}", out.shape))
+    out = nn.global_avgpool(out)
+    trace.append(("avgpool", out.shape))
+    logits = nn.linear(out, model.head_weight, model.head_bias)
+    trace.append(("head", logits.shape))
+    return trace, logits
+
+
 def expected_state_keys() -> list[str]:
     """Checkpoint keys written out by hand: every parameter in layer order,
     the head last, then every batchnorm's running statistics."""
@@ -51,25 +74,25 @@ def expected_state_keys() -> list[str]:
 class TestStructure:
     def test_parameter_count_3ch(self):
         model = build_resnet18(in_channels=3, num_classes=3, seed=0)
-        assert model.count_parameters() == 11_178_051
-        assert model.count_parameters() == tally_parameters(3, 3)
+        assert count_parameters(model) == 11_178_051
+        assert count_parameters(model) == tally_parameters(3, 3)
 
     def test_parameter_count_4ch(self):
         model = build_resnet18(in_channels=4, num_classes=3, seed=0)
-        assert model.count_parameters() == 11_181_187
-        assert model.count_parameters() == tally_parameters(4, 3)
+        assert count_parameters(model) == 11_181_187
+        assert count_parameters(model) == tally_parameters(4, 3)
         # the stem grows by exactly 64 * 1 * 7 * 7
         assert 11_181_187 - 11_178_051 == 64 * 7 * 7
 
     def test_head_growth_per_class(self):
-        c3 = build_resnet18(num_classes=3, seed=0).count_parameters()
-        c4 = build_resnet18(num_classes=4, seed=0).count_parameters()
+        c3 = count_parameters(build_resnet18(num_classes=3, seed=0))
+        c4 = count_parameters(build_resnet18(num_classes=4, seed=0))
         assert c4 - c3 == 512 + 1
 
     def test_count_is_structural(self):
         a = build_resnet18(seed=0)
         b = build_resnet18(seed=99)
-        assert a.count_parameters() == b.count_parameters()
+        assert count_parameters(a) == count_parameters(b)
 
     def test_same_seed_bit_identical(self):
         a = build_resnet18(in_channels=4, seed=7)
@@ -95,10 +118,11 @@ class TestForward:
         model = build_resnet18(in_channels=4, seed=0)
         x = Tensor(np.random.default_rng(0).standard_normal((2, 4, 64, 64)
                                                             ).astype(np.float32))
-        trace = []
         with nn.no_grad():
-            logits = model.forward(x, train=True, trace_shapes=trace)
+            trace, walked = shape_trace(model, x)
+            logits = model.forward(x, train=True)
         assert logits.shape == (2, 3)
+        assert walked.data.tobytes() == logits.data.tobytes()
         expected = [
             ("stem_conv", (2, 64, 32, 32)),
             ("maxpool", (2, 64, 16, 16)),
@@ -114,9 +138,8 @@ class TestForward:
     def test_shape_trace_128(self):
         model = build_resnet18(in_channels=3, seed=0)
         x = Tensor(np.zeros((1, 3, 128, 128), dtype=np.float32))
-        trace = []
         with nn.no_grad():
-            model.forward(x, train=True, trace_shapes=trace)
+            trace, _ = shape_trace(model, x)
         spatial = [s[-1] for _, s in trace[:6]]
         assert spatial == [64, 32, 32, 16, 8, 4]
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import write_fused_cache, write_train_inputs
 from paddyspec import cli, nn, training
 from paddyspec.config import CACHE_ENV_VAR
-from paddyspec.dataset import LABELS, ManifestError, stratified_kfold
+from paddyspec.dataset import LABELS, Manifest, ManifestError, class_weights, stratified_kfold
 from paddyspec.model import build_resnet18
 from paddyspec.training import (
     INPUT_MODES,
@@ -32,6 +32,12 @@ def small_cfg(**overrides):
     base = dict(epochs=2, batch_size=4, input_size=16, seed=0)
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def training_fold_weights(manifest, folds, fold_id):
+    """Class weights of the folds that ``train_fold`` trains on."""
+    return class_weights(Manifest([r for r in manifest.records
+                                   if folds.fold_of[r.id] != fold_id]))
 
 
 class TestSchedule:
@@ -180,7 +186,7 @@ class TestTrainFold:
         assert result.val_result.confusion.total() == sum(
             1 for r in manifest.records if folds.fold_of[r.id] == 0)
         # balanced training folds give near-uniform weights
-        assert np.allclose(result.class_weights.sum(), 3.0, atol=1e-9)
+        assert np.allclose(training_fold_weights(manifest, folds, 0).sum(), 3.0, atol=1e-9)
 
     def test_bad_fold_id(self, tmp_path):
         manifest, source = tiny_dataset(tmp_path, n_per_class=2)
@@ -229,7 +235,15 @@ class TestSingleLoop:
         # 6 training samples at batch 3: two steps per epoch, so 3 steps end mid-epoch
         cfg = small_cfg(epochs=5, batch_size=3, precision="float64")
         result = train_fold(cfg, manifest, folds, 0, source, max_steps=3)
-        assert result.steps_taken == 3
+        x, y = self.fold_data(cfg, manifest, source, folds, 0)
+        direct = build_resnet18(in_channels=cfg.channels, seed=model_seed(cfg.seed, 0),
+                                dtype=cfg.dtype)
+        _, steps = training.fit(direct, cfg, x, y, training_fold_weights(manifest, folds, 0),
+                                max_steps=3)
+        assert steps == 3
+        for (name, a), (_, b) in zip(result.model.named_parameters(),
+                                     direct.named_parameters()):
+            assert a.data.tobytes() == b.data.tobytes(), name
         assert [e.epoch for e in result.history] == [0, 1]
         held_out = sum(1 for r in manifest.records if folds.fold_of[r.id] == 0)
         assert result.val_result.confusion.total() == held_out
@@ -243,9 +257,10 @@ class TestSingleLoop:
         x, y = self.fold_data(cfg, manifest, source, folds, fold_id)
         direct = build_resnet18(in_channels=cfg.channels, seed=model_seed(cfg.seed, fold_id),
                                 dtype=cfg.dtype)
-        losses, steps = training.fit(direct, cfg, x, y, result.class_weights,
+        losses, steps = training.fit(direct, cfg, x, y,
+                                     training_fold_weights(manifest, folds, fold_id),
                                      shuffle_tag=fold_id)
-        assert steps == result.steps_taken
+        assert steps == 4  # 2 epochs of 6 samples at batch 3
         for (name, a), (_, b) in zip(result.model.named_parameters(),
                                      direct.named_parameters()):
             assert a.data.tobytes() == b.data.tobytes(), name
