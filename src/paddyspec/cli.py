@@ -251,14 +251,19 @@ def _checkpoint_name(fold: int, mode: str) -> str:
 
 def _fold_arg(value: str) -> int:
     try:
-        return int(value)
+        fold = int(value)
     except ValueError:
         raise ConfigError(f"--fold must be an integer, got {value!r}") from None
+    if fold < 0:
+        raise ConfigError(f"--fold must be >= 0, got {fold}")
+    return fold
 
 
 def cmd_train(cfg: PipelineConfig, args) -> int:
     fold = None if args.fold == "all" else _fold_arg(args.fold)
     manifest, folds = _load_split(cfg, args.manifest, args.folds)
+    if fold is not None and fold >= folds.k:
+        raise CommandFailure(f"fold_id {fold} out of range for k={folds.k}")
     source = FusedCacheSource(cfg.paths.cache_dir)
     train_cfg = cfg.train_config()
     fold_ids = list(range(folds.k)) if fold is None else [fold]

@@ -95,8 +95,11 @@ class TestConfig:
         assert run(["--config", str(good), "config", "print-defaults"]) == 0
 
     @pytest.mark.parametrize("argv", [["train", "--fold", "x"],
-                                      ["eval", "--checkpoint", "none.ckpt", "--fold", "x"]])
+                                      ["eval", "--checkpoint", "none.ckpt", "--fold", "x"],
+                                      ["train", "--fold", "-1"],
+                                      ["eval", "--checkpoint", "none.ckpt", "--fold", "-1"]])
     def test_non_integer_fold_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        """A --fold that names no fold id, not an integer or below 0, exits 2."""
         monkeypatch.chdir(tmp_path)
         assert run(argv) == 2
         err = capsys.readouterr().err
@@ -402,6 +405,13 @@ class TestMalformedInputs:
         for sid in ids:
             (tmp_path / "cache" / f"{sid}.pspec").write_bytes(payload)
         return ["train", "--manifest", "manifest.csv", "--folds", "folds.csv", "--fold", "0"]
+
+    @pytest.mark.parametrize("fold", ["2", "5"])
+    def test_fold_beyond_k_writes_nothing(self, tmp_path, monkeypatch, capsys, fold):
+        monkeypatch.chdir(tmp_path)
+        train = self._cache_split(tmp_path, b"")[:-1] + [fold]
+        self._fails_on_one_line(train, capsys, f"fold_id {fold} out of range for k=2")
+        assert not (tmp_path / "out").exists()
 
     def _train_on_cache(self, tmp_path, capsys, payload):
         """``train`` on a ``_cache_split`` must fail on one line naming a cache file."""

@@ -148,6 +148,34 @@ class TestPngCodec:
         assert back.dtype == dtype
         assert np.array_equal(back, arr)
 
+    @given(dtype=st.sampled_from([np.uint8, np.uint16]), rgb=st.booleans(),
+           h=st.integers(1, 40), w=st.integers(1, 300), seed=st.integers(0, 2 ** 31 - 1))
+    # 40 rows of 16-bit RGB at width 300 are 72,040 scanline bytes, more
+    # than one stored deflate block holds (65,535)
+    @example(dtype=np.uint16, rgb=True, h=40, w=300, seed=0)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_written_png_round_trips(self, tmp_path_factory, dtype, rgb, h, w, seed):
+        shape = (h, w, 3) if rgb else (h, w)
+        arr = np.random.default_rng(seed).integers(
+            0, np.iinfo(dtype).max + 1, size=shape).astype(dtype)
+        path = tmp_path_factory.mktemp("written") / "img.png"
+        imaging.write_png(path, arr)
+        back = imaging.read_png(path)
+        assert back.dtype == dtype
+        assert np.array_equal(back, arr)
+
+    def test_deflate_mode_follows_sample_depth(self, tmp_path, rng):
+        # 16-bit: stored blocks (BTYPE 00), the first of several, not final,
+        # even for 12-bit DN that a Huffman block would code shorter
+        arr = rng.integers(0, 4096, size=(40, 300, 3)).astype(np.uint16)
+        imaging.write_png(tmp_path / "wide.png", arr)
+        data = (tmp_path / "wide.png").read_bytes()
+        first = data[data.index(b"IDAT") + 4 + 2]      # after the zlib header
+        assert (first >> 1) & 3 == 0 and not first & 1
+        # 8-bit: a constant mask still compresses below 1 % of its scanlines
+        imaging.write_png(tmp_path / "mask.png", np.full((256, 256), 255, np.uint8))
+        assert (tmp_path / "mask.png").stat().st_size < 0.01 * 256 * 257
+
     def test_rejects_non_png(self, tmp_path):
         path = tmp_path / "fake.png"
         path.write_bytes(b"not a png at all")
@@ -381,6 +409,16 @@ def assert_matches_reference_gather(transform, *args):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def reference_resize(data, out_w, out_h):
+    """``resize_bilinear`` on (H, W, C) data as it clamped before its
+    band-by-band bounds: min and max over axes (0, 1) of the whole array."""
+    h, w = data.shape[:2]
+    xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
+    ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
+    out = reference_bilinear_gather(data, *np.meshgrid(xs, ys))
+    return np.clip(out, data.min(axis=(0, 1)), data.max(axis=(0, 1)))
+
+
 class TestResize:
     def test_identity(self, rng):
         img = ImageF(rng.uniform(0, 1, (8, 6, 3)).astype(np.float32), ("R", "G", "B"))
@@ -406,6 +444,15 @@ class TestResize:
         for c in range(2):
             assert out.data[:, :, c].min() >= data[:, :, c].min()
             assert out.data[:, :, c].max() <= data[:, :, c].max()
+        # per-band bounds clamp exactly as whole-array min/max over (0, 1):
+        # 1 to 4 bands, the last one constant when there are several
+        for bands in range(1, 5):
+            many = rng.uniform(-1.0, 2.0, (16, 16, bands)).astype(np.float32)
+            if bands > 1:
+                many[:, :, -1] = np.float32(0.3)
+            got = imaging.resize_bilinear(ImageF(many, ("R", "G", "B", "NIR")[:bands]), 31, 9)
+            want = reference_resize(many, 31, 9)
+            assert got.data.dtype == want.dtype and got.data.tobytes() == want.tobytes()
         # the upscaled axis samples beyond both edges, the other inside; on a
         # 3-D and on a 2-D (one-band) array
         assert_matches_reference_gather(imaging.resize_bilinear, img, 31, 9)
