@@ -313,6 +313,13 @@ def _load_checkpoint_model(path):
     if meta["input_size"] < 1:
         raise CommandFailure(f"checkpoint {path}: input_size must be >= 1, "
                              f"got {meta['input_size']}")
+    if arch["num_classes"] != len(ds.LABELS):
+        raise CommandFailure(f"checkpoint {path}: arch.num_classes must be "
+                             f"{len(ds.LABELS)}, got {arch['num_classes']}")
+    channels = training.INPUT_CHANNELS[meta["input_mode"]]
+    if arch["in_channels"] != channels:
+        raise CommandFailure(f"checkpoint {path}: input_mode {meta['input_mode']!r} needs "
+                             f"arch.in_channels {channels}, got {arch['in_channels']}")
     # the initial weights are all overwritten below, so they need no seed
     model = build_resnet18(in_channels=arch["in_channels"], num_classes=arch["num_classes"])
     model.load_state_arrays(arrays)

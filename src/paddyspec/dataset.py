@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -223,5 +224,12 @@ def read_folds_csv(path) -> FoldAssignment:
             if row[0] in fold_of:
                 raise ManifestError(f"{path}:{reader.line_num}: repeated id {row[0]!r}")
             fold_of[row[0]] = int(row[1])
-    k = (max(fold_of.values()) + 1) if fold_of else 0
-    return FoldAssignment(k=k, fold_of=fold_of)
+    ids = set(fold_of.values())
+    if ids != set(range(len(ids))):
+        top = max(ids)
+        n_missing = top + 1 - len(ids)
+        missing = ", ".join(map(str, islice((i for i in range(top) if i not in ids), 8)))
+        raise ManifestError(f"{path}: fold ids must run from 0 with no gap, but "
+                            f"{n_missing} of 0..{top} are missing: {missing}"
+                            + (", ..." if n_missing > 8 else ""))
+    return FoldAssignment(k=len(ids), fold_of=fold_of)

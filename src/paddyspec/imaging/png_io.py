@@ -19,7 +19,8 @@ contiguous slices, and it skips all of this for files whose rows all use
 filter 0.
 Every unreadable, malformed (bad chunk CRC or length, IHDR not first or
 repeated, IDAT chunks split by another chunk, a PLTE chunk in a grayscale
-image or after IDAT, no IEND, bytes after IEND, corrupt zlib data) or
+image or after IDAT, no IEND, bytes after IEND, corrupt zlib data, image
+data longer than IHDR declares, which is not inflated past that size) or
 unsupported file (an unknown critical chunk, one whose type starts with an
 uppercase letter) raises :class:`ImageFormatError`.
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import struct
+import sys
 import zlib
 from pathlib import Path
 
@@ -219,12 +221,22 @@ def read_png(path) -> np.ndarray:
     channels = 1 if color_type == 0 else 3
     bpp = channels * (depth // 8)
     stride = w * bpp
+    size = h * (stride + 1)
+    inflater = zlib.decompressobj()
     try:
-        raw = np.frombuffer(zlib.decompress(idat), dtype=np.uint8)
+        # one byte past the declared size is enough to reject a stream that
+        # would inflate to more, without inflating the rest of it (a size
+        # past sys.maxsize cannot be inflated anyway and ends as truncated)
+        raw = inflater.decompress(idat, min(size + 1, sys.maxsize))
     except zlib.error as exc:
         raise ImageFormatError(f"{path}: corrupt image data: {exc}") from exc
-    if raw.size != h * (stride + 1):
+    if len(raw) > size:
+        raise ImageFormatError(f"{path}: image data longer than IHDR's {w}x{h} declares")
+    if not inflater.eof:
+        raise ImageFormatError(f"{path}: corrupt image data: incomplete or truncated stream")
+    if len(raw) != size:
         raise ImageFormatError(f"{path}: truncated image data")
+    raw = np.frombuffer(raw, dtype=np.uint8)
     rows = _unfilter(raw.reshape(h, stride + 1), h, stride, bpp)
 
     if depth == 16:

@@ -21,9 +21,8 @@ it, at a Hamming distance no larger than the first fit's worst inlier
 (``match_guided``), and filters and fits those as before. At 10k corners
 the first pass compares 1,000 x 1,000 descriptors where one exhaustive
 match compares about 5,800 x 5,800, and the second only a few per corner.
-If either pass raises a ``RegistrationError``, the pair is matched
-exhaustively instead, so a pair that cannot be registered fails with the
-error of the exhaustive path.
+A pair on which either pass raises fails with that pass's
+``RegistrationError``.
 
 The survey camera sees a much narrower field (41 degrees) than the phone
 (123 degrees), so a correct homography upscales RGB content into the R-G-NIR
@@ -84,7 +83,7 @@ class RegistrationDiagnostics:
     described_b: int
     matches: int
     filtered: int
-    guide_inliers: int  # the first pass's inliers; 0 when exhaustive matching ran
+    guide_inliers: int  # the first pass's inliers
     inliers: int
     mean_residual: float
     samples: int
@@ -125,22 +124,6 @@ def _fit(matches: Matches, kps_a: Keypoints, kps_b: Keypoints,
         min_inliers=params.min_inliers, seed=params.seed)
 
 
-def _guided_fit(descs_a: np.ndarray, kps_a: Keypoints, descs_b: np.ndarray,
-                kps_b: Keypoints, params: RegistrationParams
-                ) -> tuple[int, Matches, Matches, RansacResult]:
-    """(first-pass inliers, guided matches, filtered matches, RANSAC result)."""
-    _, guide = _fit(match_bruteforce(descs_a[:GUIDE_CORNERS], descs_b[:GUIDE_CORNERS]),
-                    kps_a[:GUIDE_CORNERS], kps_b[:GUIDE_CORNERS], params)
-    mapped = np.hstack([kps_a.xy, np.ones((len(kps_a), 1))]) @ guide.homography.T
-    # a corner the fit sends to infinity gets a non-finite prediction,
-    # which match_guided leaves unmatched
-    with np.errstate(divide="ignore", invalid="ignore"):
-        predicted = mapped[:, :2] / mapped[:, 2:]
-    matches = match_guided(descs_a, descs_b, predicted, kps_b.xy, params.inlier_px,
-                           int(guide.inliers.distance.max()))
-    return (len(guide.inliers), matches) + _fit(matches, kps_a, kps_b, params)
-
-
 def register_pair(rgb: ImageF, rgnir: ImageF, params: RegistrationParams,
                   pair_id: str = "") -> RegistrationResult:
     """Align an RGB image onto its paired R-G-NIR image."""
@@ -155,13 +138,18 @@ def register_pair(rgb: ImageF, rgnir: ImageF, params: RegistrationParams,
         n_detected_a, kps_a, descs_a = _features(rgb.band("G"), params.target_count)
         n_detected_b, kps_b, descs_b = future_b.result()
 
-    try:
-        guide_inliers, matches, filtered, result = _guided_fit(
-            descs_a, kps_a, descs_b, kps_b, params)
-    except RegistrationError:
-        guide_inliers = 0
-        matches = match_bruteforce(descs_a, descs_b)
-        filtered, result = _fit(matches, kps_a, kps_b, params)
+    # first pass: the strongest corners, matched exhaustively
+    _, guide = _fit(match_bruteforce(descs_a[:GUIDE_CORNERS], descs_b[:GUIDE_CORNERS]),
+                    kps_a[:GUIDE_CORNERS], kps_b[:GUIDE_CORNERS], params)
+    # second pass: every corner, matched near where the first fit puts it; a
+    # corner the fit sends to infinity gets a non-finite prediction, which
+    # match_guided leaves unmatched
+    mapped = np.hstack([kps_a.xy, np.ones((len(kps_a), 1))]) @ guide.homography.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        predicted = mapped[:, :2] / mapped[:, 2:]
+    matches = match_guided(descs_a, descs_b, predicted, kps_b.xy, params.inlier_px,
+                           int(guide.inliers.distance.max()))
+    filtered, result = _fit(matches, kps_a, kps_b, params)
 
     try:
         warped, mask = warp_perspective(rgb, result.homography, rgnir.width, rgnir.height)
@@ -176,7 +164,7 @@ def register_pair(rgb: ImageF, rgnir: ImageF, params: RegistrationParams,
         described_b=len(kps_b),
         matches=len(matches),
         filtered=len(filtered),
-        guide_inliers=guide_inliers,
+        guide_inliers=len(guide.inliers),
         inliers=len(result.inliers),
         mean_residual=result.mean_residual,
         samples=result.samples,

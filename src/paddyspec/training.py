@@ -20,7 +20,8 @@ from .model import ResNet18, build_resnet18
 from .nn import Adam, Tensor
 from .spectral import load_fused
 
-INPUT_MODES = ("rgb", "rgb_ndvi")
+INPUT_CHANNELS = {"rgb": 3, "rgb_ndvi": 4}  # RGB, or RGB + NDVI
+INPUT_MODES = tuple(INPUT_CHANNELS)
 
 
 class TrainingError(RuntimeError):
@@ -67,7 +68,7 @@ class TrainConfig:
 
     @property
     def channels(self) -> int:
-        return 3 if self.input_mode == "rgb" else 4
+        return INPUT_CHANNELS[self.input_mode]
 
 
 def lr_at(step_epoch: float, cfg: TrainConfig) -> float:

@@ -242,6 +242,14 @@ class TestMalformedInputs:
         self._fails_on_one_line(["train", "--manifest", "manifest.csv",
                                  "--folds", "folds.csv"], capsys, "folds.csv:4")
 
+    def test_fold_id_gap_fails_before_training(self, tmp_path, monkeypatch, capsys):
+        # k is the number of folds, so ids 0 and 2 leave fold 1 empty
+        monkeypatch.chdir(tmp_path)
+        self._split_files(tmp_path, ["blast0,0", "brown_spot0,2", "healthy0,0"])
+        self._fails_on_one_line(["train", "--manifest", "manifest.csv", "--folds",
+                                 "folds.csv"], capsys, "1 of 0..2 are missing: 1")
+        assert not (tmp_path / "out").exists()
+
     def test_short_manifest_row(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         self._split_files(tmp_path, [])
@@ -307,6 +315,38 @@ class TestMalformedInputs:
         nn.write_checkpoint(tmp_path / "bad.ckpt", meta, state)
         self._fails_on_one_line(["eval", "--checkpoint", "bad.ckpt"], capsys,
                                 "stem_bn.running_var: checkpoint shape (3,)")
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    @pytest.mark.parametrize("arch, needle", [
+        ({"in_channels": 3, "num_classes": 4}, "bad.ckpt: arch.num_classes must be 3, got 4"),
+        ({"in_channels": 4, "num_classes": 3},
+         "bad.ckpt: input_mode 'rgb' needs arch.in_channels 3, got 4"),
+    ], ids=["four-classes", "rgb-with-four-channels"])
+    def test_checkpoint_meta_contradicting_itself(self, tmp_path, monkeypatch, capsys,
+                                                  command, arch, needle):
+        # unchecked, predict prints three of four probabilities and may crash,
+        # or feeds the NDVI band to an rgb model and exits 0
+        from paddyspec import calibration as cal
+        from paddyspec import nn, synthetic
+        from paddyspec.model import build_resnet18
+        monkeypatch.chdir(tmp_path)
+        meta = {"arch": arch, "input_mode": "rgb", "input_size": 32, "fold": 0}
+        nn.write_checkpoint(tmp_path / "bad.ckpt", meta, build_resnet18(**arch).state_arrays())
+        if command == "predict":
+            rgb, rgnir, _ = synthetic.make_registration_pair(np.random.default_rng(13),
+                                                             out_size=220)
+            save_image(rgb, tmp_path / "a_rgb.png")
+            save_image(rgnir, tmp_path / "a_rgnir.png")
+            cal.save_calibration(cal.BandCalibration(
+                gain=np.ones(3), offset=np.zeros(3), fit_residual=np.zeros(3),
+                band_labels=("R", "G", "NIR")), tmp_path / "calib.json")
+            argv = ["predict", "--checkpoint", "bad.ckpt", "--calibration", "calib.json",
+                    "--rgb", "a_rgb.png", "--rgnir", "a_rgnir.png"]
+        else:
+            self._split_files(tmp_path, ["blast0,0", "brown_spot0,1", "healthy0,0"])
+            argv = ["eval", "--checkpoint", "bad.ckpt", "--manifest", "manifest.csv",
+                    "--folds", "folds.csv"]
+        self._fails_on_one_line(argv, capsys, needle)
 
     @pytest.mark.parametrize("key, value, needle", [
         ("input_mode", "foo", "bad.ckpt: input_mode must be one of"),

@@ -161,6 +161,16 @@ class TestStratifiedKfold:
         with pytest.raises(ManifestError, match="folds.csv:3"):
             ds.read_folds_csv(path)
 
+    @pytest.mark.parametrize("rows, needle", [
+        ("a,0\nb,2\n", "1 of 0..2 are missing: 1$"),
+        ("a,999999999\n", "999999999 of 0..999999999 are missing: 0, 1, 2, 3, 4, 5, 6, 7, ...$"),
+    ], ids=["gap", "huge"])
+    def test_fold_ids_must_run_from_zero(self, tmp_path, rows, needle):
+        path = tmp_path / "folds.csv"
+        path.write_text("id,fold\n" + rows)
+        with pytest.raises(ManifestError, match=needle):
+            ds.read_folds_csv(path)
+
     def test_check_covers_names_missing_ids(self):
         manifest = self._manifest((3, 3, 3))
         folds = ds.stratified_kfold(manifest, k=3, seed=0)

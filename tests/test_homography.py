@@ -447,12 +447,12 @@ def _reference_fit(matches, kps_a, kps_b, params):
         min_inliers=params.min_inliers, seed=params.seed)
 
 
-def serial_register_pair(rgb, rgnir, params, pair_id="", exhaustive=False):
+def serial_register_pair(rgb, rgnir, params, pair_id=""):
     """``register_pair``'s stages on one thread, each stage run for rgb and
     then for rgnir before the next: the reference for the threaded one.
     Matching takes two passes, the strongest ``GUIDE_CORNERS`` corners of
-    each image and then every corner guided by that fit, or one exhaustive
-    match when either pass fails or ``exhaustive`` is set.
+    each image and then every corner guided by that fit; a pass that fails
+    raises its own error.
     Returns (homography, diagnostics record, warped image, mask)."""
     levels_a = reg.build_pyramid(rgb.band("G"))
     levels_b = reg.build_pyramid(rgnir.band("G"))
@@ -461,26 +461,19 @@ def serial_register_pair(rgb, rgnir, params, pair_id="", exhaustive=False):
     descs_a, kept_a = reg.compute_descriptors(levels_a, kps_a)
     descs_b, kept_b = reg.compute_descriptors(levels_b, kps_b)
     described_a, described_b = kps_a[kept_a], kps_b[kept_b]
-    try:
-        if exhaustive:
-            raise RegistrationError("match", "exhaustive matching asked for")
-        n = pipeline.GUIDE_CORNERS
-        _, guide = _reference_fit(reg.match_bruteforce(descs_a[:n], descs_b[:n]),
-                                  described_a[:n], described_b[:n], params)
-        predicted = Homography(guide.homography).apply(described_a.xy)
-        matches = reg.match_guided(descs_a, descs_b, predicted, described_b.xy,
-                                   params.inlier_px, int(guide.inliers.distance.max()))
-        filtered, result = _reference_fit(matches, described_a, described_b, params)
-        guide_inliers = len(guide.inliers)
-    except RegistrationError:
-        matches = reg.match_bruteforce(descs_a, descs_b)
-        filtered, result = _reference_fit(matches, described_a, described_b, params)
-        guide_inliers = 0
+    n = pipeline.GUIDE_CORNERS
+    _, guide = _reference_fit(reg.match_bruteforce(descs_a[:n], descs_b[:n]),
+                              described_a[:n], described_b[:n], params)
+    predicted = Homography(guide.homography).apply(described_a.xy)
+    matches = reg.match_guided(descs_a, descs_b, predicted, described_b.xy,
+                               params.inlier_px, int(guide.inliers.distance.max()))
+    filtered, result = _reference_fit(matches, described_a, described_b, params)
     warped, mask = warp_perspective(rgb, result.homography, rgnir.width, rgnir.height)
     diag = reg.RegistrationDiagnostics(
         pair_id=pair_id, keypoints_a=len(kps_a), keypoints_b=len(kps_b),
         described_a=len(kept_a), described_b=len(kept_b), matches=len(matches),
-        filtered=len(filtered), guide_inliers=guide_inliers, inliers=len(result.inliers),
+        filtered=len(filtered), guide_inliers=len(guide.inliers),
+        inliers=len(result.inliers),
         mean_residual=result.mean_residual, samples=result.samples,
         homography=[float(v) for v in result.homography.ravel()])
     return result.homography, diag.record(), warped, mask
@@ -574,44 +567,62 @@ class TestConcurrentFeatures:
 class TestGuidedMatching:
     """``register_pair`` fits the strongest ``GUIDE_CORNERS`` corners of each
     image first and then matches every corner near where that fit puts it;
-    when either pass fails it matches all corners exhaustively."""
+    a pair on which either pass fails raises that pass's error."""
 
-    def assert_exhaustive(self, rgb, rgnir, params):
-        result = reg.register_pair(rgb, rgnir, params, pair_id="p")
-        homography, record, warped, mask = serial_register_pair(rgb, rgnir, params, "p",
-                                                                exhaustive=True)
-        assert result.homography.tobytes() == homography.tobytes()
-        assert result.diagnostics.record() == record
-        assert result.diagnostics.guide_inliers == 0
-        assert result.image.data.tobytes() == warped.data.tobytes()
-        assert result.mask.tobytes() == mask.tobytes()
+    def assert_fails_as_serial(self, rgb, rgnir, params, monkeypatch):
+        """The pair raises the serial stages' error, after one exhaustive
+        match over at most ``GUIDE_CORNERS`` corners a side."""
+        shapes = []
+        original = pipeline.match_bruteforce
+
+        def recording(descs_a, descs_b):
+            shapes.append((len(descs_a), len(descs_b)))
+            return original(descs_a, descs_b)
+
+        monkeypatch.setattr(pipeline, "match_bruteforce", recording)
+        error = raised(reg.register_pair, rgb, rgnir, params)
+        assert error == raised(serial_register_pair, rgb, rgnir, params)
+        assert len(shapes) == 1 and max(shapes[0]) <= pipeline.GUIDE_CORNERS
+        return error
 
     @pytest.mark.parametrize("case", [("fixture", 13), ("ingest", 1)],
                              ids=lambda case: f"{case[0]}{case[1]}")
-    def test_failed_first_pass_falls_back_to_exhaustive(self, case, monkeypatch):
+    def test_failed_first_pass_fails_the_pair(self, case, monkeypatch):
         # 4 corners a side give at most 3 filtered matches: the first fit fails
         monkeypatch.setattr(pipeline, "GUIDE_CORNERS", 4)
-        self.assert_exhaustive(*registration_case(case))
+        stage, _ = self.assert_fails_as_serial(*registration_case(case), monkeypatch)
+        assert stage == "estimate"
 
-    def test_failed_second_pass_falls_back_to_exhaustive(self, monkeypatch):
+    def test_failed_second_pass_fails_the_pair(self, monkeypatch):
         def no_matches(descs_a, *args):
             none = np.empty(0, dtype=np.intp)
             return reg.Matches(none, none, none.astype(np.int64))
 
+        # the serial stages look match_guided up in the package, register_pair in pipeline
         monkeypatch.setattr(pipeline, "match_guided", no_matches)
-        self.assert_exhaustive(*registration_case(("fixture", 13)))
+        monkeypatch.setattr(reg, "match_guided", no_matches)
+        stage, _ = self.assert_fails_as_serial(*registration_case(("fixture", 13)),
+                                               monkeypatch)
+        assert stage == "estimate"
 
     @pytest.mark.slow
     @pytest.mark.parametrize("seed", range(1, 7))
-    def test_unregistrable_pairs_fail_as_exhaustive_matching_does(self, seed):
-        # at a 2.5x field-of-view gap no fit reaches min_inliers, in either pass
+    def test_unregistrable_pairs_fail_as_the_serial_passes_do(self, seed, monkeypatch):
+        # at a 2.5x field-of-view gap the first fit never reaches min_inliers
         rgb, rgnir, _ = synthetic.make_registration_pair(np.random.default_rng(seed),
                                                          rgb_scale=0.4)
-        params = reg.RegistrationParams()
-        error = raised(reg.register_pair, rgb, rgnir, params)
-        assert error == raised(lambda: serial_register_pair(rgb, rgnir, params,
-                                                            exhaustive=True))
-        assert error[0] == "estimate" and "best consensus" in error[1]
+        stage, message = self.assert_fails_as_serial(rgb, rgnir, reg.RegistrationParams(),
+                                                     monkeypatch)
+        assert stage == "estimate" and "best consensus" in message
+
+    @pytest.mark.parametrize("seed", [12, 47])
+    def test_first_pass_failures_at_twice_the_gap_are_not_registered(self, seed):
+        # one exhaustive match over every corner "registered" these pairs
+        # 3,202.7 and 13,311.7 px off once the first pass had failed
+        rgb, rgnir, _ = synthetic.make_registration_pair(
+            np.random.default_rng(seed), scene_size=int(256 / 0.5 + 40), rgb_scale=0.5)
+        stage, _ = raised(reg.register_pair, rgb, rgnir, reg.RegistrationParams())
+        assert stage == "estimate"
 
     @pytest.mark.parametrize("seed", [4, 5])
     def test_registers_at_twice_the_field_of_view_gap(self, seed):

@@ -1,5 +1,6 @@
 """PNG codec, raster container, resize, and warp behavior."""
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -315,16 +316,35 @@ class TestPngCodec:
          + _chunk(b"IEND", b""), "PLTE has 771 bytes"),
         (_png(struct.pack(">IIBBBBB", 2, 2, 8, 0, 0, 0, 0), bytes(6)) + b"\0",
          "data after IEND"),
+        (_png(struct.pack(">IIBBBBB", 2 ** 32 - 1, 2 ** 32 - 1, 16, 2, 0, 0, 0), bytes(6)),
+         "truncated image data"),
     ], ids=["short-ihdr", "no-iend", "chunk-past-end", "crc", "zlib", "filter-5",
             "zero-width", "compression-1", "filter-method-1", "methods-7-9",
             "ihdr-not-first", "ihdr-twice", "unknown-critical", "split-idat",
             "plte-in-grayscale", "plte-after-idat", "plte-twice", "plte-length-4",
-            "plte-257-entries", "bytes-after-iend"])
+            "plte-257-entries", "bytes-after-iend", "largest-ihdr"])
     def test_malformed_file_is_typed_error(self, tmp_path, blob, needle):
         path = tmp_path / "bad.png"
         path.write_bytes(blob)
         with pytest.raises(ImageFormatError, match=needle):
             imaging.read_png(path)
+
+    def test_image_data_longer_than_ihdr_is_not_inflated(self, tmp_path):
+        # a 1x1 grayscale image whose 65 KB IDAT inflates to 64 MiB
+        packer = zlib.compressobj(9)
+        idat = b"".join(packer.compress(bytes(1 << 20)) for _ in range(64)) + packer.flush()
+        path = tmp_path / "bomb.png"
+        path.write_bytes(
+            b"\x89PNG\r\n\x1a\n" + _chunk(b"IHDR", struct.pack(">IIBBBBB", 1, 1, 8, 0, 0, 0, 0))
+            + _chunk(b"IDAT", idat) + _chunk(b"IEND", b""))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ImageFormatError, match="longer than IHDR's 1x1 declares"):
+                imaging.read_png(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"peak {peak} B"
 
     def test_ancillary_chunks_and_consecutive_idats_decode(self, tmp_path):
         data = zlib.compress(bytes([0, 1, 2, 0, 3, 4]))
