@@ -129,9 +129,9 @@ def apply_calibration(img: ImageF, calib: BandCalibration) -> tuple[ImageF, floa
     Returns the calibrated image and the fraction of samples that clamped;
     callers should surface a warning when it exceeds ``WARN_CLAMP_RATE``.
     """
-    if img.channels != len(calib.gain):
-        raise CalibrationError(
-            f"image has {img.channels} bands, calibration {len(calib.gain)}")
+    if img.band_labels != calib.band_labels:
+        raise CalibrationError(f"image has bands {list(img.band_labels)}, "
+                               f"calibration {list(calib.band_labels)}")
     raw = img.data.astype(np.float64) * calib.gain + calib.offset
     clamped = (raw < 0.0) | (raw > 1.0)
     out = np.clip(raw, 0.0, 1.0).astype(np.float32)

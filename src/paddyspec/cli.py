@@ -302,9 +302,9 @@ def _load_checkpoint_model(path):
         raise CommandFailure(f"cannot read checkpoint {path}: {exc}") from exc
     arch = meta.get("arch") if isinstance(meta, dict) else None
     if not (isinstance(arch, dict) and isinstance(meta.get("input_mode"), str)
-            and all(isinstance(v, int) for v in (arch.get("in_channels"),
-                                                  arch.get("num_classes"),
-                                                  meta.get("input_size")))):
+            and all(type(v) is int for v in (arch.get("in_channels"),
+                                              arch.get("num_classes"),
+                                              meta.get("input_size")))):
         raise CommandFailure(f"checkpoint {path}: meta needs arch.in_channels, "
                              "arch.num_classes, input_mode and input_size")
     if meta["input_mode"] not in training.INPUT_MODES:
@@ -371,9 +371,9 @@ def cmd_predict(cfg: PipelineConfig, args) -> int:
     calib = cal.load_calibration(calib_path)
     rgb = load_image(args.rgb, "rgb")
     rgnir_dn = load_image(args.rgnir, "rgnir")
+    rgnir_refl, _ = cal.apply_calibration(rgnir_dn, calib)
 
     result = register_pair(rgb, rgnir_dn, cfg.registration_params(), pair_id="predict")
-    rgnir_refl, _ = cal.apply_calibration(rgnir_dn, calib)
 
     sample = _fused_sample(result.image, rgnir_refl, result.mask, meta["input_size"])
     channels = meta["arch"]["in_channels"]

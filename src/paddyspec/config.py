@@ -59,11 +59,9 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
 
 
 def _check_type(name: str, value, default) -> None:
-    """``value`` has the type of ``default``; an int may stand for a float, but a
-    bool never stands for a number."""
+    """``value`` has exactly ``default``'s type: a bool never stands for an int."""
     kind = type(default)
-    allowed = (int, float) if kind is float else kind
-    if not isinstance(value, allowed) or (isinstance(value, bool) and kind is not bool):
+    if type(value) is not kind:
         raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
 
 

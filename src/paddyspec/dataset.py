@@ -223,7 +223,11 @@ def read_folds_csv(path) -> FoldAssignment:
                                     f"'id,fold' with a fold >= 0, got {row}")
             if row[0] in fold_of:
                 raise ManifestError(f"{path}:{reader.line_num}: repeated id {row[0]!r}")
-            fold_of[row[0]] = int(row[1])
+            try:
+                fold_of[row[0]] = int(row[1])
+            except ValueError:  # more digits than int() converts
+                raise ManifestError(f"{path}:{reader.line_num}: fold id of {len(row[1])} "
+                                    "digits is out of range") from None
     ids = set(fold_of.values())
     if ids != set(range(len(ids))):
         top = max(ids)

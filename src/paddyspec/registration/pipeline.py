@@ -16,7 +16,7 @@ Matching runs in two passes (guided matching, Hartley & Zisserman,
 *Multiple View Geometry*, section 4.8). The first matches, filters and fits
 only the ``GUIDE_CORNERS`` strongest described corners of each image
 (descriptors come strongest first); the second pairs every RGB corner only
-with the R-G-NIR corners within ``inlier_px`` of where that first fit puts
+with the R-G-NIR corners within ``INLIER_PX`` of where that first fit puts
 it, at a Hamming distance no larger than the first fit's worst inlier
 (``match_guided``), and filters and fits those as before. At 10k corners
 the first pass compares 1,000 x 1,000 descriptors where one exhaustive
@@ -43,35 +43,26 @@ from .keypoints import Keypoints, build_pyramid, detect_keypoints
 from .matching import Matches, filter_matches, match_bruteforce, match_guided
 
 GUIDE_CORNERS = 1000  # strongest described corners per image in the first pass
+DROP_FRACTION = 0.10  # share of the worst matches the filter drops
+INLIER_PX = 3.0       # transfer error below which a match is an inlier, in pixels
+MIN_INLIERS = 10      # inliers a fit needs
 
 
 @dataclass
 class RegistrationParams:
-    """Every registration setting; ``seed`` drives RANSAC sampling."""
+    """The registration compute budgets; ``seed`` drives RANSAC sampling."""
 
     target_count: int = 10000
-    drop_fraction: float = 0.10
     ransac_iters: int = 2000
-    inlier_px: float = 3.0
-    min_inliers: int = 10
     seed: int = 0
 
     def __post_init__(self):
         if self.target_count < 4:
             raise RegistrationError(
                 "params", f"target_count must be >= 4, got {self.target_count}")
-        if not 0.0 <= self.drop_fraction < 1.0:
-            raise RegistrationError(
-                "params", f"drop_fraction must lie in [0, 1), got {self.drop_fraction}")
         if self.ransac_iters < 1:
             raise RegistrationError(
                 "params", f"ransac_iters must be >= 1, got {self.ransac_iters}")
-        if not self.inlier_px > 0.0:
-            raise RegistrationError(
-                "params", f"inlier_px must be > 0, got {self.inlier_px}")
-        if self.min_inliers < 4:
-            raise RegistrationError(
-                "params", f"min_inliers must be >= 4, got {self.min_inliers}")
 
 
 @dataclass
@@ -118,10 +109,10 @@ def _features(gray: np.ndarray, target_count: int) -> tuple[int, Keypoints, np.n
 def _fit(matches: Matches, kps_a: Keypoints, kps_b: Keypoints,
          params: RegistrationParams) -> tuple[Matches, RansacResult]:
     """(filtered matches, RANSAC result) of one matching."""
-    filtered = filter_matches(matches, params.drop_fraction)
+    filtered = filter_matches(matches, DROP_FRACTION)
     return filtered, estimate_homography(
-        filtered, kps_a, kps_b, iters=params.ransac_iters, inlier_px=params.inlier_px,
-        min_inliers=params.min_inliers, seed=params.seed)
+        filtered, kps_a, kps_b, iters=params.ransac_iters, inlier_px=INLIER_PX,
+        min_inliers=MIN_INLIERS, seed=params.seed)
 
 
 def register_pair(rgb: ImageF, rgnir: ImageF, params: RegistrationParams,
@@ -147,7 +138,7 @@ def register_pair(rgb: ImageF, rgnir: ImageF, params: RegistrationParams,
     mapped = np.hstack([kps_a.xy, np.ones((len(kps_a), 1))]) @ guide.homography.T
     with np.errstate(divide="ignore", invalid="ignore"):
         predicted = mapped[:, :2] / mapped[:, 2:]
-    matches = match_guided(descs_a, descs_b, predicted, kps_b.xy, params.inlier_px,
+    matches = match_guided(descs_a, descs_b, predicted, kps_b.xy, INLIER_PX,
                            int(guide.inliers.distance.max()))
     filtered, result = _fit(matches, kps_a, kps_b, params)
 

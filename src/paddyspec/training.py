@@ -1,9 +1,10 @@
 """Training loop, cosine-annealing-with-restarts schedule and F1 metrics.
 
 Defaults mirror the production configuration: 50 epochs, batch size 16,
-Adam, weighted cross-entropy, cosine annealing restarting every 10 epochs
-from a 0.05 peak. The schedule advances per optimizer step (epoch fraction),
-restarts with constant cycle length, and bottoms out at lr_min = 0.
+Adam, weighted cross-entropy, cosine annealing restarting every
+``CYCLE_EPOCHS`` epochs from an ``LR_MAX`` peak, in float32. The schedule
+advances per optimizer step (epoch fraction), restarts with constant cycle
+length, and bottoms out at 0.
 """
 from __future__ import annotations
 
@@ -22,6 +23,8 @@ from .spectral import load_fused
 
 INPUT_CHANNELS = {"rgb": 3, "rgb_ndvi": 4}  # RGB, or RGB + NDVI
 INPUT_MODES = tuple(INPUT_CHANNELS)
+LR_MAX = 0.05      # the schedule's peak, at every restart
+CYCLE_EPOCHS = 10  # epochs from one restart to the next
 
 
 class TrainingError(RuntimeError):
@@ -32,55 +35,36 @@ class TrainingError(RuntimeError):
 class TrainConfig:
     epochs: int = 50
     batch_size: int = 16
-    lr_max: float = 0.05
-    lr_min: float = 0.0
-    cycle_epochs: int = 10
     input_mode: str = "rgb_ndvi"
     input_size: int = 256
     seed: int = 0
-    precision: str = "float32"
+    dtype = np.float32  # the training precision: a constant, not a field
 
     def __post_init__(self):
         if self.epochs < 1:
             raise TrainingError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise TrainingError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.cycle_epochs < 1:
-            raise TrainingError(f"cycle_epochs must be >= 1, got {self.cycle_epochs}")
-        if not self.lr_max > 0.0:
-            raise TrainingError(f"lr_max must be > 0, got {self.lr_max}")
-        if not self.lr_min >= 0.0:
-            raise TrainingError(f"lr_min must be >= 0, got {self.lr_min}")
-        if self.lr_min > self.lr_max:
-            raise TrainingError(f"lr_min must be <= lr_max, got {self.lr_min} > {self.lr_max}")
         if self.input_size < 1:
             raise TrainingError(f"input_size must be >= 1, got {self.input_size}")
         if self.input_mode not in INPUT_MODES:
             raise TrainingError(f"input_mode must be one of {INPUT_MODES}, "
                                 f"got {self.input_mode!r}")
-        if self.precision not in ("float32", "float64"):
-            raise TrainingError(f"precision must be float32 or float64, "
-                                f"got {self.precision!r}")
-
-    @property
-    def dtype(self):
-        return np.float32 if self.precision == "float32" else np.float64
 
     @property
     def channels(self) -> int:
         return INPUT_CHANNELS[self.input_mode]
 
 
-def lr_at(step_epoch: float, cfg: TrainConfig) -> float:
+def lr_at(step_epoch: float) -> float:
     """Cosine annealing with constant-length restarts.
 
-    t = step_epoch mod cycle;  lr = lr_min + (lr_max - lr_min)/2 * (1 + cos(pi*t/cycle))
+    t = step_epoch mod CYCLE_EPOCHS;  lr = LR_MAX/2 * (1 + cos(pi*t/CYCLE_EPOCHS))
     """
     if step_epoch < 0:
         raise TrainingError(f"step_epoch must be >= 0, got {step_epoch}")
-    t = math.fmod(step_epoch, cfg.cycle_epochs)
-    return cfg.lr_min + 0.5 * (cfg.lr_max - cfg.lr_min) * (
-        1.0 + math.cos(math.pi * t / cfg.cycle_epochs))
+    t = math.fmod(step_epoch, CYCLE_EPOCHS)
+    return 0.5 * LR_MAX * (1.0 + math.cos(math.pi * t / CYCLE_EPOCHS))
 
 
 # -- metrics ---------------------------------------------------------------------
@@ -248,7 +232,7 @@ def fit(model: ResNet18, cfg: TrainConfig, arrays: np.ndarray, labels: np.ndarra
             loss = nn.weighted_cross_entropy(logits, labels[idx], weights)
             optimizer.zero_grad()
             loss.backward()
-            lr = lr_at(epoch + i / steps_per_epoch, cfg)
+            lr = lr_at(epoch + i / steps_per_epoch)
             if lr > 0.0:
                 optimizer.step(lr)
             losses.append(loss.item())
@@ -295,7 +279,7 @@ def train_fold(cfg: TrainConfig, manifest: Manifest, folds: FoldAssignment,
     for epoch, (end, result) in enumerate(validated):
         history.append(EpochStats(
             epoch=epoch,
-            lr=lr_at(float(epoch), cfg),
+            lr=lr_at(float(epoch)),
             train_loss=float(np.mean(losses[start:end])),
             val_macro_f1=result.macro_f1,
             per_class_f1=tuple(float(v) for v in result.per_class_f1),

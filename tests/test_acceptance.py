@@ -128,15 +128,15 @@ def test_registration_accuracy():
 
 def test_scheduler():
     """lr_at matches the closed form at 10,000 points within 1e-12."""
-    cfg = TrainConfig()
-    assert training.lr_at(0.0, cfg) == 0.05
-    assert training.lr_at(5.0, cfg) == 0.025
-    assert training.lr_at(10.0, cfg) == 0.05
+    assert (training.LR_MAX, training.CYCLE_EPOCHS) == (0.05, 10)
+    assert training.lr_at(0.0) == 0.05
+    assert training.lr_at(5.0) == 0.025
+    assert training.lr_at(10.0) == 0.05
     worst = 0.0
     for x in np.linspace(0.0, 50.0, 10_000):
         t = math.fmod(x, 10.0)
         expected = 0.5 * 0.05 * (1.0 + math.cos(math.pi * t / 10.0))
-        worst = max(worst, abs(training.lr_at(float(x), cfg) - expected))
+        worst = max(worst, abs(training.lr_at(float(x)) - expected))
     assert worst < 1e-12
     print(f"\nPASS: scheduler (anchors exact, 10,000 points within {worst:.1e})")
 

@@ -19,14 +19,14 @@ class TestConfig:
     def test_print_defaults(self, capsys):
         assert run(["config", "print-defaults"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["training"]["input_size"] == 256
-        assert data["training"]["epochs"] == 50
-        assert data["training"]["batch_size"] == 16
-        assert data["training"]["lr_max"] == 0.05
-        assert data["training"]["cycle_epochs"] == 10
-        assert data["registration"]["target_count"] == 10000
-        assert data["registration"]["drop_fraction"] == 0.10
-        assert "seed" not in data["training"]
+        assert data == {
+            "paths": {"cache_dir": "cache", "data_root": "data", "output_dir": "out"},
+            "calibration_session": "",
+            "seed": 0,
+            "registration": {"target_count": 10000, "ransac_iters": 2000},
+            "training": {"epochs": 50, "batch_size": 16, "input_mode": "rgb_ndvi",
+                         "input_size": 256},
+        }
 
     def test_unknown_key_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -54,8 +54,7 @@ class TestConfig:
     def test_registration_keys_are_flat_without_seed(self, capsys):
         assert run(["config", "print-defaults"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert sorted(data["registration"]) == [
-            "drop_fraction", "inlier_px", "min_inliers", "ransac_iters", "target_count"]
+        assert sorted(data["registration"]) == ["ransac_iters", "target_count"]
 
     @pytest.mark.parametrize("config, needle", [
         ({"seed": "abc"}, "seed"),
@@ -66,33 +65,31 @@ class TestConfig:
         ({"registration": "nope"}, "registration must be an object"),
         ({"registration": {"ransac_iters": "x"}}, "registration.ransac_iters"),
         ({"registration": {"drop_best": False}}, "registration.drop_best"),
-        ({"registration": {"drop_fraction": 1.5}}, "drop_fraction"),
+        ({"registration": {"drop_fraction": 0.10}}, "drop_fraction"),
         ({"registration": {"ransac_iters": 0}}, "ransac_iters"),
-        ({"registration": {"inlier_px": 0}}, "inlier_px"),
+        ({"registration": {"inlier_px": 3.0}}, "inlier_px"),
         ({"calibration_session": 3}, "calibration_session"),
-        ({"training": {"lr_max": -0.05}}, "lr_max must be > 0"),
-        ({"training": {"lr_max": 0}}, "lr_max must be > 0"),
-        ({"training": {"lr_min": -0.01}}, "lr_min must be >= 0"),
-        ({"training": {"lr_min": 0.1, "lr_max": 0.05}}, "lr_min must be <= lr_max"),
+        ({"training": {"lr_max": 0.05}}, "training.lr_max"),
+        ({"training": {"lr_min": 0.0}}, "training.lr_min"),
+        ({"training": {"cycle_epochs": 10}}, "training.cycle_epochs"),
+        ({"training": {"precision": "float32"}}, "training.precision"),
         ({"training": {"input_size": 0}}, "input_size must be >= 1"),
-        ({"registration": {"min_inliers": 3}}, "min_inliers must be >= 4"),
-        ({"registration": {"min_inliers": -3}}, "min_inliers must be >= 4"),
+        ({"registration": {"min_inliers": 10}}, "registration.min_inliers"),
+        ({"registration": {"target_count": 3}}, "target_count must be >= 4"),
         ({"training": {"optimizer": "adam"}}, "training.optimizer"),
         ({"training": {"loss": "weighted_ce"}}, "training.loss"),
     ])
     def test_malformed_value_is_usage_error(self, tmp_path, capsys, config, needle):
+        """A wrong type, an out-of-range value or a key that is not one exits 2;
+        the protocol constants (lr_max, lr_min, cycle_epochs, precision,
+        drop_fraction, inlier_px, min_inliers) are rejected at their defaults,
+        as an echo of an earlier config holds them."""
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(config))
         assert run(["--config", str(bad), "config", "print-defaults"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("paddyspec: config error: ") and err.count("\n") == 1, err
         assert needle in err
-
-    def test_int_stands_for_float(self, tmp_path, capsys):
-        good = tmp_path / "good.json"
-        good.write_text(json.dumps({"registration": {"inlier_px": 2},
-                                    "training": {"lr_min": 0}}))
-        assert run(["--config", str(good), "config", "print-defaults"]) == 0
 
     @pytest.mark.parametrize("argv", [["train", "--fold", "x"],
                                       ["eval", "--checkpoint", "none.ckpt", "--fold", "x"],
@@ -235,7 +232,10 @@ class TestMalformedInputs:
         self._fails_on_one_line(["train", "--manifest", "manifest.csv",
                                  "--folds", "folds.csv"], capsys, "brown_spot0")
 
-    @pytest.mark.parametrize("bad_row", ["healthy0", "healthy0,1,1", "healthy0,x", "blast0,2"])
+    @pytest.mark.parametrize("bad_row", [
+        "healthy0", "healthy0,1,1", "healthy0,x", "blast0,2",
+        # more digits than int() converts
+        pytest.param("healthy0," + "1" * 5000, id="healthy0,5000-digit-fold")])
     def test_malformed_folds_row(self, tmp_path, monkeypatch, capsys, bad_row):
         monkeypatch.chdir(tmp_path)
         self._split_files(tmp_path, ["blast0,0", "brown_spot0,1", bad_row])
@@ -351,6 +351,11 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("key, value, needle", [
         ("input_mode", "foo", "bad.ckpt: input_mode must be one of"),
         ("input_size", 0, "bad.ckpt: input_size must be >= 1"),
+        # JSON true is no count: unchecked, "input_size": true made predict
+        # classify a 1 x 1 sample
+        ("input_size", True, "bad.ckpt: meta needs arch.in_channels"),
+        ("arch.in_channels", True, "bad.ckpt: meta needs arch.in_channels"),
+        ("arch.num_classes", True, "bad.ckpt: meta needs arch.in_channels"),
     ])
     def test_checkpoint_meta_out_of_range(self, tmp_path, monkeypatch, capsys,
                                           key, value, needle):
@@ -359,7 +364,11 @@ class TestMalformedInputs:
         monkeypatch.chdir(tmp_path)
         self._split_files(tmp_path, ["blast0,0", "brown_spot0,1", "healthy0,0"])
         meta = {"arch": {"in_channels": 3, "num_classes": 3}, "input_mode": "rgb",
-                "input_size": 32, "fold": 0, key: value}
+                "input_size": 32, "fold": 0}
+        if key.startswith("arch."):
+            meta["arch"][key.removeprefix("arch.")] = value
+        else:
+            meta[key] = value
         nn.write_checkpoint(tmp_path / "bad.ckpt", meta,
                             build_resnet18(in_channels=3, num_classes=3).state_arrays())
         self._fails_on_one_line(["eval", "--checkpoint", "bad.ckpt", "--manifest",
@@ -480,13 +489,13 @@ class TestMalformedInputs:
                                 capsys, ".pspec: tensor 'fused' holds NaN or Inf")
 
     def test_diverging_training(self, tmp_path, monkeypatch, capsys):
-        from paddyspec import spectral
+        from paddyspec import spectral, training
         monkeypatch.chdir(tmp_path)
         rng = np.random.default_rng(0)
         spectral.save_fused(rng.uniform(0.0, 1.0, (4, 32, 32)).astype(np.float32),
                             tmp_path / "ok.pspec")
-        (tmp_path / "config.json").write_text(json.dumps(
-            {"training": {"lr_max": 1e30, "input_size": 32}}))
+        monkeypatch.setattr(training, "LR_MAX", 1e30)
+        (tmp_path / "config.json").write_text(json.dumps({"training": {"input_size": 32}}))
         train = self._cache_split(tmp_path, (tmp_path / "ok.pspec").read_bytes())
         # the divergence itself: batchnorm's xhat * gamma overflows before
         # check_finite reports the non-finite output
@@ -564,6 +573,47 @@ class TestMalformedInputs:
         self._fails_on_one_line(["calibrate", "--session", "session.json",
                                  "--pairs", "pairs.csv"], capsys, "must have w >= 1 and h >= 1")
         assert not (tmp_path / "out" / "calibration.json").exists()
+
+    def test_session_bands_out_of_image_order(self, tmp_path, monkeypatch, capsys):
+        # the session's gains, fitted for NIR-G-R, would land on R-G-NIR images
+        from paddyspec import calibration as cal
+        from paddyspec import dataset as ds
+        from paddyspec.synthetic import make_calibration_board
+        monkeypatch.chdir(tmp_path)
+        board, panels = make_calibration_board(np.random.default_rng(0))
+        save_image(board, tmp_path / "board.png")
+        cal.save_session(tmp_path / "session.json", "board.png", panels,
+                         bands=("NIR", "G", "R"))
+        record = ds.SampleRecord(id="a", rgb_path="board.png", rgnir_path="board.png",
+                                 label="blast")
+        ds.write_manifest_csv(ds.Manifest(records=[record]), tmp_path / "pairs.csv")
+        self._fails_on_one_line(["calibrate", "--session", "session.json",
+                                 "--pairs", "pairs.csv"], capsys,
+                                "image has bands ['R', 'G', 'NIR'], "
+                                "calibration ['NIR', 'G', 'R']")
+        assert not (tmp_path / "out" / "calibrated" / "a_rgnir.png").exists()
+
+    def test_calibration_file_for_other_bands(self, tmp_path, monkeypatch, capsys):
+        from paddyspec import calibration as cal
+        from paddyspec import nn, synthetic
+        from paddyspec.model import build_resnet18
+        monkeypatch.chdir(tmp_path)
+        meta = {"arch": {"in_channels": 4, "num_classes": 3}, "input_mode": "rgb_ndvi",
+                "input_size": 32, "fold": 0}
+        nn.write_checkpoint(tmp_path / "m.ckpt", meta,
+                            build_resnet18(in_channels=4, num_classes=3).state_arrays())
+        rgb, rgnir, _ = synthetic.make_registration_pair(np.random.default_rng(13),
+                                                         out_size=220)
+        save_image(rgb, tmp_path / "a_rgb.png")
+        save_image(rgnir, tmp_path / "a_rgnir.png")
+        cal.save_calibration(cal.BandCalibration(
+            gain=np.ones(3), offset=np.zeros(3), fit_residual=np.zeros(3),
+            band_labels=("R", "G", "B")), tmp_path / "calib.json")
+        self._fails_on_one_line(["predict", "--checkpoint", "m.ckpt", "--calibration",
+                                 "calib.json", "--rgb", "a_rgb.png", "--rgnir", "a_rgnir.png"],
+                                capsys, "image has bands ['R', 'G', 'NIR'], "
+                                        "calibration ['R', 'G', 'B']")
+
 
 @pytest.mark.slow
 class TestPipeline:

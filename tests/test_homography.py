@@ -209,10 +209,10 @@ _PARAMS = reg.RegistrationParams()
 
 
 def ransac(matches, kps_a, kps_b, **kwargs):
-    """``estimate_homography`` with the ``RegistrationParams`` defaults for
-    every setting that ``kwargs`` leaves out."""
-    settings = dict(iters=_PARAMS.ransac_iters, inlier_px=_PARAMS.inlier_px,
-                    min_inliers=_PARAMS.min_inliers, seed=_PARAMS.seed)
+    """``estimate_homography`` with the ``register_pair`` settings for every
+    setting that ``kwargs`` leaves out."""
+    settings = dict(iters=_PARAMS.ransac_iters, inlier_px=pipeline.INLIER_PX,
+                    min_inliers=pipeline.MIN_INLIERS, seed=_PARAMS.seed)
     return reg.estimate_homography(matches, kps_a, kps_b, **{**settings, **kwargs})
 
 
@@ -385,7 +385,7 @@ class TestRegisterPair:
             assert token in line
         # both passes ran: the first fit's inliers are recorded
         guide = re.search(r" guide_inliers=(\d+) ", line)
-        assert guide and int(guide.group(1)) >= params.min_inliers
+        assert guide and int(guide.group(1)) >= pipeline.MIN_INLIERS
         # the sample count sits before the H=[...] suffix that report readers split on
         samples = re.search(r" samples=(\d+) H=\[", line)
         assert samples and 1 <= int(samples.group(1)) <= params.ransac_iters
@@ -430,10 +430,8 @@ class TestRegisterPair:
                                                              ransac_iters=1000, seed=20))
         assert len(calls) == 2 * (keypoints.N_LEVELS - 1)
 
-    @pytest.mark.parametrize("bad", [{"target_count": 3}, {"drop_fraction": 1.5},
-                                     {"drop_fraction": -0.1}, {"ransac_iters": 0},
-                                     {"inlier_px": 0.0}, {"min_inliers": 3},
-                                     {"min_inliers": 0}, {"min_inliers": -3}])
+    @pytest.mark.parametrize("bad", [{"target_count": 3}, {"target_count": -4},
+                                     {"ransac_iters": 0}, {"ransac_iters": -1}])
     def test_params_out_of_range_rejected(self, bad):
         with pytest.raises(RegistrationError) as exc:
             reg.RegistrationParams(**bad)
@@ -441,10 +439,10 @@ class TestRegisterPair:
 
 
 def _reference_fit(matches, kps_a, kps_b, params):
-    filtered = reg.filter_matches(matches, params.drop_fraction)
+    filtered = reg.filter_matches(matches, pipeline.DROP_FRACTION)
     return filtered, reg.estimate_homography(
-        filtered, kps_a, kps_b, iters=params.ransac_iters, inlier_px=params.inlier_px,
-        min_inliers=params.min_inliers, seed=params.seed)
+        filtered, kps_a, kps_b, iters=params.ransac_iters, inlier_px=pipeline.INLIER_PX,
+        min_inliers=pipeline.MIN_INLIERS, seed=params.seed)
 
 
 def serial_register_pair(rgb, rgnir, params, pair_id=""):
@@ -466,7 +464,7 @@ def serial_register_pair(rgb, rgnir, params, pair_id=""):
                               described_a[:n], described_b[:n], params)
     predicted = Homography(guide.homography).apply(described_a.xy)
     matches = reg.match_guided(descs_a, descs_b, predicted, described_b.xy,
-                               params.inlier_px, int(guide.inliers.distance.max()))
+                               pipeline.INLIER_PX, int(guide.inliers.distance.max()))
     filtered, result = _reference_fit(matches, described_a, described_b, params)
     warped, mask = warp_perspective(rgb, result.homography, rgnir.width, rgnir.height)
     diag = reg.RegistrationDiagnostics(
@@ -766,9 +764,9 @@ class TestBatchedRansacOracle:
             described, kept = reg.compute_descriptors(levels, detected)
             kps.append(detected[kept])
             descs.append(described)
-        matches = reg.filter_matches(reg.match_bruteforce(*descs), params.drop_fraction)
-        kwargs = dict(iters=iters, inlier_px=params.inlier_px,
-                      min_inliers=params.min_inliers, seed=seed)
+        matches = reg.filter_matches(reg.match_bruteforce(*descs), pipeline.DROP_FRACTION)
+        kwargs = dict(iters=iters, inlier_px=pipeline.INLIER_PX,
+                      min_inliers=pipeline.MIN_INLIERS, seed=seed)
         assert (ransac_outcome(reg.estimate_homography, matches, *kps, **kwargs)
                 == reference_outcome(matches, *kps, **kwargs))
 

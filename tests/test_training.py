@@ -14,7 +14,9 @@ from paddyspec.config import CACHE_ENV_VAR
 from paddyspec.dataset import LABELS, Manifest, ManifestError, class_weights, stratified_kfold
 from paddyspec.model import build_resnet18
 from paddyspec.training import (
+    CYCLE_EPOCHS,
     INPUT_MODES,
+    LR_MAX,
     ConfusionMatrix,
     FusedCacheSource,
     TrainConfig,
@@ -42,39 +44,35 @@ def training_fold_weights(manifest, folds, fold_id):
 
 class TestSchedule:
     def test_anchor_points_exact(self):
-        cfg = TrainConfig()
-        assert lr_at(0.0, cfg) == 0.05
-        assert lr_at(5.0, cfg) == 0.025
-        assert lr_at(10.0, cfg) == 0.05
-        assert lr_at(20.0, cfg) == 0.05
-        assert lr_at(9.999, cfg) < 1e-6
+        assert lr_at(0.0) == 0.05
+        assert lr_at(5.0) == 0.025
+        assert lr_at(10.0) == 0.05
+        assert lr_at(20.0) == 0.05
+        assert lr_at(9.999) < 1e-6
 
     def test_matches_closed_form_everywhere(self):
-        cfg = TrainConfig()
         xs = np.linspace(0.0, 50.0, 10_000)
         for x in xs:
             t = math.fmod(x, 10.0)
             expected = 0.0 + 0.5 * 0.05 * (1.0 + math.cos(math.pi * t / 10.0))
-            assert abs(lr_at(float(x), cfg) - expected) < 1e-12
+            assert abs(lr_at(float(x)) - expected) < 1e-12
 
     def test_range_and_restart_peaks(self):
-        cfg = TrainConfig(lr_max=0.2, lr_min=0.01, cycle_epochs=4)
-        xs = np.linspace(0.0, 40.0, 5000)
-        vals = np.array([lr_at(float(x), cfg) for x in xs])
-        assert vals.min() >= 0.01 - 1e-15
-        assert vals.max() <= 0.2 + 1e-15
+        xs = np.linspace(0.0, 10.0 * CYCLE_EPOCHS, 5000)
+        vals = np.array([lr_at(float(x)) for x in xs])
+        assert vals.min() >= 0.0
+        assert vals.max() <= LR_MAX
         for mult in range(0, 10):
-            assert lr_at(4.0 * mult, cfg) == 0.2
+            assert lr_at(float(CYCLE_EPOCHS * mult)) == LR_MAX
 
     def test_continuity_within_cycle(self):
-        cfg = TrainConfig()
         xs = np.linspace(0.0, 9.99, 2000)
-        vals = np.array([lr_at(float(x), cfg) for x in xs])
+        vals = np.array([lr_at(float(x)) for x in xs])
         assert np.abs(np.diff(vals)).max() < 0.05 * math.pi / 10 * 0.01 * 2
 
     def test_negative_epoch_rejected(self):
         with pytest.raises(TrainingError):
-            lr_at(-0.1, TrainConfig())
+            lr_at(-0.1)
 
 
 class TestMetrics:
@@ -150,11 +148,10 @@ class TestEvaluate:
 
 class TestTrainFold:
     def test_zero_peak_lr_is_noop(self, tmp_path, monkeypatch):
-        # TrainConfig rejects lr_max <= 0, so the schedule itself is zeroed
-        monkeypatch.setattr(training, "lr_at", lambda step_epoch, cfg: 0.0)
+        monkeypatch.setattr(training, "lr_at", lambda step_epoch: 0.0)
         manifest, source = tiny_dataset(tmp_path, n_per_class=2)
         folds = stratified_kfold(manifest, k=2, seed=0)
-        cfg = small_cfg(epochs=2, batch_size=3, precision="float64")
+        cfg = small_cfg(epochs=2, batch_size=3)
         result = train_fold(cfg, manifest, folds, 0, source)
         from paddyspec.model import build_resnet18
         from paddyspec.training import model_seed
@@ -163,13 +160,15 @@ class TestTrainFold:
         for (name, trained), (_, init) in zip(result.model.named_parameters(),
                                               fresh.named_parameters()):
             assert trained.data.tobytes() == init.data.tobytes(), name
+        # the two epochs batch the same samples in another order; in float32
+        # that moves the batchnorm sums, and the loss by about 1e-5 relative
         losses = [e.train_loss for e in result.history]
-        assert abs(losses[0] - losses[1]) < 1e-9
+        assert losses[0] == pytest.approx(losses[1], rel=1e-4)
 
     def test_deterministic_final_loss_in_test_precision(self, tmp_path):
         manifest, source = tiny_dataset(tmp_path, n_per_class=3)
         folds = stratified_kfold(manifest, k=3, seed=1)
-        cfg = small_cfg(precision="float64", epochs=2, batch_size=4, seed=5)
+        cfg = small_cfg(epochs=2, batch_size=4, seed=5)
         a = train_fold(cfg, manifest, folds, 0, source)
         b = train_fold(cfg, manifest, folds, 0, source)
         assert a.history[-1].train_loss == b.history[-1].train_loss
@@ -233,7 +232,7 @@ class TestSingleLoop:
         manifest, source = tiny_dataset(tmp_path, n_per_class=4)
         folds = stratified_kfold(manifest, k=2, seed=0)
         # 6 training samples at batch 3: two steps per epoch, so 3 steps end mid-epoch
-        cfg = small_cfg(epochs=5, batch_size=3, precision="float64")
+        cfg = small_cfg(epochs=5, batch_size=3)
         result = train_fold(cfg, manifest, folds, 0, source, max_steps=3)
         x, y = self.fold_data(cfg, manifest, source, folds, 0)
         direct = build_resnet18(in_channels=cfg.channels, seed=model_seed(cfg.seed, 0),
@@ -251,7 +250,7 @@ class TestSingleLoop:
     def test_train_fold_equals_fit_on_fold_data(self, tmp_path):
         manifest, source = tiny_dataset(tmp_path, n_per_class=4)
         folds = stratified_kfold(manifest, k=2, seed=0)
-        cfg = small_cfg(epochs=2, batch_size=3, precision="float64", seed=3)
+        cfg = small_cfg(epochs=2, batch_size=3, seed=3)
         fold_id = 1
         result = train_fold(cfg, manifest, folds, fold_id, source)
         x, y = self.fold_data(cfg, manifest, source, folds, fold_id)
@@ -309,11 +308,10 @@ class TestTrainMemory:
 
 
 class TestLoadSampleBatch:
-    @pytest.mark.parametrize("precision", ("float32", "float64"))
     @pytest.mark.parametrize("mode", INPUT_MODES)
-    def test_bytes_equal_stacked_files(self, tmp_path, mode, precision):
+    def test_bytes_equal_stacked_files(self, tmp_path, mode):
         manifest, source = tiny_dataset(tmp_path, n_per_class=2)
-        cfg = small_cfg(input_mode=mode, precision=precision)
+        cfg = small_cfg(input_mode=mode)
         batch = training.load_sample_batch(source, manifest.records, cfg)
         expected = np.stack([source.load(r)[:cfg.channels]
                              for r in manifest.records]).astype(cfg.dtype)
@@ -375,5 +373,5 @@ class TestConfigValidation:
 
     def test_defaults_match_production_protocol(self):
         cfg = TrainConfig()
-        assert (cfg.epochs, cfg.batch_size, cfg.lr_max, cfg.cycle_epochs) == (50, 16, 0.05, 10)
-        assert cfg.input_size == 256
+        assert (cfg.epochs, cfg.batch_size, LR_MAX, CYCLE_EPOCHS) == (50, 16, 0.05, 10)
+        assert cfg.input_size == 256 and cfg.dtype is np.float32
