@@ -331,9 +331,10 @@ def cmd_eval(cfg: PipelineConfig, args) -> int:
     meta, model = _load_checkpoint_model(args.checkpoint)
     if fold is None:
         fold = meta.get("fold")
-        if not isinstance(fold, int):
-            raise CommandFailure(f"checkpoint {args.checkpoint} names no fold; "
-                                 "pass --fold")
+        # type(), not isinstance(): JSON true is a bool, which is an int
+        if type(fold) is not int or fold < 0:
+            raise CommandFailure(f"checkpoint {args.checkpoint} names no fold id "
+                                 f"(meta fold {fold!r}); pass --fold")
     manifest, folds = _load_split(cfg, args.manifest, args.folds)
     records = [r for r in manifest.records if folds.fold_of[r.id] == fold]
     if not records:

@@ -117,12 +117,10 @@ def load_config(path) -> PipelineConfig:
 
 
 def resolve_config(config_path: str | None, seed: int | None = None,
-                   input_mode: str | None = None,
-                   env: dict | None = None) -> PipelineConfig:
+                   input_mode: str | None = None) -> PipelineConfig:
     """Defaults, then file, then environment, then flags."""
     cfg = load_config(config_path) if config_path else PipelineConfig()
-    env = os.environ if env is None else env
-    cache_override = env.get(CACHE_ENV_VAR)
+    cache_override = os.environ.get(CACHE_ENV_VAR)
     if cache_override:
         cfg.paths.cache_dir = cache_override
     if seed is not None:

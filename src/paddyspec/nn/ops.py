@@ -175,13 +175,12 @@ class BatchNormParams:
     initialized: bool = False
 
     @staticmethod
-    def create(channels: int, eps: float = 1e-5, dtype=np.float32) -> "BatchNormParams":
+    def create(channels: int, dtype=np.float32) -> "BatchNormParams":
         return BatchNormParams(
             gamma=Tensor(np.ones(channels, dtype=dtype), requires_grad=True),
             beta=Tensor(np.zeros(channels, dtype=dtype), requires_grad=True),
             running_mean=np.zeros(channels, dtype=dtype),
             running_var=np.ones(channels, dtype=dtype),
-            eps=eps,
         )
 
 

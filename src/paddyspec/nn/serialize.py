@@ -8,7 +8,7 @@ Layout:
 
 The header carries arbitrary metadata under "meta" and a tensor directory
 (name, shape, dtype, byte offset into the blob). A reader accepts only
-"float32" entries whose values are all finite.
+"float32" entries whose values are all finite, each name once.
 """
 from __future__ import annotations
 
@@ -74,6 +74,8 @@ def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     try:
         for entry in directory:
             name, shape = entry["name"], tuple(entry["shape"])
+            if name in tensors:
+                raise CheckpointError(f"{path}: tensor {name!r} appears twice")
             if entry["dtype"] != "float32":
                 raise CheckpointError(
                     f"{path}: tensor {name!r} has dtype {entry['dtype']!r}, not 'float32'")

@@ -212,7 +212,8 @@ def estimate_homography(matches: Matches, kps_a: Keypoints, kps_b: Keypoints, *,
     same result. The best sample has the most inliers; among equal counts,
     the least total inlier error; among equal totals, the first drawn.
     Sampling stops by the adaptive rule in the module docstring, after at
-    most ``iters`` samples.
+    most ``iters`` samples. The fit fails unless its consensus has at least
+    ``min_inliers`` inliers, however few the matches: any 4 fit exactly.
     """
     if len(matches) < 4:
         raise RegistrationError(
@@ -222,7 +223,6 @@ def estimate_homography(matches: Matches, kps_a: Keypoints, kps_b: Keypoints, *,
     src = kps_a.xy[canon.index_a]
     dst = kps_b.xy[canon.index_b]
     n = len(canon)
-    needed = min(min_inliers, n)
 
     rng = np.random.default_rng(seed)
     best_mask: np.ndarray | None = None
@@ -262,10 +262,10 @@ def estimate_homography(matches: Matches, kps_a: Keypoints, kps_b: Keypoints, *,
     if not solved_any:
         raise RegistrationError(
             "estimate", "degenerate sample handling exhausted: no valid minimal solve")
-    if best_mask is None or best_count < needed:
+    if best_mask is None or best_count < min_inliers:
         raise RegistrationError(
             "estimate",
-            f"best consensus has {best_count} inliers; need at least {needed}")
+            f"best consensus has {best_count} inliers; need at least {min_inliers}")
 
     refit = dlt_homography(src[best_mask], dst[best_mask])
     while True:

@@ -3,20 +3,18 @@ distance-sorted filtering.
 
 The Hamming distance between two 256-bit descriptors is a bit-vector inner
 product: ``popcount(a) + popcount(b) - 2 * (a . b)`` over their unpacked
-bits. ``match_bruteforce`` takes a block of R rows of A at a time and
-computes its keys ``R * distance + r`` against all of B, r being the row's
-offset in the block, as one float32 GEMM: the popcounts and the offset ride
-in three extra columns of the two operands. Every partial sum is an integer
-of magnitude at most ``R * (2 * bits + 1)``, kept below 2**24, which float32
-holds exactly, so the distances equal the XOR popcounts bit for bit.
+bits. ``match_bruteforce`` computes every distance between A and B as one
+float32 GEMM, the popcounts riding in two extra columns of the two
+operands. Every partial sum is an integer of magnitude at most
+``4 * bits``, which float32 holds exactly, so the distances equal the XOR
+popcounts bit for bit. Its one caller passes at most ``GUIDE_CORNERS``
+descriptors a side, so the matrix is at most 1,000 x 1,000 (4 MB).
 
-The same keys serve both directions. A row's argmin is its nearest B
-descriptor, the lowest B index on ties. A column's minimum key holds, in one
-reduction, the distance and the offset of its nearest A row in the block,
-the lowest offset on ties; a running per-column best that only a strictly
-smaller distance replaces carries that tie-break across blocks. A match is
-kept only when it is mutual: row i survives when the nearest A descriptor
-of its nearest B descriptor is i (the cross-check of Lowe, IJCV 2004).
+A row's argmin is its nearest B descriptor, the lowest B index on ties; a
+column's argmin is its nearest A descriptor, the lowest A index on ties. A
+match is kept only when it is mutual: row i survives when the nearest A
+descriptor of its nearest B descriptor is i (the cross-check of Lowe, IJCV
+2004).
 
 ``match_guided`` is the same mutual test over a much smaller candidate set
 (guided matching, Hartley & Zisserman, *Multiple View Geometry*, section
@@ -55,54 +53,33 @@ class Matches:
         return Matches(self.index_a[rows], self.index_b[rows], self.distance[rows])
 
 
-def match_bruteforce(descs_a: np.ndarray, descs_b: np.ndarray,
-                     chunk: int = 256) -> Matches:
+def match_bruteforce(descs_a: np.ndarray, descs_b: np.ndarray) -> Matches:
     """Mutual nearest neighbors between A and B by Hamming distance.
 
     Row i of A is kept when its nearest descriptor j in B has i as its own
     nearest descriptor in A. Ties break toward the lowest index on both
     sides; result order follows A. Equivalent to the exhaustive pairwise
-    scan in each direction, keeping the pairs on which both agree. The
-    result does not depend on ``chunk``, which bounds the keys of a block
-    (chunk x len(B) float32, about 6 MB at the default and 6k descriptors).
+    scan in each direction, keeping the pairs on which both agree. Holds
+    the whole len(A) x len(B) float32 distance matrix.
     """
     if len(descs_a) == 0 or len(descs_b) == 0:
         raise RegistrationError("match", "cannot match against an empty descriptor set")
-    n_a, n_b = len(descs_a), len(descs_b)
     n_bits = 8 * descs_b.shape[1]
-    rows = min(chunk, n_a, 2**24 // (2 * n_bits + 1))
-    # ext_a row: [bits, popcount, 1, r]; ext_b row: [-2R bits, R, R popcount, 1]
-    ext_b = np.empty((n_b, n_bits + 3), dtype=np.float32)
-    ext_b[:, :n_bits] = np.unpackbits(descs_b, axis=1)
-    ext_b[:, n_bits + 1] = rows * ext_b[:, :n_bits].sum(axis=1)
-    ext_b[:, :n_bits] *= -2.0 * rows
-    ext_b[:, n_bits] = rows
-    ext_b[:, n_bits + 2] = 1.0
-    ext_a = np.empty((rows, n_bits + 3), dtype=np.float32)
+    # ext_a row: [bits, popcount, 1]; ext_b row: [-2 bits, 1, popcount]
+    ext_a = np.empty((len(descs_a), n_bits + 2), dtype=np.float32)
+    ext_a[:, :n_bits] = np.unpackbits(descs_a, axis=1)
+    ext_a[:, n_bits] = ext_a[:, :n_bits].sum(axis=1)
     ext_a[:, n_bits + 1] = 1.0
-    ext_a[:, n_bits + 2] = np.arange(rows)
-
-    index_b = np.empty(n_a, dtype=np.intp)
-    distance = np.empty(n_a, dtype=np.int64)
-    col_distance = np.full(n_b, n_bits + 1, dtype=np.int64)
-    col_index = np.zeros(n_b, dtype=np.intp)
-    # every block's keys go into this one buffer, so one block is live at a time
-    keys_buffer = np.empty((rows, n_b), dtype=np.float32)
-    for start in range(0, n_a, rows):
-        bits = np.unpackbits(descs_a[start:start + rows], axis=1)
-        block = ext_a[:len(bits)]
-        block[:, :n_bits] = bits
-        block[:, n_bits] = bits.sum(axis=1)
-        keys = np.matmul(block, ext_b.T, out=keys_buffer[:len(bits)])
-        nearest = keys.argmin(axis=1)
-        index_b[start:start + rows] = nearest
-        distance[start:start + rows] = keys[np.arange(len(bits)), nearest] // rows
-        col_dist, col_row = np.divmod(keys.min(axis=0).astype(np.int64), rows)
-        better = col_dist < col_distance
-        col_distance[better] = col_dist[better]
-        col_index[better] = start + col_row[better]
-    mutual = np.flatnonzero(col_index[index_b] == np.arange(n_a))
-    return Matches(mutual, index_b[mutual], distance[mutual])
+    ext_b = np.empty((len(descs_b), n_bits + 2), dtype=np.float32)
+    ext_b[:, :n_bits] = np.unpackbits(descs_b, axis=1)
+    ext_b[:, n_bits + 1] = ext_b[:, :n_bits].sum(axis=1)
+    ext_b[:, :n_bits] *= -2.0
+    ext_b[:, n_bits] = 1.0
+    distances = ext_a @ ext_b.T
+    index_b = distances.argmin(axis=1)
+    mutual = np.flatnonzero(distances.argmin(axis=0)[index_b] == np.arange(len(descs_a)))
+    return Matches(mutual, index_b[mutual],
+                   distances[mutual, index_b[mutual]].astype(np.int64))
 
 
 def match_guided(descs_a: np.ndarray, descs_b: np.ndarray, predicted: np.ndarray,

@@ -290,6 +290,19 @@ class TestMalformedInputs:
         self._fails_on_one_line(["eval", "--checkpoint", "nofold.ckpt"], capsys,
                                 "names no fold")
 
+    @pytest.mark.parametrize("fold", [True, False, -1])
+    def test_checkpoint_meta_fold_is_not_a_fold_id(self, tmp_path, monkeypatch, capsys, fold):
+        # JSON true once passed for fold 1
+        from paddyspec import nn
+        from paddyspec.model import build_resnet18
+        monkeypatch.chdir(tmp_path)
+        meta = {"arch": {"in_channels": 3, "num_classes": 3}, "input_mode": "rgb",
+                "input_size": 32, "fold": fold}
+        nn.write_checkpoint(tmp_path / "m.ckpt", meta,
+                            build_resnet18(in_channels=3, num_classes=3).state_arrays())
+        self._fails_on_one_line(["eval", "--checkpoint", "m.ckpt"], capsys,
+                                f"checkpoint m.ckpt names no fold id (meta fold {fold!r})")
+
     @pytest.mark.parametrize("seed", ["x", 1.5, -1])
     def test_checkpoint_meta_seed_is_not_read(self, tmp_path, seed):
         from paddyspec import nn
@@ -487,6 +500,16 @@ class TestMalformedInputs:
         train = self._cache_split(tmp_path, (tmp_path / "nan.pspec").read_bytes())
         self._fails_on_one_line(["--config", "config.json"] + train + ["--max-steps", "1"],
                                 capsys, ".pspec: tensor 'fused' holds NaN or Inf")
+
+    def test_repeated_fused_tensor(self, tmp_path, monkeypatch, capsys):
+        from paddyspec import nn, spectral
+        monkeypatch.chdir(tmp_path)
+        sample = np.zeros((4, 32, 32), np.float32)
+        nn.write_checkpoint(tmp_path / "twice.pspec", {"bands": list(spectral.FUSED_BANDS)},
+                            {"fused": sample, "fusee": sample + 1.0})
+        raw = (tmp_path / "twice.pspec").read_bytes().replace(b'"fusee"', b'"fused"')
+        self._fails_on_one_line(self._cache_split(tmp_path, raw), capsys,
+                                ".pspec: tensor 'fused' appears twice")
 
     def test_diverging_training(self, tmp_path, monkeypatch, capsys):
         from paddyspec import spectral, training

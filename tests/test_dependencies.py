@@ -1,6 +1,7 @@
 """The package imports nothing outside the standard library and numpy, every
 public function, class, method and property in it has a caller outside the
-tests, and every dataclass field in it is read there."""
+tests, every dataclass field in it is read there, and every defaulted
+parameter in it is passed there."""
 import ast
 import dataclasses
 import importlib
@@ -99,6 +100,81 @@ def test_public_methods_have_a_caller():
                     uncalled.append(f"{path.relative_to(SRC)}:{method.lineno}: "
                                     f"{cls.name}.{method.name}")
     assert not uncalled, uncalled
+
+
+def _defaulted_parameters(func, offset):
+    """(name, call-site position or None if keyword-only) of each parameter of
+    ``func`` that has a default; ``offset`` is 1 for a bound ``self``/``cls``."""
+    positional = func.args.posonlyargs + func.args.args
+    first = len(positional) - len(func.args.defaults)
+    found = [(arg.arg, index - offset) for index, arg in enumerate(positional)
+             if index >= first]
+    found += [(arg.arg, None) for arg, default in zip(func.args.kwonlyargs,
+                                                        func.args.kw_defaults)
+              if default is not None]
+    return found
+
+
+def _passes(call, name, position):
+    """Whether ``call`` may pass parameter ``name`` at ``position``; a ``*``
+    or ``**`` argument may pass anything it covers."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    return position is not None and any(isinstance(arg, ast.Starred) or index == position
+                                        for index, arg in enumerate(call.args))
+
+
+def test_defaulted_parameters_are_passed():
+    """Every defaulted parameter of a public function or method in src/ is
+    passed, by keyword or at its position, by some call in src/ or perfbench/
+    to that name; a class's ``__init__`` is called through the class name or a
+    module-level alias of it. A default that no caller overrides is a
+    constant; the tests do not count as callers."""
+    trees = [(path, ast.parse(path.read_text(), filename=str(path)))
+             for path in _program_sources()]
+    aliases: dict[str, set[str]] = {}  # class -> names it is also bound to
+    calls: dict[str, list[ast.Call]] = {}
+    for _, tree in trees:
+        for stmt in tree.body:
+            if (isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Name)
+                    and len(stmt.targets) == 1 and isinstance(stmt.targets[0], ast.Name)):
+                aliases.setdefault(stmt.value.id, set()).add(stmt.targets[0].id)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = node.func
+                name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    definitions = []  # (label, names it is called by, function, self offset)
+    for path, tree in trees:
+        if not path.is_relative_to(SRC) or path.name in CALLER_EXEMPT:
+            continue
+        where = path.relative_to(SRC)
+        definitions += [(f"{where}:{stmt.lineno}: {stmt.name}", {stmt.name}, stmt, 0)
+                        for stmt in tree.body
+                        if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")]
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in method.decorator_list)
+                if method.name == "__init__":
+                    names = {cls.name} | aliases.get(cls.name, set())
+                elif not method.name.startswith("_"):
+                    names = {method.name}
+                else:
+                    continue
+                definitions.append((f"{where}:{method.lineno}: {cls.name}.{method.name}",
+                                    names, method, 0 if static else 1))
+
+    unpassed = [f"{label}({param}=)" for label, names, func, offset in definitions
+                for param, position in _defaulted_parameters(func, offset)
+                if not any(_passes(call, param, position)
+                           for name in names for call in calls.get(name, []))]
+    assert not unpassed, unpassed
 
 
 def _dataclasses_in_src():

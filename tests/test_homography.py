@@ -150,7 +150,6 @@ def reference_estimate_homography(matches, kps_a, kps_b, *, iters: int = 2000,
     src = np.array([[kps_a[m.index_a].x, kps_a[m.index_a].y] for m in canon])
     dst = np.array([[kps_b[m.index_b].x, kps_b[m.index_b].y] for m in canon])
     n = len(canon)
-    needed = min(min_inliers, n)
 
     rng = np.random.default_rng(seed)
     best_mask = None
@@ -186,10 +185,10 @@ def reference_estimate_homography(matches, kps_a, kps_b, *, iters: int = 2000,
     if not solved_any:
         raise RegistrationError(
             "estimate", "degenerate sample handling exhausted: no valid minimal solve")
-    if best_mask is None or best_count < needed:
+    if best_mask is None or best_count < min_inliers:
         raise RegistrationError(
             "estimate",
-            f"best consensus has {best_count} inliers; need at least {needed}")
+            f"best consensus has {best_count} inliers; need at least {min_inliers}")
 
     refit = reference_dlt_homography(src[best_mask], dst[best_mask])
     # re-estimate from the inliers of the refit while their number grows
@@ -248,7 +247,7 @@ class TestDlt:
         rng = np.random.default_rng(0)
         h_true = translation(5.0, -3.0)
         kps_a, kps_b, matches = synthetic.make_correspondences(rng, h_true, n=4)
-        result = ransac(matches, kps_a, kps_b, iters=50, seed=1)
+        result = ransac(matches, kps_a, kps_b, iters=50, seed=1, min_inliers=4)
         assert np.abs(result.homography - h_true).max() < 1e-6
 
     def test_identity_correspondences(self):
@@ -362,6 +361,15 @@ class TestRegisterPair:
         with pytest.raises(RegistrationError) as exc:
             reg.register_pair(flat, flat, reg.RegistrationParams())
         assert exc.value.stage == "detect"
+
+    def test_fit_needs_min_inliers_however_few_the_matches(self):
+        # 20 corners a side leave 4 filtered matches; any 4 correspondences
+        # fit exactly, and that fit registered this pair 454 px off
+        rgb, rgnir, _ = synthetic.make_registration_pair(np.random.default_rng(2))
+        stage, message = raised(reg.register_pair, rgb, rgnir,
+                                reg.RegistrationParams(target_count=20))
+        assert stage == "estimate"
+        assert message.endswith(f"has 4 inliers; need at least {pipeline.MIN_INLIERS}")
 
     def test_fov_gap_implies_upscaling(self):
         rng = np.random.default_rng(17)

@@ -314,6 +314,14 @@ class TestCheckpoint:
         with pytest.raises(nn.CheckpointError, match=r"m\.ckpt: tensor 'a' has dtype 'float64'"):
             nn.read_checkpoint(path)
 
+    def test_repeated_tensor_name_rejected(self, tmp_path):
+        # a later entry once replaced an earlier one of the same name
+        path = tmp_path / "m.ckpt"
+        nn.write_checkpoint(path, {}, {"a": np.ones(2), "b": np.zeros(2)})
+        path.write_bytes(path.read_bytes().replace(b'"name": "b"', b'"name": "a"'))
+        with pytest.raises(nn.CheckpointError, match=r"m\.ckpt: tensor 'a' appears twice"):
+            nn.read_checkpoint(path)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_rejected(self, tmp_path, value):
         state = build_resnet18(seed=9).state_arrays()

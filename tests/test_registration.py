@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paddyspec import registration as reg
-from paddyspec.registration import RegistrationError
+from paddyspec.registration import RegistrationError, pipeline
 from paddyspec.registration.descriptors import (
     BLOCK, DESCRIPTOR_BITS, DESCRIPTOR_BYTES, ORIENTATION_BINS, PATCH_BORDER, TEST_PATTERN,
     _ROT_X, _ROT_Y, _orientation_bins, _orientations)
@@ -509,9 +509,9 @@ class TestMatching:
         assert reg.match_bruteforce(a, b).index_b[0] == 0
 
     @given(na=st.integers(1, 40), nb=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
-           levels=st.sampled_from([2, 4, 256]), chunk=st.sampled_from([1, 7, 512]))
+           levels=st.sampled_from([2, 4, 256]))
     @settings(max_examples=150, deadline=None, derandomize=True)
-    def test_gemm_distance_matches_xor_oracle(self, na, nb, seed, levels, chunk):
+    def test_gemm_distance_matches_xor_oracle(self, na, nb, seed, levels):
         # descriptors drawn from a few byte values and from each other, so that
         # many B rows tie at the nearest distance
         rng = np.random.default_rng(seed)
@@ -521,24 +521,22 @@ class TestMatching:
         a = values[rng.integers(0, levels, size=(na, 32))]
         copied = rng.random(na) < 0.5
         a[copied] = b[rng.integers(0, nb, size=int(copied.sum()))]
-        assert (match_list(reg.match_bruteforce(a, b, chunk=chunk))
-                == reference_match_bruteforce(a, b))
+        assert match_list(reg.match_bruteforce(a, b)) == reference_match_bruteforce(a, b)
 
-    @pytest.mark.parametrize("chunk", [1, 3, 512])
-    def test_column_ties_across_chunks_go_to_lowest_a(self, chunk):
+    def test_column_ties_go_to_lowest_a(self):
         rng = np.random.default_rng(29)
         a = self._random_descs(rng, 1030)
         b = self._random_descs(rng, 6)
-        # B[1]: exact copies in A straddle the boundaries of every chunk size
+        # B[1]: five exact copies in A, and a row at distance 1 before them
         a[[2, 3, 511, 512, 1025]] = b[1]
-        a[0] = b[1] ^ np.eye(32, dtype=np.uint8)[0]  # distance 1, in an earlier block
-        # B[2]: a closer A row in a later block replaces an earlier one
+        a[0] = b[1] ^ np.eye(32, dtype=np.uint8)[0]
+        # B[2]: a closer A row after a farther one
         a[500] = b[2] ^ np.eye(32, dtype=np.uint8)[3]
         a[700] = b[2]
         # B[3]: two different A rows at the same distance 1, 509 rows apart
         a[4] = b[3] ^ np.eye(32, dtype=np.uint8)[0]
         a[513] = b[3] ^ np.eye(32, dtype=np.uint8)[5]
-        matches = reg.match_bruteforce(a, b, chunk=chunk)
+        matches = reg.match_bruteforce(a, b)
         assert match_list(matches) == reference_match_bruteforce(a, b)
         kept = dict(zip(matches.index_b.tolist(), matches.index_a.tolist()))
         assert (kept[1], kept[2], kept[3]) == (2, 700, 4)
@@ -553,27 +551,23 @@ class TestMatching:
             levels = reg.build_pyramid(img.band("G"))
             descs.append(reg.compute_descriptors(
                 levels, reg.detect_keypoints(levels, target))[0])
-        matches = match_list(reg.match_bruteforce(*descs))
-        assert matches == reference_match_bruteforce(*descs)
-        # the default block size only changes how the keys are cut up
-        assert matches == match_list(reg.match_bruteforce(*descs, chunk=512))
+        assert match_list(reg.match_bruteforce(*descs)) == reference_match_bruteforce(*descs)
 
-    def test_one_keys_block_live_at_a_time(self):
-        # a default-sized R-G-NIR side (5,757 descriptors) against five blocks of A
+    def test_first_pass_memory_is_two_distance_matrices(self):
+        # the first pass's largest call; the column argmin copies the matrix
+        n = pipeline.GUIDE_CORNERS
         rng = np.random.default_rng(31)
-        a = self._random_descs(rng, 1000)
-        b = self._random_descs(rng, 5757)
-        rows = 256
-        operand = len(b) * (8 * b.shape[1] + 3) * 4   # B's float32 GEMM operand
-        block = rows * len(b) * 4                     # one block's float32 keys
+        a = self._random_descs(rng, n)
+        b = self._random_descs(rng, n)
+        operands = 2 * n * (8 * a.shape[1] + 2) * 4  # the two float32 GEMM operands
+        matrix = n * n * 4                           # the float32 distance matrix
         tracemalloc.start()
         try:
-            matches = reg.match_bruteforce(a, b, chunk=rows)
+            reg.match_bruteforce(a, b)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= operand + 1.5 * block, (peak, operand, block)
-        assert match_list(matches) == match_list(reg.match_bruteforce(a, b, chunk=512))
+        assert peak <= operands + 2.25 * matrix, (peak, operands, matrix)
 
 
 @st.composite

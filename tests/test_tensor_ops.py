@@ -311,7 +311,8 @@ class TestBatchNorm:
 
     def test_two_point_batch_normalizes_to_unit(self):
         # batch {1, 3}: mean 2, population std 1 -> {-1, +1}
-        params = nn.BatchNormParams.create(1, eps=1e-14, dtype=np.float64)
+        params = nn.BatchNormParams.create(1, dtype=np.float64)
+        params.eps = 1e-14
         x = t64(np.array([1.0, 3.0]).reshape(2, 1, 1, 1))
         out = nn.batchnorm2d(x, params, train=True)
         assert np.allclose(out.data.ravel(), [-1.0, 1.0], atol=1e-6)
