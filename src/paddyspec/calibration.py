@@ -155,7 +155,7 @@ def load_calibration(path) -> BandCalibration:
         bands = tuple(payload["band_labels"])
         gain, offset, residual = (np.array(payload[k], dtype=np.float64)
                                   for k in ("gain", "offset", "fit_residual"))
-    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise CalibrationError(f"cannot read calibration file {path}: "
                                f"{type(exc).__name__}: {exc}") from exc
     if any(v.shape != (len(bands),) for v in (gain, offset, residual)):
@@ -181,7 +181,7 @@ def load_session(path) -> tuple[str, PanelSpec, tuple[str, ...]]:
     """Read a session file: target board image path, panels, band labels."""
     try:
         payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise CalibrationError(f"cannot read session file {path}: {exc}") from exc
     try:
         board = payload["board_image"]

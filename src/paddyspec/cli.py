@@ -161,7 +161,12 @@ def cmd_calibrate(cfg: PipelineConfig, args) -> int:
 def _fused_sample(rgb: ImageF, rgnir: ImageF, mask: np.ndarray,
                   size: int) -> np.ndarray:
     """Network-resolution (4, size, size) RGB + NDVI sample; the one path for
-    ndvi and predict."""
+    ndvi and predict. The three inputs must share one frame size."""
+    frames = {(rgb.height, rgb.width), mask.shape, (rgnir.height, rgnir.width)}
+    if len(frames) > 1:
+        raise SpectralError(
+            f"frame sizes differ (h, w): registered rgb {(rgb.height, rgb.width)}, "
+            f"mask {mask.shape}, calibrated rgnir {(rgnir.height, rgnir.width)}")
     rgb_small = resize_bilinear(rgb, size, size)
     rgnir_small = resize_bilinear(rgnir, size, size)
     ndvi = compute_ndvi(rgnir_small.band("R"), rgnir_small.band("NIR"))
@@ -414,8 +419,8 @@ def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help="override the pipeline seed")
     parser.add_argument("--jobs", type=int,
                         default=argparse.SUPPRESS if suppress else 1,
-                        help="cap on pairs registered at once, at least 1 (each "
-                             "pair also uses two threads); 1 guarantees determinism")
+                        help="cap on pairs registered at once, at least 1; "
+                             "1 guarantees determinism")
     parser.add_argument("--dry-run", action="store_true",
                         default=argparse.SUPPRESS if suppress else False,
                         help="validate inputs, write nothing")

@@ -111,7 +111,7 @@ def load_config(path) -> PipelineConfig:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(data)
 

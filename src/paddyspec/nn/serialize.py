@@ -63,7 +63,7 @@ def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         header_start = nl + 1
         header = json.loads(bytes(rest[header_start:header_start + header_len]).decode("utf-8"))
         meta, directory, blob_bytes = header["meta"], header["tensors"], header["blob_bytes"]
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise CheckpointError(f"{path}: malformed header: {exc!r}") from None
     blob_start = header_start + header_len + 1
     blob = rest[blob_start:]

@@ -1,14 +1,13 @@
 """Mutual Hamming matching, exhaustive or guided by a prior fit, and
 distance-sorted filtering.
 
-The Hamming distance between two 256-bit descriptors is a bit-vector inner
-product: ``popcount(a) + popcount(b) - 2 * (a . b)`` over their unpacked
-bits. ``match_bruteforce`` computes every distance between A and B as one
-float32 GEMM, the popcounts riding in two extra columns of the two
-operands. Every partial sum is an integer of magnitude at most
-``4 * bits``, which float32 holds exactly, so the distances equal the XOR
-popcounts bit for bit. Its one caller passes at most ``GUIDE_CORNERS``
-descriptors a side, so the matrix is at most 1,000 x 1,000 (4 MB).
+The Hamming distance between two 256-bit descriptors is the popcount of
+their XOR (Rublee et al., ORB, ICCV 2011). ``match_bruteforce`` views each
+descriptor as four 64-bit words and sums the four words' XOR popcounts into
+one uint16 len(A) x len(B) matrix, ``ROW_BLOCK`` rows of A at a time
+through two reused scratch buffers. Its one caller passes at most
+``GUIDE_CORNERS`` descriptors a side, so the matrix is at most
+1,000 x 1,000 (2 MB).
 
 A row's argmin is its nearest B descriptor, the lowest B index on ties; a
 column's argmin is its nearest A descriptor, the lowest A index on ties. A
@@ -35,6 +34,8 @@ import numpy as np
 
 from .errors import RegistrationError
 
+ROW_BLOCK = 64  # A rows per block of the distance matrix
+
 
 @dataclass(eq=False)
 class Matches:
@@ -60,22 +61,21 @@ def match_bruteforce(descs_a: np.ndarray, descs_b: np.ndarray) -> Matches:
     nearest descriptor in A. Ties break toward the lowest index on both
     sides; result order follows A. Equivalent to the exhaustive pairwise
     scan in each direction, keeping the pairs on which both agree. Holds
-    the whole len(A) x len(B) float32 distance matrix.
+    the whole len(A) x len(B) uint16 distance matrix.
     """
     if len(descs_a) == 0 or len(descs_b) == 0:
         raise RegistrationError("match", "cannot match against an empty descriptor set")
-    n_bits = 8 * descs_b.shape[1]
-    # ext_a row: [bits, popcount, 1]; ext_b row: [-2 bits, 1, popcount]
-    ext_a = np.empty((len(descs_a), n_bits + 2), dtype=np.float32)
-    ext_a[:, :n_bits] = np.unpackbits(descs_a, axis=1)
-    ext_a[:, n_bits] = ext_a[:, :n_bits].sum(axis=1)
-    ext_a[:, n_bits + 1] = 1.0
-    ext_b = np.empty((len(descs_b), n_bits + 2), dtype=np.float32)
-    ext_b[:, :n_bits] = np.unpackbits(descs_b, axis=1)
-    ext_b[:, n_bits + 1] = ext_b[:, :n_bits].sum(axis=1)
-    ext_b[:, :n_bits] *= -2.0
-    ext_b[:, n_bits] = 1.0
-    distances = ext_a @ ext_b.T
+    words_a = np.ascontiguousarray(descs_a).view(np.uint64)
+    words_b = np.ascontiguousarray(descs_b).view(np.uint64).T.copy()  # one row per word
+    distances = np.zeros((len(words_a), words_b.shape[1]), dtype=np.uint16)
+    xor = np.empty((min(ROW_BLOCK, len(words_a)), words_b.shape[1]), dtype=np.uint64)
+    count = np.empty(xor.shape, dtype=np.uint8)
+    for start in range(0, len(words_a), ROW_BLOCK):
+        block = distances[start:start + ROW_BLOCK]
+        xor_b, count_b = xor[:len(block)], count[:len(block)]
+        for k, word_b in enumerate(words_b):
+            np.bitwise_xor(words_a[start:start + ROW_BLOCK, k, None], word_b, out=xor_b)
+            block += np.bitwise_count(xor_b, out=count_b)
     index_b = distances.argmin(axis=1)
     mutual = np.flatnonzero(distances.argmin(axis=0)[index_b] == np.arange(len(descs_a)))
     return Matches(mutual, index_b[mutual],

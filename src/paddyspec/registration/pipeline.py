@@ -5,13 +5,6 @@ one band present in RGB and R-G-NIR alike). The recovered homography maps
 RGB coordinates into the R-G-NIR frame, and the RGB image is warped there
 at the R-G-NIR resolution.
 
-Each image's pyramid, corners and descriptors depend on that image alone,
-so ``register_pair`` computes the R-G-NIR features on a worker thread while
-the calling thread computes the RGB ones; numpy releases the interpreter
-lock inside its loops, so the two overlap. Matching and everything after it
-run on the calling thread. The result is the same bytes as computing the
-two images one after the other.
-
 Matching runs in two passes (guided matching, Hartley & Zisserman,
 *Multiple View Geometry*, section 4.8). The first matches, filters and fits
 only the ``GUIDE_CORNERS`` strongest described corners of each image
@@ -30,7 +23,6 @@ frame.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,12 +114,9 @@ def register_pair(rgb: ImageF, rgnir: ImageF, params: RegistrationParams,
         if not img.has_band(band):
             raise RegistrationError("detect", f"{name} image has no {band} band")
 
-    # the block joins the worker before any error leaves it, so when both
-    # images fail, rgb's error (raised on this thread) is the one raised
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        future_b = pool.submit(_features, rgnir.band("G"), params.target_count)
-        n_detected_a, kps_a, descs_a = _features(rgb.band("G"), params.target_count)
-        n_detected_b, kps_b, descs_b = future_b.result()
+    # rgb first, so when both images fail, rgb's error is the one raised
+    n_detected_a, kps_a, descs_a = _features(rgb.band("G"), params.target_count)
+    n_detected_b, kps_b, descs_b = _features(rgnir.band("G"), params.target_count)
 
     # first pass: the strongest corners, matched exhaustively
     _, guide = _fit(match_bruteforce(descs_a[:GUIDE_CORNERS], descs_b[:GUIDE_CORNERS]),

@@ -9,6 +9,16 @@ from paddyspec import cli
 from paddyspec.imaging import ImageF, save_image
 
 
+# JSON files no reader can parse: bytes that are not UTF-8 (a PNG's
+# signature, then a string holding a Latin-1 byte) and arrays nested deeper
+# than Python's recursion limit
+UNREADABLE_JSON = [
+    pytest.param(b"\x89PNG\r\n\x1a\n", id="png-bytes"),
+    pytest.param(b'{"board_image": "\xe9"}', id="latin-1"),
+    pytest.param(b"[" * 200_000 + b"]" * 200_000, id="deep-nesting"),
+]
+
+
 def run(argv, monkeypatch=None, cwd=None):
     if monkeypatch is not None and cwd is not None:
         monkeypatch.chdir(cwd)
@@ -124,6 +134,14 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("paddyspec: config error: ") and err.count("\n") == 1, err
         assert needle in err
+
+    @pytest.mark.parametrize("raw", UNREADABLE_JSON)
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys, raw):
+        (tmp_path / "bad.json").write_bytes(raw)
+        assert run(["--config", str(tmp_path / "bad.json"), "config", "print-defaults"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("paddyspec: config error: ") and err.count("\n") == 1, err
+        assert "is not valid JSON" in err
 
     def test_cache_env_override(self, tmp_path, monkeypatch):
         from paddyspec.config import resolve_config
@@ -269,6 +287,14 @@ class TestMalformedInputs:
     def test_malformed_checkpoint_header(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.ckpt").write_bytes(b"PSPECKPT1\nxx\n")
+        self._fails_on_one_line(["eval", "--checkpoint", "bad.ckpt"], capsys,
+                                "malformed header")
+
+    @pytest.mark.parametrize("raw", UNREADABLE_JSON)
+    def test_unreadable_checkpoint_header(self, tmp_path, monkeypatch, capsys, raw):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.ckpt").write_bytes(
+            b"PSPECKPT1\n" + str(len(raw)).encode() + b"\n" + raw + b"\n")
         self._fails_on_one_line(["eval", "--checkpoint", "bad.ckpt"], capsys,
                                 "malformed header")
 
@@ -541,6 +567,27 @@ class TestMalformedInputs:
         (tmp_path / "out" / "registered" / "a_mask.png").write_bytes(b"garbage")
         self._fails_on_one_line(["ndvi", "--pairs", "pairs.csv"], capsys, "a_mask.png")
 
+    @pytest.mark.parametrize("mask_size, rgnir_size", [(50, 200), (200, 100)],
+                             ids=["mask-50", "rgnir-100"])
+    def test_ndvi_frames_of_different_sizes(self, tmp_path, monkeypatch, capsys,
+                                            mask_size, rgnir_size):
+        # each input alone resizes to input_size, so fuse would see no mismatch
+        from paddyspec import dataset as ds
+        from paddyspec.imaging import write_png
+        monkeypatch.chdir(tmp_path)
+        record = ds.SampleRecord(id="a", rgb_path="", rgnir_path="", label="blast")
+        ds.write_manifest_csv(ds.Manifest(records=[record]), tmp_path / "pairs.csv")
+        reg_dir, cal_dir = tmp_path / "out" / "registered", tmp_path / "out" / "calibrated"
+        reg_dir.mkdir(parents=True)
+        cal_dir.mkdir(parents=True)
+        write_png(reg_dir / "a_rgb.png", np.full((200, 200, 3), 90, np.uint8))
+        write_png(reg_dir / "a_mask.png", np.full((mask_size, mask_size), 255, np.uint8))
+        write_png(cal_dir / "a_rgnir.png", np.full((rgnir_size, rgnir_size, 3), 9000,
+                                                   np.uint16))
+        self._fails_on_one_line(["ndvi", "--pairs", "pairs.csv"], capsys,
+                                "sample a: frame sizes differ")
+        assert not (tmp_path / "cache" / "a.pspec").exists()
+
     def test_calibration_without_gain(self, tmp_path, monkeypatch, capsys):
         from paddyspec import nn
         from paddyspec.model import build_resnet18
@@ -553,6 +600,28 @@ class TestMalformedInputs:
         self._fails_on_one_line(["predict", "--checkpoint", "m.ckpt", "--calibration",
                                  "calib.json", "--rgb", "a.png", "--rgnir", "b.png"],
                                 capsys, "calib.json")
+
+    @pytest.mark.parametrize("raw", UNREADABLE_JSON)
+    def test_unreadable_calibration_file(self, tmp_path, monkeypatch, capsys, raw):
+        from paddyspec import nn
+        from paddyspec.model import build_resnet18
+        monkeypatch.chdir(tmp_path)
+        meta = {"arch": {"in_channels": 3, "num_classes": 3}, "input_mode": "rgb",
+                "input_size": 32, "fold": 0}
+        nn.write_checkpoint(tmp_path / "m.ckpt", meta,
+                            build_resnet18(in_channels=3, num_classes=3).state_arrays())
+        (tmp_path / "calib.json").write_bytes(raw)
+        self._fails_on_one_line(["predict", "--checkpoint", "m.ckpt", "--calibration",
+                                 "calib.json", "--rgb", "a.png", "--rgnir", "b.png"],
+                                capsys, "cannot read calibration file calib.json")
+
+    @pytest.mark.parametrize("raw", UNREADABLE_JSON)
+    def test_unreadable_session_file(self, tmp_path, monkeypatch, capsys, raw):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "session.json").write_bytes(raw)
+        self._fails_on_one_line(["calibrate", "--session", "session.json",
+                                 "--pairs", "pairs.csv"], capsys,
+                                "cannot read session file session.json")
 
     @pytest.mark.parametrize("key, value, needle", [
         ("board_image", 5, "board_image must be a string"),
@@ -717,7 +786,6 @@ class TestPipeline:
         registered = work / "out" / "registered"
 
         def outputs():
-            # each pair thread starts one more thread for the rgb features
             names = sorted(p.name for p in registered.iterdir())
             assert [n for n in names if n.endswith("_rgb.png")], names
             assert [n for n in names if n.endswith("_mask.png")], names

@@ -1,8 +1,6 @@
 """DLT + RANSAC homography estimation and whole-pair registration."""
 import math
 import re
-import sys
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -455,7 +453,8 @@ def _reference_fit(matches, kps_a, kps_b, params):
 
 def serial_register_pair(rgb, rgnir, params, pair_id=""):
     """``register_pair``'s stages on one thread, each stage run for rgb and
-    then for rgnir before the next: the reference for the threaded one.
+    then for rgnir before the next: the reference for ``register_pair``, which
+    computes all of rgb's features before rgnir's.
     Matching takes two passes, the strongest ``GUIDE_CORNERS`` corners of
     each image and then every corner guided by that fit; a pass that fails
     raises its own error.
@@ -513,22 +512,15 @@ def raised(fn, *args):
 
 
 class TestConcurrentFeatures:
-    """``register_pair`` computes the rgnir features on a worker thread while
-    the calling thread computes the rgb ones."""
+    """``register_pair`` computes each image's features in turn, rgb first, on
+    the calling thread, with the bytes of the stage-by-stage reference."""
 
     @pytest.mark.parametrize("case", [("fixture", 13), ("fixture", 17), ("fixture", 19),
                                       ("ingest", 1), ("ingest", 2), ("ingest", 3)],
                              ids=lambda case: f"{case[0]}{case[1]}")
     def test_bytes_equal_serial_stages(self, case):
         rgb, rgnir, params = registration_case(case)
-        threads = threading.active_count()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # interleave the two chains as finely as it can
-        try:
-            result = reg.register_pair(rgb, rgnir, params, pair_id="p")
-        finally:
-            sys.setswitchinterval(interval)
-        assert threading.active_count() == threads
+        result = reg.register_pair(rgb, rgnir, params, pair_id="p")
         homography, record, warped, mask = serial_register_pair(rgb, rgnir, params, "p")
         assert result.homography.tobytes() == homography.tobytes()
         assert result.diagnostics.record() == record
@@ -538,31 +530,25 @@ class TestConcurrentFeatures:
 
     @pytest.mark.parametrize("failing", ["rgb", "rgnir"])
     def test_one_failing_image_raises_its_serial_error(self, failing):
-        # a failing rgnir image raises on the worker, and a failing rgb one
-        # while the worker is still describing rgnir
         rgb, rgnir, params = registration_case(("fixture", 19))
         if failing == "rgb":
             rgb = flat_image(200, ("R", "G", "B"))
         else:
             rgnir = flat_image(200, ("R", "G", "NIR"))
-        threads = threading.active_count()
         error = raised(reg.register_pair, rgb, rgnir, params)
-        assert threading.active_count() == threads
         assert error == raised(serial_register_pair, rgb, rgnir, params)
         assert error[0] == "detect" and "corners found" in error[1]
 
     @pytest.mark.parametrize("rgb_size, rgnir_size", [(512, 20), (20, 512)])
     def test_both_failing_raise_rgb_error_after_joining(self, rgb_size, rgnir_size):
         # A flat 20 px image fails at once, at the pyramid; a flat 512 px one
-        # fails at detection, after its pyramid. With rgb at 512 px the
-        # stage-by-stage order raised rgnir's error, the earlier stage; with
-        # rgnir at 512 px the worker is still running when rgb's error comes.
+        # fails at detection, after its pyramid. rgb's error wins either way;
+        # with rgb at 512 px the stage-by-stage order raises rgnir's error,
+        # the earlier stage.
         rgb = flat_image(rgb_size, ("R", "G", "B"))
         rgnir = flat_image(rgnir_size, ("R", "G", "NIR"))
         params = reg.RegistrationParams()
-        threads = threading.active_count()
         error = raised(reg.register_pair, rgb, rgnir, params)
-        assert threading.active_count() == threads
         assert error == raised(lambda: reg.detect_keypoints(
             reg.build_pyramid(rgb.band("G")), params.target_count))
         if rgb_size > rgnir_size:

@@ -14,6 +14,7 @@ from paddyspec.registration import RegistrationError, pipeline
 from paddyspec.registration.descriptors import (
     BLOCK, DESCRIPTOR_BITS, DESCRIPTOR_BYTES, ORIENTATION_BINS, PATCH_BORDER, TEST_PATTERN,
     _ROT_X, _ROT_Y, _orientation_bins, _orientations)
+from paddyspec.registration.matching import ROW_BLOCK
 from paddyspec.registration.keypoints import (
     _subpixel_offsets, gaussian_smooth, harris_response)
 from paddyspec.synthetic import make_registration_pair, smooth_texture
@@ -32,9 +33,9 @@ def match_list(matches: reg.Matches) -> list[Match]:
                                        matches.distance.tolist())]
 
 
-# The XOR/popcount matcher that the GEMM match_bruteforce replaced, run in
-# both directions as the oracle it must match exactly: a pair is kept when
-# each side is the other's nearest neighbor.
+# A row-at-a-time XOR/popcount matcher, run in both directions as the
+# oracle match_bruteforce's blocked distance matrix must match exactly: a
+# pair is kept when each side is the other's nearest neighbor.
 def hamming_distance(d1: np.ndarray, d2: np.ndarray) -> int:
     """Popcount of the XOR of two packed 256-bit descriptors."""
     return int(np.bitwise_count(np.bitwise_xor(d1, d2)).sum())
@@ -511,7 +512,7 @@ class TestMatching:
     @given(na=st.integers(1, 40), nb=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
            levels=st.sampled_from([2, 4, 256]))
     @settings(max_examples=150, deadline=None, derandomize=True)
-    def test_gemm_distance_matches_xor_oracle(self, na, nb, seed, levels):
+    def test_tied_distances_match_xor_oracle(self, na, nb, seed, levels):
         # descriptors drawn from a few byte values and from each other, so that
         # many B rows tie at the nearest distance
         rng = np.random.default_rng(seed)
@@ -559,15 +560,16 @@ class TestMatching:
         rng = np.random.default_rng(31)
         a = self._random_descs(rng, n)
         b = self._random_descs(rng, n)
-        operands = 2 * n * (8 * a.shape[1] + 2) * 4  # the two float32 GEMM operands
-        matrix = n * n * 4                           # the float32 distance matrix
+        matrix = n * n * 2                    # the uint16 distance matrix
+        scratch = ROW_BLOCK * n * (8 + 1)     # one block's uint64 XORs and uint8 counts
+        vectors = 16 * n * 8                  # B's words and a few index vectors
         tracemalloc.start()
         try:
             reg.match_bruteforce(a, b)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= operands + 2.25 * matrix, (peak, operands, matrix)
+        assert peak <= 2 * matrix + scratch + vectors, (peak, matrix, scratch)
 
 
 @st.composite
