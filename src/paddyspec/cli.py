@@ -167,8 +167,12 @@ def _fused_sample(rgb: ImageF, rgnir: ImageF, mask: np.ndarray,
         raise SpectralError(
             f"frame sizes differ (h, w): registered rgb {(rgb.height, rgb.width)}, "
             f"mask {mask.shape}, calibrated rgnir {(rgnir.height, rgnir.width)}")
-    rgb_small = resize_bilinear(rgb, size, size)
-    rgnir_small = resize_bilinear(rgnir, size, size)
+    try:
+        rgb_small = resize_bilinear(rgb, size, size)
+        rgnir_small = resize_bilinear(rgnir, size, size)
+    except MemoryError as exc:
+        raise SpectralError(f"cannot resize to the requested input size {size} x {size}: "
+                            f"{exc}") from exc
     ndvi = compute_ndvi(rgnir_small.band("R"), rgnir_small.band("NIR"))
     return fuse(rgb_small, ndvi, resize_mask(mask, size, size))
 

@@ -4,7 +4,9 @@ Values live in numpy arrays (float32 in production, float64 when gradients
 are being checked against finite differences). Every operation that builds
 on tensors records its parents and a backward closure; calling
 ``Tensor.backward()`` on a scalar result replays the tape in reverse and
-releases it as it goes.
+releases it as it goes. An optional per-leaf callback receives each
+requires-grad leaf as soon as its gradient is final, which lets an
+optimizer update a parameter inside backward (``Adam.step``).
 """
 from __future__ import annotations
 
@@ -134,14 +136,20 @@ class Tensor:
             self.grad = np.empty_like(self.data)
             self.grad[...] = grad
 
-    def backward(self) -> None:
+    def backward(self, on_leaf: Callable[["Tensor"], None] | None = None) -> None:
         """Propagate gradients from this scalar back through the tape.
 
         The tape is released as it is replayed: once a recorded node's
         backward closure has run, its parents, its closure (and with it the
         arrays the op saved for backward) and its gradient are dropped.
-        Leaves keep their ``.grad``. A second backward through a released
-        node raises BackwardError.
+        Without *on_leaf*, leaves keep their ``.grad``. A second backward
+        through a released node raises BackwardError.
+
+        ``on_leaf(leaf)`` runs for each requires-grad leaf the loss reaches,
+        right after the closure of the leaf's last consumer: its ``.grad``
+        (None if no closure wrote one) is final then, and nothing later in
+        the walk reads the leaf's data, so the callback may update the data
+        in place and drop the gradient.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar loss, got shape {self.shape}")
@@ -164,6 +172,13 @@ class Tensor:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
 
+        # consumers still to run, per leaf: a leaf is handed over at zero
+        pending: dict[int, int] = {}
+        if on_leaf is not None:
+            for node in order:
+                for parent in _leaf_parents(node):
+                    pending[id(parent)] = pending.get(id(parent), 0) + 1
+
         self._accumulate(np.ones_like(self.data))
         # popping drops the walk's own reference, so a node is freed as soon
         # as its closure and its children's parent links are gone
@@ -173,9 +188,24 @@ class Tensor:
                 continue
             if node.grad is not None:
                 node._backward_fn(node.grad)
+            leaves = _leaf_parents(node) if on_leaf is not None else ()
             node._parents = ()
             node._backward_fn = _released
             node.grad = None
+            for leaf in leaves:
+                pending[id(leaf)] -= 1
+                if not pending[id(leaf)]:
+                    on_leaf(leaf)
+
+
+def _leaf_parents(node: Tensor) -> list[Tensor]:
+    """The distinct requires-grad leaves among *node*'s parents."""
+    leaves: list[Tensor] = []
+    for parent in node._parents:
+        if (parent.requires_grad and parent._backward_fn is None
+                and all(parent is not leaf for leaf in leaves)):
+            leaves.append(parent)
+    return leaves
 
 
 def _released(grad) -> None:

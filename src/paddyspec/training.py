@@ -212,6 +212,13 @@ def fit(model: ResNet18, cfg: TrainConfig, arrays: np.ndarray, labels: np.ndarra
     ``max_steps``. ``on_epoch(model, steps_so_far)`` runs after each epoch, a
     cut-short one included; returning True stops training early (convergence
     probes, overfit checks).
+
+    Each step is one ``Adam.step(loss, lr)``: backward runs inside it and
+    each parameter is updated as soon as its gradient is final, so a step
+    never holds the whole gradient set. A step whose scheduled lr is 0 runs
+    no backward. A backward closure that raised mid-step would leave the
+    parameters handed over before it updated and the rest not; no closure
+    checks anything, as every op checks its operands in forward.
     """
     if max_steps is not None and max_steps < 1:
         raise TrainingError(f"max_steps must be >= 1, got {max_steps}")
@@ -230,11 +237,9 @@ def fit(model: ResNet18, cfg: TrainConfig, arrays: np.ndarray, labels: np.ndarra
             x = Tensor(arrays[idx].astype(cfg.dtype, copy=False))
             logits = model.forward(x, train=True)
             loss = nn.weighted_cross_entropy(logits, labels[idx], weights)
-            optimizer.zero_grad()
-            loss.backward()
             lr = lr_at(epoch + i / steps_per_epoch)
             if lr > 0.0:
-                optimizer.step(lr)
+                optimizer.step(loss, lr)
             losses.append(loss.item())
         if on_epoch is not None and on_epoch(model, len(losses)):
             break

@@ -588,6 +588,48 @@ class TestMalformedInputs:
                                 "sample a: frame sizes differ")
         assert not (tmp_path / "cache" / "a.pspec").exists()
 
+    def test_ndvi_input_size_beyond_memory(self, tmp_path, monkeypatch, capsys):
+        # a 10^6 px side asks for terabytes, which numpy refuses at once
+        from paddyspec import dataset as ds
+        from paddyspec.imaging import write_png
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_text(json.dumps(
+            {"training": {"input_size": 10**6}}))
+        record = ds.SampleRecord(id="a", rgb_path="", rgnir_path="", label="blast")
+        ds.write_manifest_csv(ds.Manifest(records=[record]), tmp_path / "pairs.csv")
+        reg_dir, cal_dir = tmp_path / "out" / "registered", tmp_path / "out" / "calibrated"
+        reg_dir.mkdir(parents=True)
+        cal_dir.mkdir(parents=True)
+        write_png(reg_dir / "a_rgb.png", np.full((8, 8, 3), 90, np.uint8))
+        write_png(reg_dir / "a_mask.png", np.full((8, 8), 255, np.uint8))
+        write_png(cal_dir / "a_rgnir.png", np.full((8, 8, 3), 9000, np.uint16))
+        self._fails_on_one_line(["--config", "config.json", "ndvi", "--pairs", "pairs.csv"],
+                                capsys, "sample a: cannot resize to the requested input "
+                                        "size 1000000 x 1000000")
+        assert not (tmp_path / "cache" / "a.pspec").exists()
+
+    def test_predict_checkpoint_input_size_beyond_memory(self, tmp_path, monkeypatch,
+                                                         capsys):
+        from paddyspec import calibration as cal
+        from paddyspec import nn, synthetic
+        from paddyspec.model import build_resnet18
+        monkeypatch.chdir(tmp_path)
+        meta = {"arch": {"in_channels": 4, "num_classes": 3}, "input_mode": "rgb_ndvi",
+                "input_size": 10**6, "fold": 0}
+        nn.write_checkpoint(tmp_path / "m.ckpt", meta,
+                            build_resnet18(in_channels=4, num_classes=3).state_arrays())
+        rgb, rgnir, _ = synthetic.make_registration_pair(np.random.default_rng(13),
+                                                         out_size=220)
+        save_image(rgb, tmp_path / "a_rgb.png")
+        save_image(rgnir, tmp_path / "a_rgnir.png")
+        cal.save_calibration(cal.BandCalibration(
+            gain=np.ones(3), offset=np.zeros(3), fit_residual=np.zeros(3),
+            band_labels=("R", "G", "NIR")), tmp_path / "calib.json")
+        self._fails_on_one_line(["predict", "--checkpoint", "m.ckpt", "--calibration",
+                                 "calib.json", "--rgb", "a_rgb.png", "--rgnir", "a_rgnir.png"],
+                                capsys, "cannot resize to the requested input size "
+                                        "1000000 x 1000000")
+
     def test_calibration_without_gain(self, tmp_path, monkeypatch, capsys):
         from paddyspec import nn
         from paddyspec.model import build_resnet18

@@ -1,7 +1,8 @@
-"""Adam update rule behavior."""
+"""Adam update rule behavior, and its place inside backward."""
 import numpy as np
 import pytest
 
+from paddyspec import nn
 from paddyspec.nn import Adam, ShapeError, Tensor
 
 
@@ -29,13 +30,46 @@ def reference_step(self, lr: float) -> None:
         p.data -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(p.data.dtype)
 
 
+def loss_of(params, grads):
+    """A scalar whose backward hands each parameter its entry of *grads*;
+    a parameter whose entry is None is not reached by the loss."""
+    reached = [(p, g) for p, g in zip(params, grads) if g is not None]
+
+    def backward(_grad):
+        for p, g in reached:
+            p._accumulate(np.array(g, dtype=p.dtype))
+
+    return Tensor.from_op(np.zeros((), params[0].dtype), [p for p, _ in reached],
+                          backward)
+
+
+def spy_on_leaves(monkeypatch, record=None):
+    """Patch Tensor.backward so that each leaf handed to an ``on_leaf``
+    callback is recorded before the callback runs, as ``record(leaf)`` or by
+    default as the leaf and a copy of its gradient; returns the record."""
+    seen = []
+    original = Tensor.backward
+
+    def backward(self, on_leaf=None):
+        if on_leaf is None:
+            return original(self)
+
+        def spy(leaf):
+            seen.append(record(leaf) if record is not None else
+                        (leaf, None if leaf.grad is None else leaf.grad.copy()))
+            on_leaf(leaf)
+        return original(self, on_leaf=spy)
+
+    monkeypatch.setattr(Tensor, "backward", backward)
+    return seen
+
+
 def test_zero_gradient_is_noop():
     p = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
     before = p.data.copy()
     opt = Adam([p])
     for _ in range(25):
-        p.grad = np.zeros(3)
-        opt.step(lr=0.05)
+        opt.step(loss_of([p], [np.zeros(3)]), lr=0.05)
     assert np.array_equal(p.data, before)
     assert opt.step_count == 25
 
@@ -43,9 +77,8 @@ def test_zero_gradient_is_noop():
 def test_first_step_moves_by_lr_sign():
     p = Tensor(np.array([1.0, 1.0]), requires_grad=True)
     g = np.array([0.5, -0.25])
-    p.grad = g.copy()
     opt = Adam([p])
-    opt.step(lr=0.01)
+    opt.step(loss_of([p], [g]), lr=0.01)
     # bias-corrected first step: delta = -lr * g / (|g| + eps) ~= -lr * sign(g)
     delta = p.data - np.array([1.0, 1.0])
     assert np.allclose(delta, -0.01 * np.sign(g), rtol=1e-6)
@@ -57,11 +90,9 @@ def test_constant_gradient_gives_constant_step():
     p = Tensor(np.array([0.0]), requires_grad=True)
     g = np.array([0.7])
     opt = Adam([p])
-    p.grad = g.copy()
-    opt.step(lr=0.1)
+    opt.step(loss_of([p], [g]), lr=0.1)
     d1 = p.data.copy()
-    p.grad = g.copy()
-    opt.step(lr=0.1)
+    opt.step(loss_of([p], [g]), lr=0.1)
     d2 = p.data - d1
     assert np.allclose(d1, d2, rtol=1e-12)
 
@@ -70,11 +101,9 @@ def test_moment_accumulation_carries_past_gradients():
     # after a nonzero gradient, a zero-gradient step still moves the parameter
     p = Tensor(np.array([0.0]), requires_grad=True)
     opt = Adam([p])
-    p.grad = np.array([1.0])
-    opt.step(lr=0.1)
+    opt.step(loss_of([p], [np.array([1.0])]), lr=0.1)
     after_first = p.data.copy()
-    p.grad = np.zeros(1)
-    opt.step(lr=0.1)
+    opt.step(loss_of([p], [np.zeros(1)]), lr=0.1)
     assert p.data[0] != after_first[0]
 
 
@@ -91,10 +120,8 @@ def test_closed_form_two_steps():
 
     p = Tensor(np.array([0.0]), requires_grad=True)
     opt = Adam([p])
-    p.grad = np.array([g1])
-    opt.step(lr=lr)
-    p.grad = np.array([g2])
-    opt.step(lr=lr)
+    opt.step(loss_of([p], [np.array([g1])]), lr=lr)
+    opt.step(loss_of([p], [np.array([g2])]), lr=lr)
     assert np.allclose(p.data[0], x, rtol=1e-12)
 
 
@@ -102,7 +129,7 @@ def test_rejects_bad_hyperparameters():
     p = Tensor(np.zeros(1), requires_grad=True)
     opt = Adam([p])
     with pytest.raises(ValueError):
-        opt.step(lr=0.0)
+        opt.step(loss_of([p], [np.ones(1)]), lr=0.0)
 
 
 def test_zero_grad_clears_buffers():
@@ -128,16 +155,94 @@ def test_in_place_step_is_bit_identical_to_reference(dtype):
     opt_new, opt_ref = Adam(new), Adam(ref)
     for step in range(20):
         lr = 0.05 * (0.9 ** step)
-        for k, (p, q) in enumerate(zip(new, ref)):
-            if k == 3:
-                p.grad = q.grad = None
-                continue
-            scale = 10.0 ** rng.uniform(-6, 2, size=p.shape)
-            g = (rng.standard_normal(p.shape) * scale).astype(dtype)
-            p.grad, q.grad = g.copy(), g.copy()
-        opt_new.step(lr)
+        grads = []
+        for k, q in enumerate(ref):
+            g = None
+            if k != 3:
+                scale = 10.0 ** rng.uniform(-6, 2, size=q.shape)
+                g = (rng.standard_normal(q.shape) * scale).astype(dtype)
+            grads.append(g)
+            q.grad = None if g is None else g.copy()
+        opt_new.step(loss_of(new, grads), lr)
         reference_step(opt_ref, lr)
         for a, b in zip([p.data for p in new] + opt_new.m + opt_new.v,
                         [q.data for q in ref] + opt_ref.m + opt_ref.v):
             assert a.dtype == b.dtype == dtype
             assert a.tobytes() == b.tobytes()
+
+
+def test_step_clears_stale_gradients():
+    # a .grad left by an earlier plain backward is not added to the step's
+    p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    q = Tensor(p.data.copy(), requires_grad=True)
+    opt, ref = Adam([p]), Adam([q])
+    p.grad = np.full(2, 100.0)
+    g = np.array([0.5, -0.25])
+    opt.step(loss_of([p], [g]), lr=0.01)
+    q.grad = g.copy()
+    reference_step(ref, 0.01)
+    assert p.data.tobytes() == q.data.tobytes()
+    assert p.grad is None
+
+
+class TestInsideBackward:
+    """Adam.step updates each parameter from inside backward, the moment its
+    gradient is final."""
+
+    def test_parameter_read_by_two_ops_is_updated_once_on_the_summed_gradient(
+            self, monkeypatch):
+        rng = np.random.default_rng(3)
+        p = Tensor(rng.standard_normal(6).astype(np.float32), requires_grad=True)
+        q = Tensor(p.data.copy(), requires_grad=True)
+        c = rng.standard_normal(6).astype(np.float32)
+
+        def loss(t):
+            return nn.weighted_sum(nn.add(nn.relu(t), t), c)
+
+        seen = spy_on_leaves(monkeypatch)
+        opt, ref = Adam([p]), Adam([q])
+        loss(q).backward()
+        summed = q.grad.copy()
+        reference_step(ref, 0.05)
+        opt.step(loss(p), 0.05)
+        assert [leaf for leaf, _ in seen] == [p]
+        assert seen[0][1].tobytes() == summed.tobytes()
+        for a, b in zip([p.data] + opt.m + opt.v, [q.data] + ref.m + ref.v):
+            assert a.tobytes() == b.tobytes()
+        assert p.grad is None and opt.step_count == 1
+
+    def test_unreached_parameter_gets_the_zero_gradient_update(self, monkeypatch):
+        params = [Tensor(np.array([1.0, -1.0]), requires_grad=True) for _ in range(2)]
+        refs = [Tensor(t.data.copy(), requires_grad=True) for t in params]
+        opt, ref = Adam(params), Adam(refs)
+        seen = spy_on_leaves(monkeypatch)
+        g = [np.array([0.3, -0.7]), np.array([2.0, 0.5])]
+        after = []
+        for grads in (g, [g[0], None]):   # the second loss does not reach params[1]
+            seen.clear()
+            opt.step(loss_of(params, grads), 0.05)
+            for q, grad in zip(refs, grads):
+                q.grad = None if grad is None else grad.copy()
+            reference_step(ref, 0.05)
+            after.append(params[1].data.copy())
+        assert [leaf for leaf, _ in seen] == [params[0]]
+        assert not np.array_equal(after[0], after[1])   # momentum carried it on
+        for a, b in zip([t.data for t in params] + opt.m + opt.v,
+                        [t.data for t in refs] + ref.m + ref.v):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("lr", [0.0, -0.01])
+    def test_bad_lr_raises_before_any_closure_runs(self, lr):
+        p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        opt = Adam([p])
+        opt.step(loss_of([p], [np.array([0.1, 0.2])]), 0.05)
+        state = [a.copy() for a in [p.data] + opt.m + opt.v]
+        ran = []
+        loss = Tensor.from_op(np.zeros(()), [p], lambda grad: ran.append(grad))
+        with pytest.raises(ValueError, match="learning rate"):
+            opt.step(loss, lr)
+        assert ran == [] and opt.step_count == 1 and p.grad is None
+        for a, b in zip([p.data] + opt.m + opt.v, state):
+            assert a.tobytes() == b.tobytes()
+        loss.backward()   # the tape is intact
+        assert len(ran) == 1

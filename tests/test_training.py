@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import write_fused_cache, write_train_inputs
+from test_optim import reference_step, spy_on_leaves
 from paddyspec import cli, nn, training
 from paddyspec.config import CACHE_ENV_VAR
 from paddyspec.dataset import LABELS, Manifest, ManifestError, class_weights, stratified_kfold
@@ -34,6 +35,28 @@ def small_cfg(**overrides):
     base = dict(epochs=2, batch_size=4, input_size=16, seed=0)
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def reference_fit(model, cfg, arrays, labels, weights, max_steps):
+    """``fit`` as a full backward, then one update pass per step; returns the
+    losses and the optimizer."""
+    optimizer = nn.Adam(model.parameters())
+    steps_per_epoch = math.ceil(len(arrays) / cfg.batch_size)
+    weights = np.asarray(weights, dtype=cfg.dtype)
+    losses = []
+    for epoch in range(math.ceil(max_steps / steps_per_epoch)):
+        order = np.random.default_rng([cfg.seed, 0, epoch]).permutation(len(arrays))
+        for i in range(steps_per_epoch):
+            if len(losses) >= max_steps:
+                break
+            idx = order[i * cfg.batch_size:(i + 1) * cfg.batch_size]
+            logits = model.forward(nn.Tensor(arrays[idx].astype(cfg.dtype)), train=True)
+            loss = nn.weighted_cross_entropy(logits, labels[idx], weights)
+            optimizer.zero_grad()
+            loss.backward()
+            reference_step(optimizer, lr_at(epoch + i / steps_per_epoch))
+            losses.append(loss.item())
+    return losses, optimizer
 
 
 def training_fold_weights(manifest, folds, fold_id):
@@ -286,7 +309,82 @@ class TestSingleLoop:
                          np.zeros(2, np.int64), np.ones(3), max_steps=0)
 
 
+class TestUpdateInsideBackward:
+    @pytest.mark.parametrize("mode", INPUT_MODES)
+    def test_fit_is_bit_identical_to_backward_then_update(self, monkeypatch, mode):
+        """fit() updates each parameter inside backward; a full backward
+        followed by the reference update pass gives the same bytes."""
+        cfg = small_cfg(batch_size=4, input_size=32, input_mode=mode, seed=4)
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((12, cfg.channels, 32, 32)).astype(np.float32)
+        y = rng.integers(0, 3, 12)
+        weights = np.array([1.0, 2.5, 0.7])
+        created = []
+
+        class RecordingAdam(nn.Adam):
+            def __init__(self, params):
+                super().__init__(params)
+                created.append(self)
+
+        monkeypatch.setattr(training, "Adam", RecordingAdam)
+        fused = build_resnet18(in_channels=cfg.channels, seed=6)
+        losses, steps = training.fit(fused, cfg, x, y, weights, max_steps=10)
+        reference = build_resnet18(in_channels=cfg.channels, seed=6)
+        ref_losses, ref_opt = reference_fit(reference, cfg, x, y, weights, max_steps=10)
+        assert steps == 10 and losses == ref_losses
+        opt = created[0]
+        assert opt.step_count == ref_opt.step_count == 10
+        for a, b in zip(fused.state_arrays().values(), reference.state_arrays().values()):
+            assert a.tobytes() == b.tobytes()
+        for a, b in zip(opt.m + opt.v, ref_opt.m + ref_opt.v):
+            assert a.tobytes() == b.tobytes()
+        assert all(p.grad is None for p in fused.parameters())
+
+
 class TestTrainMemory:
+    @staticmethod
+    def one_batch():
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((16, 4, 64, 64)).astype(np.float32)
+        return small_cfg(batch_size=16, input_size=64), x, rng.integers(0, 3, 16)
+
+    def test_each_update_sees_one_ops_gradients(self, monkeypatch):
+        """When a parameter is handed to the update, the only gradients alive
+        are its own op's: a conv weight, a batchnorm's gamma and beta, or the
+        head's weight and bias."""
+        cfg, x, y = self.one_batch()
+        model = build_resnet18(in_channels=cfg.channels, seed=0)
+        named = model.named_parameters()
+
+        def holders(leaf):
+            ops = {name.rsplit(".", 1)[0] for name, p in named if p.grad is not None}
+            return id(leaf), ops
+
+        seen = spy_on_leaves(monkeypatch, holders)
+        training.fit(model, cfg, x, y, np.ones(3), max_steps=1)
+        assert sorted(leaf for leaf, _ in seen) == sorted(id(p) for _, p in named)
+        assert all(len(ops) == 1 for _, ops in seen), [ops for _, ops in seen]
+
+    def test_step_peak_is_below_a_full_backward(self):
+        """Dropping each gradient once its parameter is updated takes at
+        least half the model's gradient bytes off a step's traced peak."""
+        cfg, x, y = self.one_batch()
+
+        def peak(run):
+            model = build_resnet18(in_channels=cfg.channels, seed=0)
+            tracemalloc.start()
+            try:
+                run(model)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        grad_bytes = sum(p.data.nbytes
+                         for p in build_resnet18(in_channels=cfg.channels).parameters())
+        fused = peak(lambda m: training.fit(m, cfg, x, y, np.ones(3), max_steps=1))
+        full = peak(lambda m: reference_fit(m, cfg, x, y, np.ones(3), max_steps=1))
+        assert fused <= full - grad_bytes / 2, (fused, full, grad_bytes)
+
     def test_peak_does_not_grow_with_steps(self):
         """Backward releases each step's tape, so a step's activations, patch
         matrices and gradients are gone before the next forward: the traced
