@@ -24,6 +24,7 @@ from .config import (
     write_resolved_config,
 )
 from .imaging import (
+    BAND_SETS,
     ImageF,
     ImageFormatError,
     load_image,
@@ -125,6 +126,10 @@ def cmd_calibrate(cfg: PipelineConfig, args) -> int:
     if not session_path:
         raise ConfigError("calibrate needs --session or calibration_session in the config")
     board_rel, panels, bands = cal.load_session(session_path)
+    if bands != BAND_SETS["rgnir"]:
+        # the fitted gains apply to the R-G-NIR images band by band
+        raise cal.CalibrationError(f"session file {session_path}: image has bands "
+                                   f"{list(BAND_SETS['rgnir'])}, calibration {list(bands)}")
     board_path = Path(board_rel)
     if not board_path.is_absolute():
         board_path = Path(session_path).parent / board_path
@@ -399,10 +404,10 @@ def cmd_gradcheck(cfg: PipelineConfig, args) -> int:
     results, ok = gradsuite.run_suite(trials=args.trials, seed=cfg.seed,
                                       full_net_trials=args.full_net_trials)
     for name, err in results.items():
-        status = "ok" if err < nn.DEFAULT_TOLERANCE else "FAIL"
+        status = "ok" if err < gradsuite.TOLERANCE else "FAIL"
         print(f"{name:<26} max_rel_err={err:.3e}  {status}")
     print(f"gradcheck: {'all checks passed' if ok else 'VIOLATIONS found'} "
-          f"(tolerance {nn.DEFAULT_TOLERANCE:g})")
+          f"(tolerance {gradsuite.TOLERANCE:g})")
     return EXIT_OK if ok else EXIT_FAILURE
 
 

@@ -1,6 +1,7 @@
 """Minimal dense-tensor engine: the exact op set ResNet18 needs, with
-analytically implemented backward passes, a weighted cross-entropy loss,
-and an Adam optimizer."""
+analytically implemented backward passes, a weighted cross-entropy loss, an
+Adam optimizer and checkpoint I/O. The finite-difference checks of the
+backward passes live in ``paddyspec.gradsuite``."""
 
 from .tensor import (
     BackwardError,
@@ -24,7 +25,6 @@ from .ops import (
     weighted_sum,
 )
 from .optim import Adam
-from .gradcheck import DEFAULT_TOLERANCE, check_gradients, numeric_gradient, relative_error
 from .serialize import CheckpointError, read_checkpoint, write_checkpoint
 
 __all__ = [
@@ -32,22 +32,18 @@ __all__ = [
     "BackwardError",
     "BatchNormParams",
     "CheckpointError",
-    "DEFAULT_TOLERANCE",
     "NonFiniteError",
     "ShapeError",
     "Tensor",
     "add",
     "batchnorm2d",
-    "check_gradients",
     "conv2d",
     "conv_output_size",
     "global_avgpool",
     "linear",
     "maxpool2d",
     "no_grad",
-    "numeric_gradient",
     "read_checkpoint",
-    "relative_error",
     "relu",
     "softmax",
     "weighted_cross_entropy",

@@ -163,6 +163,9 @@ def global_avgpool(x: Tensor) -> Tensor:
     return Tensor.from_op(out, (x,), backward, name="global_avgpool")
 
 
+BN_EPS = 1e-5
+
+
 @dataclass
 class BatchNormParams:
     """Learnable affine plus running statistics for one channel axis."""
@@ -171,7 +174,6 @@ class BatchNormParams:
     beta: Tensor
     running_mean: np.ndarray
     running_var: np.ndarray
-    eps: float = 1e-5
     initialized: bool = False
 
     @staticmethod
@@ -219,7 +221,7 @@ def batchnorm2d(x: Tensor, params: BatchNormParams, train: bool) -> Tensor:
         mean = params.running_mean
         var = params.running_var
 
-    inv_std = 1.0 / np.sqrt(var + params.eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat = rows - mean
     xhat *= inv_std
     out = xhat * gamma.data
@@ -258,30 +260,26 @@ def relu(x: Tensor) -> Tensor:
     return Tensor.from_op(out, (x,), backward, name="relu")
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map: (B, F) @ (F, K) + (K,)."""
     if x.ndim != 2 or weight.ndim != 2:
         raise ShapeError(f"linear: expected 2D input/weight, got {x.shape}/{weight.shape}")
     if x.shape[1] != weight.shape[0]:
         raise ShapeError(f"linear: input features {x.shape[1]} != weight rows {weight.shape[0]}")
-    arrays = [x.data, weight.data] + ([bias.data] if bias is not None else [])
-    same_dtype("linear", *arrays)
-    out = x.data @ weight.data
-    if bias is not None:
-        if bias.shape != (weight.shape[1],):
-            raise ShapeError(f"linear: bias shape {bias.shape} != ({weight.shape[1]},)")
-        out = out + bias.data
+    same_dtype("linear", x.data, weight.data, bias.data)
+    if bias.shape != (weight.shape[1],):
+        raise ShapeError(f"linear: bias shape {bias.shape} != ({weight.shape[1]},)")
+    out = x.data @ weight.data + bias.data
 
     def backward(grad: np.ndarray) -> None:
         if weight.requires_grad:
             weight._accumulate(x.data.T @ grad)
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias._accumulate(grad.sum(axis=0))
         if x.requires_grad:
             x._accumulate(grad @ weight.data.T)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor.from_op(out, parents, backward, name="linear")
+    return Tensor.from_op(out, (x, weight, bias), backward, name="linear")
 
 
 def add(x: Tensor, y: Tensor) -> Tensor:

@@ -65,7 +65,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
         if arr.dtype not in FLOAT_DTYPES:
-            arr = arr.astype(np.float64 if arr.dtype == np.float64 else np.float32)
+            arr = arr.astype(np.float32)
         self.data: np.ndarray = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
@@ -105,9 +105,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a scalar, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self) -> None:
         self.grad = None

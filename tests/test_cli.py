@@ -727,6 +727,34 @@ class TestMalformedInputs:
                                 "calibration ['NIR', 'G', 'R']")
         assert not (tmp_path / "out" / "calibrated" / "a_rgnir.png").exists()
 
+    @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
+    @pytest.mark.parametrize("bands", [("NIR", "G", "R"), ("R", "G", "NDVI")],
+                             ids=["NIR-G-R", "R-G-NDVI"])
+    def test_session_bands_other_than_rgnir_keep_the_calibration(
+            self, tmp_path, monkeypatch, capsys, bands, dry_run):
+        # the session is rejected before the good run's outputs are rewritten
+        from paddyspec import calibration as cal
+        from paddyspec import dataset as ds
+        from paddyspec.synthetic import make_calibration_board
+        monkeypatch.chdir(tmp_path)
+        board, panels = make_calibration_board(np.random.default_rng(0))
+        save_image(board, tmp_path / "board.png")
+        record = ds.SampleRecord(id="a", rgb_path="board.png", rgnir_path="board.png",
+                                 label="blast")
+        ds.write_manifest_csv(ds.Manifest(records=[record]), tmp_path / "pairs.csv")
+        cal.save_session(tmp_path / "good.json", "board.png", panels)
+        assert run(["calibrate", "--session", "good.json", "--pairs", "pairs.csv"]) == 0
+        outputs = [tmp_path / "out" / "calibration.json",
+                   tmp_path / "out" / "calibrated" / "a_rgnir.png"]
+        good = [path.read_bytes() for path in outputs]
+        capsys.readouterr()
+        cal.save_session(tmp_path / "session.json", "board.png", panels, bands=bands)
+        argv = ["calibrate", "--session", "session.json", "--pairs", "pairs.csv"]
+        self._fails_on_one_line(argv + (["--dry-run"] if dry_run else []), capsys,
+                                f"session file session.json: image has bands "
+                                f"['R', 'G', 'NIR'], calibration {list(bands)}")
+        assert [path.read_bytes() for path in outputs] == good
+
     def test_calibration_file_for_other_bands(self, tmp_path, monkeypatch, capsys):
         from paddyspec import calibration as cal
         from paddyspec import nn, synthetic

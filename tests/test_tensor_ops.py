@@ -10,7 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from paddyspec import nn
 from paddyspec.nn import Tensor
-from paddyspec.nn.ops import BatchNormParams, conv_output_size
+from paddyspec.nn.ops import BN_EPS, BatchNormParams, conv_output_size
 from paddyspec.nn.tensor import ShapeError, same_dtype
 
 
@@ -158,7 +158,7 @@ def reference_batchnorm2d(x: Tensor, params: BatchNormParams, train: bool) -> Te
         mean = params.running_mean
         var = params.running_var
 
-    inv_std = 1.0 / np.sqrt(var + params.eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
     out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
 
@@ -310,12 +310,12 @@ class TestBatchNorm:
         assert np.allclose(out.data, params.beta.data[None, :, None, None])
 
     def test_two_point_batch_normalizes_to_unit(self):
-        # batch {1, 3}: mean 2, population std 1 -> {-1, +1}
+        # batch {1, 3}: mean 2, population std 1 -> {-1, +1} / sqrt(1 + eps)
         params = nn.BatchNormParams.create(1, dtype=np.float64)
-        params.eps = 1e-14
         x = t64(np.array([1.0, 3.0]).reshape(2, 1, 1, 1))
         out = nn.batchnorm2d(x, params, train=True)
-        assert np.allclose(out.data.ravel(), [-1.0, 1.0], atol=1e-6)
+        unit = 1.0 / math.sqrt(1.0 + BN_EPS)
+        assert np.allclose(out.data.ravel(), [-unit, unit], rtol=0, atol=1e-12)
 
     def test_eval_before_train_errors(self):
         params = nn.BatchNormParams.create(2, dtype=np.float64)
@@ -352,7 +352,7 @@ class TestReluLinearSoftmax:
     def test_linear_identity_weight(self):
         x = t64([[1.0, 2.0, 3.0]])
         w = t64(np.eye(3))
-        out = nn.linear(x, w, None)
+        out = nn.linear(x, w, t64(np.zeros(3)))
         assert np.array_equal(out.data, x.data)
 
     def test_linear_zero_weight_bias_rows(self):
@@ -371,7 +371,7 @@ class TestReluLinearSoftmax:
 
     def test_linear_dimension_mismatch(self):
         with pytest.raises(nn.ShapeError, match="features 3 != weight rows 2"):
-            nn.linear(t64(np.zeros((1, 3))), t64(np.zeros((2, 4))), None)
+            nn.linear(t64(np.zeros((1, 3))), t64(np.zeros((2, 4))), t64(np.zeros(4)))
 
     def test_softmax_symmetry(self):
         out = nn.softmax(t64([[0.0, 0.0, 0.0]]))
@@ -457,7 +457,7 @@ class TestPrecisionModes:
         x = Tensor(np.zeros((1, 2), dtype=np.float32))
         w = Tensor(np.zeros((2, 2), dtype=np.float64))
         with pytest.raises(nn.ShapeError, match="mixed precision"):
-            nn.linear(x, w, None)
+            nn.linear(x, w, Tensor(np.zeros(2, dtype=np.float64)))
 
     def test_dtype_preserved(self):
         for dtype in (np.float32, np.float64):
