@@ -122,9 +122,9 @@ def cmd_register(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_calibrate(cfg: PipelineConfig, args) -> int:
-    session_path = args.session or cfg.calibration_session
+    session_path = cfg.calibration_session
     if not session_path:
-        raise ConfigError("calibrate needs --session or calibration_session in the config")
+        raise ConfigError("calibrate needs calibration_session in the config")
     board_rel, panels, bands = cal.load_session(session_path)
     if bands != BAND_SETS["rgnir"]:
         # the fitted gains apply to the R-G-NIR images band by band
@@ -148,16 +148,25 @@ def cmd_calibrate(cfg: PipelineConfig, args) -> int:
 
     cal_dir = _out_dir(cfg) / "calibrated"
     cal_dir.mkdir(parents=True, exist_ok=True)
+    failures = 0
     for record in manifest.records:
-        img = load_image(record.rgnir_path, "rgnir")
+        out_path = cal_dir / f"{record.id}_rgnir.png"
+        try:
+            img = load_image(record.rgnir_path, "rgnir")
+        except ImageFormatError as exc:
+            # an image left from an earlier calibration must not pass for this one's
+            out_path.unlink(missing_ok=True)
+            print(f"calibrate: pair {record.id} failed: {exc}", file=sys.stderr)
+            failures += 1
+            continue
         out, clamp_rate = cal.apply_calibration(img, calib)
         if clamp_rate > cal.WARN_CLAMP_RATE:
             print(f"calibrate: warning: {record.id} clamped "
                   f"{clamp_rate:.0%} of samples", file=sys.stderr)
-        save_image(out, cal_dir / f"{record.id}_rgnir.png")
+        save_image(out, out_path)
     print(f"calibrate: fit residual {calib.fit_residual.max():.2e}; "
-          f"{len(manifest)} images -> {cal_dir}")
-    return EXIT_OK
+          f"{len(manifest) - failures} images -> {cal_dir}")
+    return EXIT_FAILURE if failures else EXIT_OK
 
 
 # -- ndvi / fusion -----------------------------------------------------------------
@@ -219,8 +228,7 @@ def cmd_ndvi(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_dataset_build(cfg: PipelineConfig, args) -> int:
-    root = args.root or cfg.paths.data_root
-    manifest = ds.build_manifest(root)
+    manifest = ds.build_manifest(cfg.paths.data_root)
     if args.dry_run:
         print(f"dataset build: {len(manifest)} samples validated (dry run)")
         return EXIT_OK
@@ -419,61 +427,44 @@ def cmd_config_print_defaults(_cfg: PipelineConfig, _args) -> int:
 # -- argument parsing ------------------------------------------------------------------
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    """Global flags, accepted both before and after the subcommand."""
-    default = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--config", default=default,
-                        help="JSON pipeline configuration file")
-    parser.add_argument("--seed", type=int, default=default,
-                        help="override the pipeline seed")
-    parser.add_argument("--jobs", type=int,
-                        default=argparse.SUPPRESS if suppress else 1,
-                        help="cap on pairs registered at once, at least 1; "
-                             "1 guarantees determinism")
-    parser.add_argument("--dry-run", action="store_true",
-                        default=argparse.SUPPRESS if suppress else False,
-                        help="validate inputs, write nothing")
-    parser.add_argument("--input-mode", choices=training.INPUT_MODES, default=default,
-                        help="override training.input_mode")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="paddyspec",
         description="Multispectral rice disease diagnosis pipeline")
-    _add_common_flags(parser, suppress=False)
+    # global flags go before the subcommand
+    parser.add_argument("--config", help="JSON pipeline configuration file")
+    parser.add_argument("--seed", type=int, help="override the pipeline seed")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="cap on pairs registered at once, at least 1; "
+                             "1 guarantees determinism")
+    parser.add_argument("--dry-run", action="store_true",
+                        help="validate inputs, write nothing")
+    parser.add_argument("--input-mode", choices=training.INPUT_MODES,
+                        help="override training.input_mode")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("register", help="align RGB images onto their R-G-NIR pairs")
-    _add_common_flags(p, suppress=True)
     p.add_argument("--pairs", required=True, help="manifest CSV of image pairs")
     p.set_defaults(func=cmd_register)
 
     p = sub.add_parser("calibrate", help="fit and apply reflectance calibration")
-    _add_common_flags(p, suppress=True)
-    p.add_argument("--session", help="session JSON (panels + board image)")
     p.add_argument("--pairs", required=True)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("ndvi", help="fuse registered RGB with the NDVI channel")
-    _add_common_flags(p, suppress=True)
     p.add_argument("--pairs", required=True)
     p.set_defaults(func=cmd_ndvi)
 
     p = sub.add_parser("dataset", help="manifest and fold tooling")
     dsub = p.add_subparsers(dest="dataset_command", required=True)
     b = dsub.add_parser("build", help="scan the data root into manifest.csv")
-    _add_common_flags(b, suppress=True)
-    b.add_argument("--root", help="dataset root (default: paths.data_root)")
     b.set_defaults(func=cmd_dataset_build)
     s = dsub.add_parser("split", help="stratified k-fold assignment")
-    _add_common_flags(s, suppress=True)
     s.add_argument("--manifest", help="manifest CSV (default: out/manifest.csv)")
     s.add_argument("--k", type=int, default=5)
     s.set_defaults(func=cmd_dataset_split)
 
     p = sub.add_parser("train", help="train on k-1 folds, validate on one")
-    _add_common_flags(p, suppress=True)
     p.add_argument("--manifest")
     p.add_argument("--folds")
     p.add_argument("--fold", default="all", help="fold id or 'all'")
@@ -484,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on its held-out fold")
-    _add_common_flags(p, suppress=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest")
     p.add_argument("--folds")
@@ -492,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="classify one RGB / R-G-NIR pair")
-    _add_common_flags(p, suppress=True)
     p.add_argument("--rgb", required=True)
     p.add_argument("--rgnir", required=True)
     p.add_argument("--checkpoint", required=True)
@@ -500,7 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    _add_common_flags(p, suppress=True)
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--full-net-trials", type=int, default=2)
     p.set_defaults(func=cmd_gradcheck)
@@ -508,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("config", help="configuration helpers")
     csub = p.add_subparsers(dest="config_command", required=True)
     d = csub.add_parser("print-defaults", help="print the default configuration")
-    _add_common_flags(d, suppress=True)
     d.set_defaults(func=cmd_config_print_defaults)
 
     return parser

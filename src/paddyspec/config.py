@@ -1,22 +1,19 @@
 """Pipeline configuration: JSON file, explicit defaults, strict keys.
 
-Precedence: built-in defaults < config file < PADDYSPEC_CACHE env var
-(cache dir only) < command-line flags. Paths are used exactly as written
-(relative paths resolve against the working directory), so identical runs
-from identical trees produce byte-identical outputs.
+Precedence: built-in defaults < config file < the ``--seed`` and
+``--input-mode`` flags; no environment variable is read. Paths are used
+exactly as written (relative paths resolve against the working directory),
+so identical runs from identical trees produce byte-identical outputs.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .registration import RegistrationError, RegistrationParams
 from .training import INPUT_MODES, TrainConfig, TrainingError
-
-CACHE_ENV_VAR = "PADDYSPEC_CACHE"
 
 
 class ConfigError(ValueError):
@@ -118,11 +115,8 @@ def load_config(path) -> PipelineConfig:
 
 def resolve_config(config_path: str | None, seed: int | None = None,
                    input_mode: str | None = None) -> PipelineConfig:
-    """Defaults, then file, then environment, then flags."""
+    """Defaults, then file, then flags."""
     cfg = load_config(config_path) if config_path else PipelineConfig()
-    cache_override = os.environ.get(CACHE_ENV_VAR)
-    if cache_override:
-        cfg.paths.cache_dir = cache_override
     if seed is not None:
         cfg.seed = seed
     if cfg.seed < 0:

@@ -2,7 +2,7 @@
 
 Samples live on disk as ``root/<label>/<id>_rgb.png`` plus
 ``root/<label>/<id>_rgnir.png``. Splitting is stratified per class (seeded
-shuffle, then round-robin) and deliberately ignores session ids; if field
+shuffle, then round-robin) and deliberately ignores capture sessions; if field
 sessions correlate with disease pressure this leaks session context across
 folds, which is a known validity caveat of the protocol.
 """
@@ -25,7 +25,6 @@ class ManifestError(ValueError):
 
 RGB_SUFFIX = "_rgb.png"
 RGNIR_SUFFIX = "_rgnir.png"
-SESSION_DELIMITER = "__"   # "<session>__<rest>" ids carry a session id
 
 
 @dataclass
@@ -34,9 +33,6 @@ class SampleRecord:
     rgb_path: str
     rgnir_path: str
     label: str
-    session_id: str = ""
-    lat: float | None = None
-    lon: float | None = None
 
 
 @dataclass
@@ -96,8 +92,6 @@ def build_manifest(root_dir) -> Manifest:
                 rgb_path=str(entry / f"{sample_id}{RGB_SUFFIX}"),
                 rgnir_path=str(entry / f"{sample_id}{RGNIR_SUFFIX}"),
                 label=entry.name,
-                session_id=(sample_id.split(SESSION_DELIMITER, 1)[0]
-                            if SESSION_DELIMITER in sample_id else ""),
             ))
     if problems:
         raise ManifestError("manifest build failed:\n  " + "\n  ".join(problems))
@@ -163,7 +157,7 @@ def _csv_reader(path):
             raise ManifestError(f"{path}: not {exc.encoding} text: {exc.reason}") from None
 
 
-MANIFEST_HEADER = ["id", "rgb_path", "rgnir_path", "label", "session_id", "lat", "lon"]
+MANIFEST_HEADER = ["id", "rgb_path", "rgnir_path", "label"]
 
 
 def write_manifest_csv(manifest: Manifest, path) -> None:
@@ -171,9 +165,7 @@ def write_manifest_csv(manifest: Manifest, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_HEADER)
         for r in manifest.records:
-            writer.writerow([r.id, r.rgb_path, r.rgnir_path, r.label, r.session_id,
-                             "" if r.lat is None else repr(r.lat),
-                             "" if r.lon is None else repr(r.lon)])
+            writer.writerow([r.id, r.rgb_path, r.rgnir_path, r.label])
 
 
 def read_manifest_csv(path) -> Manifest:
@@ -187,19 +179,13 @@ def read_manifest_csv(path) -> Manifest:
             if len(row) != len(MANIFEST_HEADER):
                 raise ManifestError(f"{path}:{reader.line_num}: expected "
                                     f"{len(MANIFEST_HEADER)} fields, got {len(row)}")
-            sid, rgb, rgnir, label, session, lat, lon = row
+            sid, rgb, rgnir, label = row
             if label not in LABELS:
                 raise ManifestError(f"{path}: unknown label {label!r} for id {sid}")
             if sid in seen:
                 raise ManifestError(f"{path}:{reader.line_num}: repeated id {sid!r}")
             seen.add(sid)
-            try:
-                lat, lon = (float(v) if v else None for v in (lat, lon))
-            except ValueError as exc:
-                raise ManifestError(f"{path}:{reader.line_num}: {exc}") from None
-            records.append(SampleRecord(
-                id=sid, rgb_path=rgb, rgnir_path=rgnir, label=label,
-                session_id=session, lat=lat, lon=lon))
+            records.append(SampleRecord(id=sid, rgb_path=rgb, rgnir_path=rgnir, label=label))
     return Manifest(records=records)
 
 

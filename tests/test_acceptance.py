@@ -19,7 +19,6 @@ import pytest
 from paddyspec import cli, gradsuite, nn, registration as reg, spectral, synthetic, training
 from paddyspec import calibration as cal
 from paddyspec import dataset as ds
-from paddyspec.config import CACHE_ENV_VAR
 from paddyspec.dataset import LABELS, stratified_kfold
 from paddyspec.model import build_resnet18
 from paddyspec.nn import Tensor
@@ -28,12 +27,11 @@ from paddyspec.training import TrainConfig
 pytestmark = pytest.mark.slow
 
 
-def test_fusion_advantage(tmp_path, monkeypatch):
+def test_fusion_advantage(tmp_path):
     """RGB+NDVI beats RGB by >= 10 macro-F1 points on NIR-signal data, each
     mode run through ``paddyspec train`` over all five folds."""
     start = time.time()
     from conftest import write_fused_cache, write_train_inputs
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
     manifest = write_fused_cache(tmp_path / "cache", n_per_class=200, size=32, seed=2024)
     k = 5
     config = write_train_inputs(tmp_path, manifest, stratified_kfold(manifest, k=k, seed=5),

@@ -1,6 +1,7 @@
 """Command-line surface: config handling, stage plumbing, exit codes."""
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,15 @@ def run(argv, monkeypatch=None, cwd=None):
     if monkeypatch is not None and cwd is not None:
         monkeypatch.chdir(cwd)
     return cli.main(argv)
+
+
+def session_config(session):
+    """``--config`` argv for a config, written to the working directory, that
+    names ``session`` as the calibration session."""
+    Path("config.json").write_text(json.dumps({
+        "calibration_session": session,
+        "paths": {"data_root": "data", "cache_dir": "cache", "output_dir": "out"}}))
+    return ["--config", "config.json"]
 
 
 class TestConfig:
@@ -116,10 +126,32 @@ class TestConfig:
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_is_usage_error(self, tmp_path, monkeypatch, capsys, jobs):
         monkeypatch.chdir(tmp_path)
-        assert run(["register", "--pairs", "pairs.csv", "--jobs", jobs]) == 2
+        assert run(["--jobs", jobs, "register", "--pairs", "pairs.csv"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("paddyspec: ") and err.count("\n") == 1, err
         assert f"--jobs must be >= 1, got {jobs}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["dataset", "build", "--root", "x"],
+        ["calibrate", "--session", "x", "--pairs", "p"],
+        ["register", "--pairs", "p", "--jobs", "2"],
+    ], ids=["build-root", "calibrate-session", "jobs-after-subcommand"])
+    def test_removed_or_misplaced_flag_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                      argv):
+        """The data root and the session come from the config only, and the
+        global flags go before the subcommand."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_calibrate_without_session_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(["calibrate", "--pairs", "pairs.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("paddyspec: config error: calibrate needs calibration_session "
+                       "in the config\n"), err
 
     @pytest.mark.parametrize("argv, needle", [
         (["dataset", "split", "--k", "0"], "--k must be >= 1, got 0"),
@@ -142,12 +174,6 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("paddyspec: config error: ") and err.count("\n") == 1, err
         assert "is not valid JSON" in err
-
-    def test_cache_env_override(self, tmp_path, monkeypatch):
-        from paddyspec.config import resolve_config
-        monkeypatch.setenv("PADDYSPEC_CACHE", "/tmp/elsewhere")
-        cfg = resolve_config(None)
-        assert cfg.paths.cache_dir == "/tmp/elsewhere"
 
 
 class TestDatasetCommands:
@@ -272,7 +298,7 @@ class TestMalformedInputs:
         monkeypatch.chdir(tmp_path)
         self._split_files(tmp_path, [])
         with open(tmp_path / "manifest.csv", "a") as fh:
-            fh.write("x,x_rgb.png,x_rgnir.png,blast\n")
+            fh.write("x,x_rgb.png,x_rgnir.png\n")
         self._fails_on_one_line(["register", "--pairs", "manifest.csv"], capsys,
                                 "manifest.csv:5")
 
@@ -280,7 +306,7 @@ class TestMalformedInputs:
         monkeypatch.chdir(tmp_path)
         self._split_files(tmp_path, [])
         with open(tmp_path / "manifest.csv", "a") as fh:
-            fh.write("blast0,x_rgb.png,x_rgnir.png,healthy,,,\n")
+            fh.write("blast0,x_rgb.png,x_rgnir.png,healthy\n")
         self._fails_on_one_line(["register", "--pairs", "manifest.csv"], capsys,
                                 "manifest.csv:5: repeated id 'blast0'")
 
@@ -449,7 +475,7 @@ class TestMalformedInputs:
                  for text in self._column_mutations(manifest)]
         cases += [(manifest, text, ds.read_folds_csv, "folds.csv")
                   for text in self._column_mutations(folds)]
-        assert len(cases) == 2 * (4 * 7 + 4 * 2)
+        assert len(cases) == 2 * (4 * 4 + 4 * 2)
         for manifest_text, folds_text, read, name in cases:
             (tmp_path / "manifest.csv").write_text(manifest_text)
             (tmp_path / "folds.csv").write_text(folds_text)
@@ -661,8 +687,8 @@ class TestMalformedInputs:
     def test_unreadable_session_file(self, tmp_path, monkeypatch, capsys, raw):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "session.json").write_bytes(raw)
-        self._fails_on_one_line(["calibrate", "--session", "session.json",
-                                 "--pairs", "pairs.csv"], capsys,
+        self._fails_on_one_line(session_config("session.json")
+                                + ["calibrate", "--pairs", "pairs.csv"], capsys,
                                 "cannot read session file session.json")
 
     @pytest.mark.parametrize("key, value, needle", [
@@ -690,8 +716,8 @@ class TestMalformedInputs:
         else:
             payload["panels"][1][key] = value
         (tmp_path / "session.json").write_text(json.dumps(payload))
-        self._fails_on_one_line(["calibrate", "--session", "session.json",
-                                 "--pairs", "pairs.csv"], capsys, needle)
+        self._fails_on_one_line(session_config("session.json")
+                                + ["calibrate", "--pairs", "pairs.csv"], capsys, needle)
 
     def test_negative_roi_extent(self, tmp_path, monkeypatch, capsys):
         # w * h = 25 passes the size check, but the ROI selects no pixel
@@ -704,8 +730,9 @@ class TestMalformedInputs:
         panels.panels[1].roi = cal.PanelRoi(x=60, y=60, w=-5, h=-5)
         cal.save_session(tmp_path / "session.json", "board.png", panels)
         ds.write_manifest_csv(ds.Manifest(records=[]), tmp_path / "pairs.csv")
-        self._fails_on_one_line(["calibrate", "--session", "session.json",
-                                 "--pairs", "pairs.csv"], capsys, "must have w >= 1 and h >= 1")
+        self._fails_on_one_line(session_config("session.json")
+                                + ["calibrate", "--pairs", "pairs.csv"], capsys,
+                                "must have w >= 1 and h >= 1")
         assert not (tmp_path / "out" / "calibration.json").exists()
 
     def test_session_bands_out_of_image_order(self, tmp_path, monkeypatch, capsys):
@@ -721,8 +748,8 @@ class TestMalformedInputs:
         record = ds.SampleRecord(id="a", rgb_path="board.png", rgnir_path="board.png",
                                  label="blast")
         ds.write_manifest_csv(ds.Manifest(records=[record]), tmp_path / "pairs.csv")
-        self._fails_on_one_line(["calibrate", "--session", "session.json",
-                                 "--pairs", "pairs.csv"], capsys,
+        self._fails_on_one_line(session_config("session.json")
+                                + ["calibrate", "--pairs", "pairs.csv"], capsys,
                                 "image has bands ['R', 'G', 'NIR'], "
                                 "calibration ['NIR', 'G', 'R']")
         assert not (tmp_path / "out" / "calibrated" / "a_rgnir.png").exists()
@@ -743,17 +770,66 @@ class TestMalformedInputs:
                                  label="blast")
         ds.write_manifest_csv(ds.Manifest(records=[record]), tmp_path / "pairs.csv")
         cal.save_session(tmp_path / "good.json", "board.png", panels)
-        assert run(["calibrate", "--session", "good.json", "--pairs", "pairs.csv"]) == 0
+        assert run(session_config("good.json") + ["calibrate", "--pairs", "pairs.csv"]) == 0
         outputs = [tmp_path / "out" / "calibration.json",
                    tmp_path / "out" / "calibrated" / "a_rgnir.png"]
         good = [path.read_bytes() for path in outputs]
         capsys.readouterr()
         cal.save_session(tmp_path / "session.json", "board.png", panels, bands=bands)
-        argv = ["calibrate", "--session", "session.json", "--pairs", "pairs.csv"]
-        self._fails_on_one_line(argv + (["--dry-run"] if dry_run else []), capsys,
+        argv = session_config("session.json") + ["calibrate", "--pairs", "pairs.csv"]
+        self._fails_on_one_line((["--dry-run"] if dry_run else []) + argv, capsys,
                                 f"session file session.json: image has bands "
                                 f"['R', 'G', 'NIR'], calibration {list(bands)}")
         assert [path.read_bytes() for path in outputs] == good
+
+    def test_unreadable_pair_leaves_no_image_from_an_earlier_calibration(
+            self, tmp_path, monkeypatch, capsys):
+        # the second session's calibration.json replaces the first's, so the bad
+        # pair's image from the first calibration must go, not stay beside it
+        from paddyspec import calibration as cal
+        from paddyspec import dataset as ds
+        from paddyspec.imaging import load_image
+        from paddyspec.synthetic import make_calibration_board
+        monkeypatch.chdir(tmp_path)
+        # panels dark enough that no band of either board clips at 1
+        for name, gain in (("first", np.array([1.25, 1.1, 1.4])),
+                           ("second", np.array([1.2, 1.0, 0.8]))):
+            board, panels = make_calibration_board(np.random.default_rng(0),
+                                                   reflectances=(0.1, 0.3, 0.5, 0.7),
+                                                   gain=gain)
+            save_image(board, tmp_path / f"{name}.png")
+            cal.save_session(tmp_path / f"{name}.json", f"{name}.png", panels)
+        rng = np.random.default_rng(1)
+        records = []
+        for pid in ("a", "b"):
+            save_image(ImageF(rng.uniform(0.2, 0.6, (16, 16, 3)).astype(np.float32),
+                              ("R", "G", "NIR")), tmp_path / f"{pid}_rgnir.png")
+            records.append(ds.SampleRecord(id=pid, rgb_path="first.png",
+                                           rgnir_path=f"{pid}_rgnir.png", label="blast"))
+        ds.write_manifest_csv(ds.Manifest(records=records), tmp_path / "pairs.csv")
+        argv = ["calibrate", "--pairs", "pairs.csv"]
+        assert run(session_config("first.json") + argv) == 0
+        calibrated = tmp_path / "out" / "calibrated"
+        first_a = (calibrated / "a_rgnir.png").read_bytes()
+        assert (calibrated / "b_rgnir.png").is_file()
+
+        raw = (tmp_path / "b_rgnir.png").read_bytes()
+        (tmp_path / "b_rgnir.png").write_bytes(raw[:len(raw) // 2])
+        capsys.readouterr()
+        assert run(session_config("second.json") + argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("calibrate: pair b failed: ") and err.count("\n") == 1, err
+
+        calib = cal.load_calibration(tmp_path / "out" / "calibration.json")
+        np.testing.assert_allclose(calib.gain, [1.2, 1.0, 0.8], rtol=1e-3)
+        expected, _ = cal.apply_calibration(load_image(tmp_path / "a_rgnir.png", "rgnir"),
+                                            calib)
+        save_image(expected, tmp_path / "expected.png")
+        assert (calibrated / "a_rgnir.png").read_bytes() == (tmp_path / "expected.png").read_bytes()
+        assert (calibrated / "a_rgnir.png").read_bytes() != first_a
+        assert not (calibrated / "b_rgnir.png").exists()
+        echoed = json.loads((tmp_path / "out" / "config_calibrate.json").read_text())
+        assert echoed["calibration_session"] == "second.json"
 
     def test_calibration_file_for_other_bands(self, tmp_path, monkeypatch, capsys):
         from paddyspec import calibration as cal
@@ -786,7 +862,7 @@ class TestPipeline:
         assert run(base + ["dataset", "build"]) == 0
         manifest = "out/manifest.csv"
 
-        assert run(base + ["register", "--pairs", manifest, "--dry-run"]) == 0
+        assert run(base + ["--dry-run", "register", "--pairs", manifest]) == 0
         assert not (fixture_workdir / "out" / "registered").exists()
 
         assert run(base + ["register", "--pairs", manifest]) == 0

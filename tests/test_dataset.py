@@ -51,14 +51,6 @@ class TestBuildManifest:
         assert [r.id for r in m1.records] == [r.id for r in m2.records]
         assert m1.records == m2.records
 
-    def test_session_parsed_from_id(self, tmp_path):
-        d = tmp_path / "blast"
-        d.mkdir()
-        (d / "sess1__0001_rgb.png").touch()
-        (d / "sess1__0001_rgnir.png").touch()
-        manifest = ds.build_manifest(tmp_path / "")
-        assert manifest.records[0].session_id == "sess1"
-
     def test_csv_round_trip(self, tmp_path):
         make_tree(tmp_path, (3, 2, 2))
         manifest = ds.build_manifest(tmp_path)
@@ -69,9 +61,8 @@ class TestBuildManifest:
         assert back.counts == manifest.counts
 
     @pytest.mark.parametrize("row", [
-        "a,a_rgb.png,a_rgnir.png,blast,,",              # short
-        "a,a_rgb.png,a_rgnir.png,blast,,,,",            # long
-        "a,a_rgb.png,a_rgnir.png,blast,,north,",        # non-numeric latitude
+        "a,a_rgb.png,a_rgnir.png",                      # short
+        "a,a_rgb.png,a_rgnir.png,blast,",               # long
     ])
     def test_malformed_row_is_manifest_error(self, tmp_path, row):
         path = tmp_path / "manifest.csv"
@@ -82,8 +73,8 @@ class TestBuildManifest:
     def test_repeated_id_is_manifest_error(self, tmp_path):
         path = tmp_path / "manifest.csv"
         path.write_text(",".join(ds.MANIFEST_HEADER) + "\n"
-                        "a,a_rgb.png,a_rgnir.png,blast,,,\n"
-                        "a,b_rgb.png,b_rgnir.png,healthy,,,\n")
+                        "a,a_rgb.png,a_rgnir.png,blast\n"
+                        "a,b_rgb.png,b_rgnir.png,healthy\n")
         with pytest.raises(ManifestError, match="manifest.csv:3: repeated id 'a'"):
             ds.read_manifest_csv(path)
 

@@ -1,7 +1,7 @@
-"""The package imports nothing outside the standard library and numpy, every
-public function, class, method and property in it has a caller outside the
-tests, every dataclass field in it is read there, and every defaulted
-parameter in it is passed there."""
+"""The package imports nothing outside the standard library and numpy, reads
+no environment variable, every public function, class, method and property in
+it has a caller outside the tests, every dataclass field in it is read there,
+and every defaulted parameter in it is passed there."""
 import ast
 import dataclasses
 import importlib
@@ -32,6 +32,23 @@ def test_absolute_imports_are_stdlib_or_numpy():
             outside += [f"{path.relative_to(SRC)}:{node.lineno}: {module}"
                         for module in modules if module.split(".")[0] not in ALLOWED]
     assert not outside, outside
+
+
+# the program's settings come from its config file and flags only
+ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_environment_variable_is_read():
+    """No module in src/ names ``os.environ``, ``os.getenv`` or imports them."""
+    readers = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in ENV_READERS:
+                readers.append(f"{path.relative_to(SRC)}:{getattr(node, 'lineno', '?')}: "
+                               f"{name}")
+    assert not readers, readers
 
 
 def _program_sources():

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from conftest import write_fused_cache, write_train_inputs
 from test_optim import reference_step, spy_on_leaves
 from paddyspec import cli, nn, training
-from paddyspec.config import CACHE_ENV_VAR
 from paddyspec.dataset import LABELS, Manifest, ManifestError, class_weights, stratified_kfold
 from paddyspec.model import build_resnet18
 from paddyspec.training import (
@@ -433,11 +432,10 @@ class TestLoadSampleBatch:
 
 
 class TestTrainCommand:
-    def test_all_folds_both_modes(self, tmp_path, monkeypatch, capsys):
+    def test_all_folds_both_modes(self, tmp_path, capsys):
         """``train --fold all`` writes a checkpoint and a history per fold and
         mode; each checkpoint's meta names its fold and mode and repeats the
         history's last held-out macro F1."""
-        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
         manifest, _ = tiny_dataset(tmp_path, n_per_class=4)
         config = write_train_inputs(tmp_path, manifest, stratified_kfold(manifest, k=2, seed=3),
                                     training={"epochs": 1, "batch_size": 4, "input_size": 16},
