@@ -67,11 +67,37 @@ def _read_pairs(path) -> ds.Manifest:
         raise CommandFailure(f"cannot read pairs manifest {path}: {exc}") from exc
 
 
-def _check_pair_files(manifest: ds.Manifest) -> None:
-    missing = [p for r in manifest.records for p in (r.rgb_path, r.rgnir_path)
-               if not Path(p).is_file()]
+def _require_files(paths, hint: str = "") -> None:
+    """Fail the whole batch, before any pair runs, when an input file is missing."""
+    missing = [str(p) for p in paths if not Path(p).is_file()]
     if missing:
-        raise CommandFailure("missing input files: " + ", ".join(missing[:8]))
+        raise CommandFailure(f"{hint}missing input files: " + ", ".join(missing[:8]))
+
+
+def _each_pair(stage: str, records, jobs: int, work, outputs):
+    """Run ``work(record, *outputs(record))`` on each pair, ``jobs`` at once (at 1,
+    on the calling thread). A pair that raises a registration, image or spectral
+    error fails alone: its outputs from an earlier run are deleted, so none passes
+    for this run's, and ``<stage>: pair <id> failed: <message>`` goes to stderr.
+    Returns ``[(record, result)]`` and ``[(record, error)]`` in manifest order."""
+    def attempt(record):
+        paths = outputs(record)
+        try:
+            return record, work(record, *paths), None
+        except (RegistrationError, ImageFormatError, SpectralError) as exc:
+            for path in paths:
+                path.unlink(missing_ok=True)
+            return record, None, exc
+
+    results, failures = [], []
+    with ThreadPoolExecutor(jobs) as pool:  # it starts a thread only when given work
+        for record, result, error in (pool.map if jobs > 1 else map)(attempt, records):
+            if error is None:
+                results.append((record, result))
+            else:
+                print(f"{stage}: pair {record.id} failed: {error}", file=sys.stderr)
+                failures.append((record, error))
+    return results, failures
 
 
 # -- register ---------------------------------------------------------------------
@@ -79,7 +105,7 @@ def _check_pair_files(manifest: ds.Manifest) -> None:
 
 def cmd_register(cfg: PipelineConfig, args) -> int:
     manifest = _read_pairs(args.pairs)
-    _check_pair_files(manifest)
+    _require_files(p for r in manifest.records for p in (r.rgb_path, r.rgnir_path))
     if args.dry_run:
         print(f"register: {len(manifest)} pairs validated (dry run)")
         return EXIT_OK
@@ -88,33 +114,22 @@ def cmd_register(cfg: PipelineConfig, args) -> int:
     reg_dir.mkdir(parents=True, exist_ok=True)
     params = cfg.registration_params()
 
-    def work(record: ds.SampleRecord):
-        try:
-            rgb = load_image(record.rgb_path, "rgb")
-            rgnir = load_image(record.rgnir_path, "rgnir")
-            result = register_pair(rgb, rgnir, params, pair_id=record.id)
-            save_image(result.image, reg_dir / f"{record.id}_rgb.png")
-            write_png(reg_dir / f"{record.id}_mask.png",
-                      (result.mask * np.uint8(255)).astype(np.uint8))
-            return record.id, result.diagnostics.record(), None
-        except (RegistrationError, ImageFormatError) as exc:
-            stage = getattr(exc, "stage", "io")
-            return record.id, f"pair={record.id} FAILED stage={stage}: {exc}", stage
+    def work(record: ds.SampleRecord, rgb_path: Path, mask_path: Path) -> str:
+        rgb = load_image(record.rgb_path, "rgb")
+        rgnir = load_image(record.rgnir_path, "rgnir")
+        result = register_pair(rgb, rgnir, params, pair_id=record.id)
+        save_image(result.image, rgb_path)
+        write_png(mask_path, (result.mask * np.uint8(255)).astype(np.uint8))
+        return result.diagnostics.record()
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(work, manifest.records))
-    else:
-        rows = [work(r) for r in manifest.records]
-
-    rows.sort(key=lambda t: t[0])
-    report = "".join(line + "\n" for _, line, _ in rows)
-    (reg_dir / "report.txt").write_text(report)
-    failures = [(rid, stage) for rid, _, stage in rows if stage is not None]
-    for rid, stage in failures:
-        print(f"register: pair {rid} failed at stage {stage}", file=sys.stderr)
-    print(f"register: {len(rows) - len(failures)}/{len(rows)} pairs registered "
-          f"-> {reg_dir}")
+    results, failures = _each_pair(
+        "register", manifest.records, args.jobs, work,
+        lambda r: (reg_dir / f"{r.id}_rgb.png", reg_dir / f"{r.id}_mask.png"))
+    rows = results + [(r, f"pair={r.id} FAILED stage={getattr(exc, 'stage', 'io')}: {exc}")
+                      for r, exc in failures]
+    rows.sort(key=lambda row: row[0].id)
+    (reg_dir / "report.txt").write_text("".join(line + "\n" for _, line in rows))
+    print(f"register: {len(results)}/{len(rows)} pairs registered -> {reg_dir}")
     return EXIT_FAILURE if failures else EXIT_OK
 
 
@@ -134,7 +149,7 @@ def cmd_calibrate(cfg: PipelineConfig, args) -> int:
     if not board_path.is_absolute():
         board_path = Path(session_path).parent / board_path
     manifest = _read_pairs(args.pairs)
-    _check_pair_files(manifest)
+    _require_files(p for r in manifest.records for p in (r.rgb_path, r.rgnir_path))
     if args.dry_run:
         print(f"calibrate: session {session_path} and {len(manifest)} pairs "
               "validated (dry run)")
@@ -148,24 +163,21 @@ def cmd_calibrate(cfg: PipelineConfig, args) -> int:
 
     cal_dir = _out_dir(cfg) / "calibrated"
     cal_dir.mkdir(parents=True, exist_ok=True)
-    failures = 0
-    for record in manifest.records:
-        out_path = cal_dir / f"{record.id}_rgnir.png"
-        try:
-            img = load_image(record.rgnir_path, "rgnir")
-        except ImageFormatError as exc:
-            # an image left from an earlier calibration must not pass for this one's
-            out_path.unlink(missing_ok=True)
-            print(f"calibrate: pair {record.id} failed: {exc}", file=sys.stderr)
-            failures += 1
-            continue
-        out, clamp_rate = cal.apply_calibration(img, calib)
+
+    def work(record: ds.SampleRecord, out_path: Path) -> float:
+        out, clamp_rate = cal.apply_calibration(load_image(record.rgnir_path, "rgnir"),
+                                                calib)
+        save_image(out, out_path)
+        return clamp_rate
+
+    results, failures = _each_pair("calibrate", manifest.records, args.jobs, work,
+                                   lambda r: (cal_dir / f"{r.id}_rgnir.png",))
+    for record, clamp_rate in results:
         if clamp_rate > cal.WARN_CLAMP_RATE:
             print(f"calibrate: warning: {record.id} clamped "
                   f"{clamp_rate:.0%} of samples", file=sys.stderr)
-        save_image(out, out_path)
     print(f"calibrate: fit residual {calib.fit_residual.max():.2e}; "
-          f"{len(manifest) - failures} images -> {cal_dir}")
+          f"{len(results)} images -> {cal_dir}")
     return EXIT_FAILURE if failures else EXIT_OK
 
 
@@ -195,14 +207,13 @@ def cmd_ndvi(cfg: PipelineConfig, args) -> int:
     manifest = _read_pairs(args.pairs)
     reg_dir = _out_dir(cfg) / "registered"
     cal_dir = _out_dir(cfg) / "calibrated"
-    needed = []
-    for r in manifest.records:
-        needed += [reg_dir / f"{r.id}_rgb.png", reg_dir / f"{r.id}_mask.png",
-                   cal_dir / f"{r.id}_rgnir.png"]
-    missing = [str(p) for p in needed if not p.is_file()]
-    if missing:
-        raise CommandFailure("run register and calibrate first; missing: "
-                             + ", ".join(missing[:6]))
+
+    def inputs(record: ds.SampleRecord):
+        return (reg_dir / f"{record.id}_rgb.png", reg_dir / f"{record.id}_mask.png",
+                cal_dir / f"{record.id}_rgnir.png")
+
+    _require_files((p for r in manifest.records for p in inputs(r)),
+                   "run register and calibrate first; ")
     if args.dry_run:
         print(f"ndvi: inputs for {len(manifest)} pairs validated (dry run)")
         return EXIT_OK
@@ -210,18 +221,17 @@ def cmd_ndvi(cfg: PipelineConfig, args) -> int:
     _echo_config(cfg, "ndvi")
     cache_dir = Path(cfg.paths.cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    size = cfg.training.input_size
-    for record in manifest.records:
-        rgb = load_image(reg_dir / f"{record.id}_rgb.png", "rgb")
-        rgnir = load_image(cal_dir / f"{record.id}_rgnir.png", "rgnir")
-        mask = read_png(reg_dir / f"{record.id}_mask.png") > 127
-        try:
-            sample = _fused_sample(rgb, rgnir, mask, size)
-        except (SpectralError, ImageFormatError) as exc:
-            raise CommandFailure(f"sample {record.id}: {exc}") from exc
-        save_fused(sample, cache_dir / f"{record.id}.pspec")
-    print(f"ndvi: {len(manifest)} fused samples -> {cache_dir}")
-    return EXIT_OK
+
+    def work(record: ds.SampleRecord, out_path: Path) -> None:
+        rgb_path, mask_path, rgnir_path = inputs(record)
+        sample = _fused_sample(load_image(rgb_path, "rgb"), load_image(rgnir_path, "rgnir"),
+                               read_png(mask_path) > 127, cfg.training.input_size)
+        save_fused(sample, out_path)
+
+    results, failures = _each_pair("ndvi", manifest.records, args.jobs, work,
+                                   lambda r: (cache_dir / f"{r.id}.pspec",))
+    print(f"ndvi: {len(results)} fused samples -> {cache_dir}")
+    return EXIT_FAILURE if failures else EXIT_OK
 
 
 # -- dataset -----------------------------------------------------------------------
@@ -435,8 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON pipeline configuration file")
     parser.add_argument("--seed", type=int, help="override the pipeline seed")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="cap on pairs registered at once, at least 1; "
-                             "1 guarantees determinism")
+                        help="cap on the pairs register, calibrate and ndvi work "
+                             "on at once, at least 1; 1 guarantees determinism")
     parser.add_argument("--dry-run", action="store_true",
                         help="validate inputs, write nothing")
     parser.add_argument("--input-mode", choices=training.INPUT_MODES,

@@ -264,10 +264,10 @@ class TestMalformedInputs:
         (tmp_path / "folds.csv").write_text("id,fold\n" + "".join(
             row + "\n" for row in folds_rows))
 
-    def _fails_on_one_line(self, argv, capsys, needle):
+    def _fails_on_one_line(self, argv, capsys, needle, prefix="paddyspec: "):
         assert run(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("paddyspec: ") and err.count("\n") == 1, err
+        assert err.startswith(prefix) and err.count("\n") == 1, err
         assert needle in err
 
     def test_folds_missing_manifest_id(self, tmp_path, monkeypatch, capsys):
@@ -591,7 +591,8 @@ class TestMalformedInputs:
         write_png(tmp_path / "out" / "calibrated" / "a_rgnir.png",
                   np.zeros((8, 8, 3), np.uint16))
         (tmp_path / "out" / "registered" / "a_mask.png").write_bytes(b"garbage")
-        self._fails_on_one_line(["ndvi", "--pairs", "pairs.csv"], capsys, "a_mask.png")
+        self._fails_on_one_line(["ndvi", "--pairs", "pairs.csv"], capsys, "a_mask.png",
+                                prefix="ndvi: pair a failed: ")
 
     @pytest.mark.parametrize("mask_size, rgnir_size", [(50, 200), (200, 100)],
                              ids=["mask-50", "rgnir-100"])
@@ -611,7 +612,7 @@ class TestMalformedInputs:
         write_png(cal_dir / "a_rgnir.png", np.full((rgnir_size, rgnir_size, 3), 9000,
                                                    np.uint16))
         self._fails_on_one_line(["ndvi", "--pairs", "pairs.csv"], capsys,
-                                "sample a: frame sizes differ")
+                                "frame sizes differ", prefix="ndvi: pair a failed: ")
         assert not (tmp_path / "cache" / "a.pspec").exists()
 
     def test_ndvi_input_size_beyond_memory(self, tmp_path, monkeypatch, capsys):
@@ -630,9 +631,45 @@ class TestMalformedInputs:
         write_png(reg_dir / "a_mask.png", np.full((8, 8), 255, np.uint8))
         write_png(cal_dir / "a_rgnir.png", np.full((8, 8, 3), 9000, np.uint16))
         self._fails_on_one_line(["--config", "config.json", "ndvi", "--pairs", "pairs.csv"],
-                                capsys, "sample a: cannot resize to the requested input "
-                                        "size 1000000 x 1000000")
+                                capsys, "cannot resize to the requested input size "
+                                        "1000000 x 1000000", prefix="ndvi: pair a failed: ")
         assert not (tmp_path / "cache" / "a.pspec").exists()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unreadable_pair_leaves_no_sample_from_an_earlier_ndvi(
+            self, tmp_path, monkeypatch, capsys, jobs):
+        # the bad pair's sample from the first run must go, and the pairs after
+        # it must still be fused, so that no old sample passes for this run's
+        from paddyspec import dataset as ds
+        from paddyspec.imaging import write_png
+        monkeypatch.chdir(tmp_path)
+        reg_dir, cal_dir = tmp_path / "out" / "registered", tmp_path / "out" / "calibrated"
+        reg_dir.mkdir(parents=True)
+        cal_dir.mkdir(parents=True)
+        rng = np.random.default_rng(3)
+        records = []
+        for pid in ("a", "b", "c"):
+            write_png(reg_dir / f"{pid}_rgb.png", rng.integers(0, 256, (16, 16, 3), np.uint8))
+            write_png(reg_dir / f"{pid}_mask.png", np.full((16, 16), 255, np.uint8))
+            write_png(cal_dir / f"{pid}_rgnir.png",
+                      rng.integers(1000, 60000, (16, 16, 3), np.uint16))
+            records.append(ds.SampleRecord(id=pid, rgb_path="", rgnir_path="", label="blast"))
+        ds.write_manifest_csv(ds.Manifest(records=records), tmp_path / "pairs.csv")
+        argv = ["--jobs", str(jobs), "ndvi", "--pairs", "pairs.csv"]
+        assert run(argv) == 0
+        cache = tmp_path / "cache"
+        first = {pid: (cache / f"{pid}.pspec").read_bytes() for pid in ("a", "c")}
+
+        (cache / "c.pspec").write_bytes(b"stale")
+        raw = (cal_dir / "b_rgnir.png").read_bytes()
+        (cal_dir / "b_rgnir.png").write_bytes(raw[:len(raw) // 2])
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert not (cache / "b.pspec").exists()
+        assert {pid: (cache / f"{pid}.pspec").read_bytes() for pid in ("a", "c")} == first
+        err = capsys.readouterr().err
+        assert err.startswith("ndvi: pair b failed: ") and err.count("\n") == 1, err
+        assert "b_rgnir.png" in err
 
     def test_predict_checkpoint_input_size_beyond_memory(self, tmp_path, monkeypatch,
                                                          capsys):
@@ -921,42 +958,84 @@ class TestPipeline:
         assert np.abs(np.array(list(probs.values())) - expected).max() < 1e-3
         assert f"prediction: {LABELS[int(expected.argmax())]}" in out
 
-    def test_parallel_register_matches_serial(self, tmp_path, monkeypatch):
+    def test_parallel_register_matches_serial(self, tmp_path, monkeypatch, capsys):
+        """register -> calibrate -> ndvi write the same bytes at --jobs 1 and 2,
+        and, with one pair's R-G-NIR photo truncated, print the same lines."""
         from conftest import write_workdir
-        work = tmp_path / "par"
-        work.mkdir()
-        write_workdir(work, n_per_class=1, image_size=200, seed=77)
+        source = tmp_path / "source"
+        write_workdir(source, n_per_class=1, image_size=200, seed=77)
+
+        def chain(jobs, broken):
+            work = tmp_path / f"jobs{jobs}_{broken}"
+            shutil.copytree(source, work)
+            monkeypatch.chdir(work)
+            base = ["--config", "config.json", "--jobs", str(jobs)]
+            assert run(base + ["dataset", "build"]) == 0
+            if broken:
+                photo = work / "data" / "blast" / "blast000_rgnir.png"
+                photo.write_bytes(photo.read_bytes()[:1000])
+            capsys.readouterr()
+            codes = [run(base + [stage, "--pairs", "out/manifest.csv"])
+                     for stage in ("register", "calibrate", "ndvi")]
+            files = {str(p.relative_to(work)): p.read_bytes()
+                     for root in ("out/registered", "out/calibrated", "cache")
+                     for p in sorted((work / root).glob("*"))}
+            return codes, files, capsys.readouterr().err
+
+        serial = chain(1, broken=False)
+        assert serial[0] == [0, 0, 0]
+        # each pair's registered rgb and mask, calibrated rgnir and sample, and report.txt
+        assert len(serial[1]) == 3 * 4 + 1, sorted(serial[1])
+        assert chain(2, broken=False) == serial
+
+        serial = chain(1, broken=True)
+        assert serial[0] == [1, 1, 1]
+        assert [line.split(":")[0] for line in serial[2].splitlines()] == [
+            "register", "calibrate", "paddyspec"], serial[2]
+        assert chain(2, broken=True) == serial
+
+    @staticmethod
+    def _textureless_after_good_run(fixture_workdir, work, monkeypatch):
+        """Register and calibrate a copy of the fixture's data and config (and
+        nothing that other tests wrote beside them), then make blast000's photos
+        textureless."""
+        shutil.copytree(fixture_workdir / "data", work / "data")
+        shutil.copy(fixture_workdir / "config.json", work / "config.json")
         monkeypatch.chdir(work)
         base = ["--config", "config.json"]
         assert run(base + ["dataset", "build"]) == 0
-        registered = work / "out" / "registered"
-
-        def outputs():
-            names = sorted(p.name for p in registered.iterdir())
-            assert [n for n in names if n.endswith("_rgb.png")], names
-            assert [n for n in names if n.endswith("_mask.png")], names
-            return {name: (registered / name).read_bytes() for name in names}
-
-        assert run(base + ["--jobs", "1", "register", "--pairs", "out/manifest.csv"]) == 0
-        serial = outputs()
-        shutil.rmtree(registered)
-        assert run(base + ["--jobs", "2", "register", "--pairs", "out/manifest.csv"]) == 0
-        assert outputs() == serial
-
-    def test_textureless_pair_fails_with_stage_tag(self, fixture_workdir,
-                                                   monkeypatch, capsys, tmp_path):
-        import shutil
-        work = tmp_path / "broken"
-        shutil.copytree(fixture_workdir, work)
+        assert run(base + ["register", "--pairs", "out/manifest.csv"]) == 0
+        assert run(base + ["calibrate", "--pairs", "out/manifest.csv"]) == 0
         flat = ImageF(np.full((200, 200, 3), 0.5, dtype=np.float32), ("R", "G", "B"))
         save_image(flat, work / "data" / "blast" / "blast000_rgb.png")
         save_image(ImageF(flat.data, ("R", "G", "NIR")),
                    work / "data" / "blast" / "blast000_rgnir.png")
-        monkeypatch.chdir(work)
-        base = ["--config", "config.json"]
-        assert run(base + ["dataset", "build"]) == 0
+        return base
+
+    def test_textureless_pair_fails_with_stage_tag(self, fixture_workdir,
+                                                   monkeypatch, capsys, tmp_path):
+        base = self._textureless_after_good_run(fixture_workdir, tmp_path, monkeypatch)
+        capsys.readouterr()
         assert run(base + ["register", "--pairs", "out/manifest.csv"]) == 1
-        report = (work / "out" / "registered" / "report.txt").read_text()
-        assert "stage=detect" in report
+        report = (tmp_path / "out" / "registered" / "report.txt").read_text()
+        assert "pair=blast000 FAILED stage=detect" in report
         # the other five pairs still registered
         assert report.count("FAILED") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("register: pair blast000 failed: [detect] ") \
+            and err.count("\n") == 1, err
+
+    def test_failed_pair_leaves_no_registration_from_an_earlier_run(
+            self, fixture_workdir, monkeypatch, capsys, tmp_path):
+        base = self._textureless_after_good_run(fixture_workdir, tmp_path, monkeypatch)
+        registered = tmp_path / "out" / "registered"
+        assert (registered / "blast000_rgb.png").is_file()
+        assert run(base + ["register", "--pairs", "out/manifest.csv"]) == 1
+        assert "pair=blast000 FAILED" in (registered / "report.txt").read_text()
+        assert not (registered / "blast000_rgb.png").exists()
+        assert not (registered / "blast000_mask.png").exists()
+        # so ndvi cannot fuse the pair from its earlier registration
+        capsys.readouterr()
+        assert run(base + ["ndvi", "--pairs", "out/manifest.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("paddyspec: ") and "out/registered/blast000_rgb.png" in err, err
