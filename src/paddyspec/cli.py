@@ -68,7 +68,8 @@ def _read_pairs(path) -> ds.Manifest:
 
 
 def _require_files(paths, hint: str = "") -> None:
-    """Fail the whole batch, before any pair runs, when an input file is missing."""
+    """A dry run's check of the whole batch: fail when an input file is missing.
+    A real run leaves it to each pair's reader, so a missing file fails its pair."""
     missing = [str(p) for p in paths if not Path(p).is_file()]
     if missing:
         raise CommandFailure(f"{hint}missing input files: " + ", ".join(missing[:8]))
@@ -105,8 +106,8 @@ def _each_pair(stage: str, records, jobs: int, work, outputs):
 
 def cmd_register(cfg: PipelineConfig, args) -> int:
     manifest = _read_pairs(args.pairs)
-    _require_files(p for r in manifest.records for p in (r.rgb_path, r.rgnir_path))
     if args.dry_run:
+        _require_files(p for r in manifest.records for p in (r.rgb_path, r.rgnir_path))
         print(f"register: {len(manifest)} pairs validated (dry run)")
         return EXIT_OK
     _echo_config(cfg, "register")
@@ -149,8 +150,8 @@ def cmd_calibrate(cfg: PipelineConfig, args) -> int:
     if not board_path.is_absolute():
         board_path = Path(session_path).parent / board_path
     manifest = _read_pairs(args.pairs)
-    _require_files(p for r in manifest.records for p in (r.rgb_path, r.rgnir_path))
     if args.dry_run:
+        _require_files(r.rgnir_path for r in manifest.records)  # the only pair file it reads
         print(f"calibrate: session {session_path} and {len(manifest)} pairs "
               "validated (dry run)")
         return EXIT_OK
@@ -212,9 +213,9 @@ def cmd_ndvi(cfg: PipelineConfig, args) -> int:
         return (reg_dir / f"{record.id}_rgb.png", reg_dir / f"{record.id}_mask.png",
                 cal_dir / f"{record.id}_rgnir.png")
 
-    _require_files((p for r in manifest.records for p in inputs(r)),
-                   "run register and calibrate first; ")
     if args.dry_run:
+        _require_files((p for r in manifest.records for p in inputs(r)),
+                       "run register and calibrate first; ")
         print(f"ndvi: inputs for {len(manifest)} pairs validated (dry run)")
         return EXIT_OK
 
@@ -309,7 +310,6 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
                                      max_steps=args.max_steps)
         stem = _checkpoint_name(fold, train_cfg.input_mode)
         meta = {
-            "arch": {"in_channels": train_cfg.channels, "num_classes": len(ds.LABELS)},
             "seed": cfg.seed,
             "fold": fold,
             "input_mode": train_cfg.input_mode,
@@ -332,28 +332,20 @@ def _load_checkpoint_model(path):
         meta, arrays = nn.read_checkpoint(path)
     except (OSError, nn.CheckpointError) as exc:
         raise CommandFailure(f"cannot read checkpoint {path}: {exc}") from exc
-    arch = meta.get("arch") if isinstance(meta, dict) else None
-    if not (isinstance(arch, dict) and isinstance(meta.get("input_mode"), str)
-            and all(type(v) is int for v in (arch.get("in_channels"),
-                                              arch.get("num_classes"),
-                                              meta.get("input_size")))):
-        raise CommandFailure(f"checkpoint {path}: meta needs arch.in_channels, "
-                             "arch.num_classes, input_mode and input_size")
+    if not (isinstance(meta, dict) and isinstance(meta.get("input_mode"), str)
+            and type(meta.get("input_size")) is int):
+        raise CommandFailure(f"checkpoint {path}: meta needs input_mode and input_size")
     if meta["input_mode"] not in training.INPUT_MODES:
         raise CommandFailure(f"checkpoint {path}: input_mode must be one of "
                              f"{training.INPUT_MODES}, got {meta['input_mode']!r}")
     if meta["input_size"] < 1:
         raise CommandFailure(f"checkpoint {path}: input_size must be >= 1, "
                              f"got {meta['input_size']}")
-    if arch["num_classes"] != len(ds.LABELS):
-        raise CommandFailure(f"checkpoint {path}: arch.num_classes must be "
-                             f"{len(ds.LABELS)}, got {arch['num_classes']}")
-    channels = training.INPUT_CHANNELS[meta["input_mode"]]
-    if arch["in_channels"] != channels:
-        raise CommandFailure(f"checkpoint {path}: input_mode {meta['input_mode']!r} needs "
-                             f"arch.in_channels {channels}, got {arch['in_channels']}")
-    # the initial weights are all overwritten below, so they need no seed
-    model = build_resnet18(in_channels=arch["in_channels"], num_classes=arch["num_classes"])
+    # the mode fixes the stem and the labels the head, so a checkpoint made for
+    # other channels or classes fails load_state_arrays' shape check; the initial
+    # weights are all overwritten, so they need no seed
+    model = build_resnet18(in_channels=training.INPUT_CHANNELS[meta["input_mode"]],
+                           num_classes=len(ds.LABELS))
     model.load_state_arrays(arrays)
     return meta, model
 
@@ -397,11 +389,7 @@ def cmd_eval(cfg: PipelineConfig, args) -> int:
 
 def cmd_predict(cfg: PipelineConfig, args) -> int:
     meta, model = _load_checkpoint_model(args.checkpoint)
-    calib_path = args.calibration or str(_out_dir(cfg) / "calibration.json")
-    if not Path(calib_path).is_file():
-        raise CommandFailure(f"calibration file {calib_path} not found; "
-                             "run calibrate or pass --calibration")
-    calib = cal.load_calibration(calib_path)
+    calib = cal.load_calibration(args.calibration or _out_dir(cfg) / "calibration.json")
     rgb = load_image(args.rgb, "rgb")
     rgnir_dn = load_image(args.rgnir, "rgnir")
     rgnir_refl, _ = cal.apply_calibration(rgnir_dn, calib)
@@ -409,8 +397,7 @@ def cmd_predict(cfg: PipelineConfig, args) -> int:
     result = register_pair(rgb, rgnir_dn, cfg.registration_params(), pair_id="predict")
 
     sample = _fused_sample(result.image, rgnir_refl, result.mask, meta["input_size"])
-    channels = meta["arch"]["in_channels"]
-    batch = sample[None, :channels].astype(model.dtype)
+    batch = sample[None, :model.in_channels].astype(model.dtype)
     probs = model.predict_proba(nn.Tensor(batch))[0]
     for label, p in zip(ds.LABELS, probs):
         print(f"{label}: {p:.4f}")

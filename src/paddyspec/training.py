@@ -154,9 +154,6 @@ def load_sample_batch(source, records: list[SampleRecord], cfg: TrainConfig) -> 
             arr = source.load(record)
         except Exception as exc:
             raise TrainingError(f"failed to load sample {record.id}: {exc}") from exc
-        if arr.shape[0] != 4:
-            raise TrainingError(f"sample {record.id}: expected 4 fused bands, "
-                                f"got {arr.shape[0]}")
         if arr.shape[1:] != (cfg.input_size, cfg.input_size):
             raise TrainingError(
                 f"sample {record.id}: plane {arr.shape[1:]} != configured input size "

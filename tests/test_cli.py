@@ -250,6 +250,48 @@ class TestRegisterErrors:
         assert run(["register", "--pairs", "pairs.csv"]) == 1
         assert "a_rgb.png" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage, inputs, missing", [
+        ("register", "{}_rgb.png {}_rgnir.png", "b_rgnir.png"),
+        ("calibrate", "{}_rgnir.png", "a_rgnir.png"),
+        ("ndvi", "out/registered/{}_rgb.png out/registered/{}_mask.png "
+                 "out/calibrated/{}_rgnir.png", "out/calibrated/b_rgnir.png"),
+    ], ids=["register", "calibrate", "ndvi"])
+    def test_dry_run_names_a_missing_input(self, tmp_path, monkeypatch, capsys,
+                                           stage, inputs, missing):
+        # a dry run checks, for the whole batch, the files the stage reads and
+        # no other: the photos for register, the R-G-NIR photos for calibrate,
+        # the registered and calibrated images for ndvi
+        from paddyspec import calibration as cal
+        from paddyspec import dataset as ds
+        from paddyspec.synthetic import make_calibration_board
+        monkeypatch.chdir(tmp_path)
+        records = [ds.SampleRecord(id=pid, rgb_path=f"{pid}_rgb.png",
+                                   rgnir_path=f"{pid}_rgnir.png", label="blast")
+                   for pid in ("a", "b")]
+        ds.write_manifest_csv(ds.Manifest(records=records), tmp_path / "pairs.csv")
+        for pid in ("a", "b"):
+            for name in inputs.split():
+                path = tmp_path / name.format(pid)
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_bytes(b"")
+        _, panels = make_calibration_board(np.random.default_rng(0))
+        cal.save_session(tmp_path / "session.json", "board.png", panels)
+        argv = session_config("session.json") + ["--dry-run", stage, "--pairs", "pairs.csv"]
+
+        def written():
+            return sorted(tmp_path.glob("out/**/*")) + sorted(tmp_path.glob("cache/**/*"))
+        before = written()
+        assert run(argv) == 0
+        assert written() == before
+        (tmp_path / missing).unlink()
+        before = written()
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("paddyspec: ") and err.count("\n") == 1, err
+        assert f"missing input files: {missing}" in err, err
+        assert written() == before
+
 
 class TestMalformedInputs:
     """Bad folds, manifest, checkpoint, PNG and calibration files exit 1 with a
@@ -329,14 +371,13 @@ class TestMalformedInputs:
         monkeypatch.chdir(tmp_path)
         nn.write_checkpoint(tmp_path / "empty.ckpt", {}, {})
         self._fails_on_one_line(["eval", "--checkpoint", "empty.ckpt"], capsys,
-                                "meta needs arch.in_channels")
+                                "empty.ckpt: meta needs input_mode and input_size")
 
     def test_checkpoint_meta_without_fold(self, tmp_path, monkeypatch, capsys):
         from paddyspec import nn
         from paddyspec.model import build_resnet18
         monkeypatch.chdir(tmp_path)
-        meta = {"arch": {"in_channels": 3, "num_classes": 3}, "input_mode": "rgb",
-                "input_size": 32}
+        meta = {"input_mode": "rgb", "input_size": 32}
         nn.write_checkpoint(tmp_path / "nofold.ckpt", meta,
                             build_resnet18(in_channels=3, num_classes=3).state_arrays())
         self._fails_on_one_line(["eval", "--checkpoint", "nofold.ckpt"], capsys,
@@ -348,8 +389,7 @@ class TestMalformedInputs:
         from paddyspec import nn
         from paddyspec.model import build_resnet18
         monkeypatch.chdir(tmp_path)
-        meta = {"arch": {"in_channels": 3, "num_classes": 3}, "input_mode": "rgb",
-                "input_size": 32, "fold": fold}
+        meta = {"input_mode": "rgb", "input_size": 32, "fold": fold}
         nn.write_checkpoint(tmp_path / "m.ckpt", meta,
                             build_resnet18(in_channels=3, num_classes=3).state_arrays())
         self._fails_on_one_line(["eval", "--checkpoint", "m.ckpt"], capsys,
@@ -359,8 +399,7 @@ class TestMalformedInputs:
     def test_checkpoint_meta_seed_is_not_read(self, tmp_path, seed):
         from paddyspec import nn
         from paddyspec.model import build_resnet18
-        meta = {"arch": {"in_channels": 3, "num_classes": 3}, "input_mode": "rgb",
-                "input_size": 32, "fold": 0, "seed": seed}
+        meta = {"input_mode": "rgb", "input_size": 32, "fold": 0, "seed": seed}
         state = build_resnet18(in_channels=3, num_classes=3, seed=7).state_arrays()
         nn.write_checkpoint(tmp_path / "m.ckpt", meta, state)
         _, model = cli._load_checkpoint_model(tmp_path / "m.ckpt")
@@ -369,12 +408,23 @@ class TestMalformedInputs:
         for name, arr in state.items():
             assert loaded[name].tobytes() == arr.tobytes(), name
 
+    def test_checkpoint_meta_arch_is_not_read(self, tmp_path):
+        # older checkpoints carry arch; input_mode and the labels fix the model
+        from paddyspec import nn
+        from paddyspec.model import build_resnet18
+        meta = {"arch": {"in_channels": 4, "num_classes": "x"}, "input_mode": "rgb",
+                "input_size": 32, "fold": 0}
+        state = build_resnet18(in_channels=3, num_classes=3, seed=7).state_arrays()
+        nn.write_checkpoint(tmp_path / "m.ckpt", meta, state)
+        _, model = cli._load_checkpoint_model(tmp_path / "m.ckpt")
+        assert (model.in_channels, model.num_classes) == (3, 3)
+        assert model.state_arrays()["head.weight"].tobytes() == state["head.weight"].tobytes()
+
     def test_checkpoint_statistic_of_wrong_shape(self, tmp_path, monkeypatch, capsys):
         from paddyspec import nn
         from paddyspec.model import build_resnet18
         monkeypatch.chdir(tmp_path)
-        meta = {"arch": {"in_channels": 3, "num_classes": 3}, "input_mode": "rgb",
-                "input_size": 32, "fold": 0}
+        meta = {"input_mode": "rgb", "input_size": 32, "fold": 0}
         state = build_resnet18(in_channels=3, num_classes=3).state_arrays()
         state["stem_bn.running_var"] = np.ones(3, dtype=np.float32)
         nn.write_checkpoint(tmp_path / "bad.ckpt", meta, state)
@@ -383,19 +433,21 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("command", ["predict", "eval"])
     @pytest.mark.parametrize("arch, needle", [
-        ({"in_channels": 3, "num_classes": 4}, "bad.ckpt: arch.num_classes must be 3, got 4"),
+        ({"in_channels": 3, "num_classes": 4},
+         "paddyspec: head.weight: checkpoint shape (512, 4) != (512, 3)"),
         ({"in_channels": 4, "num_classes": 3},
-         "bad.ckpt: input_mode 'rgb' needs arch.in_channels 3, got 4"),
+         "paddyspec: stem_conv.weight: checkpoint shape (64, 4, 7, 7) != (64, 3, 7, 7)"),
     ], ids=["four-classes", "rgb-with-four-channels"])
     def test_checkpoint_meta_contradicting_itself(self, tmp_path, monkeypatch, capsys,
                                                   command, arch, needle):
-        # unchecked, predict prints three of four probabilities and may crash,
-        # or feeds the NDVI band to an rgb model and exits 0
+        # weights for 4 classes or 4 channels under an rgb meta: unchecked,
+        # predict prints three of four probabilities and may crash, or feeds the
+        # NDVI band to an rgb model and exits 0
         from paddyspec import calibration as cal
         from paddyspec import nn, synthetic
         from paddyspec.model import build_resnet18
         monkeypatch.chdir(tmp_path)
-        meta = {"arch": arch, "input_mode": "rgb", "input_size": 32, "fold": 0}
+        meta = {"input_mode": "rgb", "input_size": 32, "fold": 0}
         nn.write_checkpoint(tmp_path / "bad.ckpt", meta, build_resnet18(**arch).state_arrays())
         if command == "predict":
             rgb, rgnir, _ = synthetic.make_registration_pair(np.random.default_rng(13),
@@ -418,9 +470,7 @@ class TestMalformedInputs:
         ("input_size", 0, "bad.ckpt: input_size must be >= 1"),
         # JSON true is no count: unchecked, "input_size": true made predict
         # classify a 1 x 1 sample
-        ("input_size", True, "bad.ckpt: meta needs arch.in_channels"),
-        ("arch.in_channels", True, "bad.ckpt: meta needs arch.in_channels"),
-        ("arch.num_classes", True, "bad.ckpt: meta needs arch.in_channels"),
+        ("input_size", True, "bad.ckpt: meta needs input_mode and input_size"),
     ])
     def test_checkpoint_meta_out_of_range(self, tmp_path, monkeypatch, capsys,
                                           key, value, needle):
@@ -428,12 +478,7 @@ class TestMalformedInputs:
         from paddyspec.model import build_resnet18
         monkeypatch.chdir(tmp_path)
         self._split_files(tmp_path, ["blast0,0", "brown_spot0,1", "healthy0,0"])
-        meta = {"arch": {"in_channels": 3, "num_classes": 3}, "input_mode": "rgb",
-                "input_size": 32, "fold": 0}
-        if key.startswith("arch."):
-            meta["arch"][key.removeprefix("arch.")] = value
-        else:
-            meta[key] = value
+        meta = {"input_mode": "rgb", "input_size": 32, "fold": 0, key: value}
         nn.write_checkpoint(tmp_path / "bad.ckpt", meta,
                             build_resnet18(in_channels=3, num_classes=3).state_arrays())
         self._fails_on_one_line(["eval", "--checkpoint", "bad.ckpt", "--manifest",
@@ -445,8 +490,7 @@ class TestMalformedInputs:
         monkeypatch.chdir(tmp_path)
         spectral.save_fused(np.full((4, 32, 32), 0.5, np.float32), tmp_path / "ok.pspec")
         self._cache_split(tmp_path, (tmp_path / "ok.pspec").read_bytes())
-        meta = {"arch": {"in_channels": 3, "num_classes": 3}, "input_mode": "rgb",
-                "input_size": 32, "fold": 0}
+        meta = {"input_mode": "rgb", "input_size": 32, "fold": 0}
         state = build_resnet18(in_channels=3, num_classes=3).state_arrays()
         state["stem_conv.weight"].flat[0] = np.nan
         nn.write_checkpoint(tmp_path / "nan.ckpt", meta, state)
@@ -677,8 +721,7 @@ class TestMalformedInputs:
         from paddyspec import nn, synthetic
         from paddyspec.model import build_resnet18
         monkeypatch.chdir(tmp_path)
-        meta = {"arch": {"in_channels": 4, "num_classes": 3}, "input_mode": "rgb_ndvi",
-                "input_size": 10**6, "fold": 0}
+        meta = {"input_mode": "rgb_ndvi", "input_size": 10**6, "fold": 0}
         nn.write_checkpoint(tmp_path / "m.ckpt", meta,
                             build_resnet18(in_channels=4, num_classes=3).state_arrays())
         rgb, rgnir, _ = synthetic.make_registration_pair(np.random.default_rng(13),
@@ -697,8 +740,7 @@ class TestMalformedInputs:
         from paddyspec import nn
         from paddyspec.model import build_resnet18
         monkeypatch.chdir(tmp_path)
-        meta = {"arch": {"in_channels": 3, "num_classes": 3}, "input_mode": "rgb",
-                "input_size": 32, "fold": 0}
+        meta = {"input_mode": "rgb", "input_size": 32, "fold": 0}
         nn.write_checkpoint(tmp_path / "m.ckpt", meta,
                             build_resnet18(in_channels=3, num_classes=3).state_arrays())
         (tmp_path / "calib.json").write_text('{"bands": ["R", "G", "NIR"]}')
@@ -706,13 +748,23 @@ class TestMalformedInputs:
                                  "calib.json", "--rgb", "a.png", "--rgnir", "b.png"],
                                 capsys, "calib.json")
 
+    def test_missing_calibration_file(self, tmp_path, monkeypatch, capsys):
+        from paddyspec import nn
+        from paddyspec.model import build_resnet18
+        monkeypatch.chdir(tmp_path)
+        meta = {"input_mode": "rgb", "input_size": 32, "fold": 0}
+        nn.write_checkpoint(tmp_path / "m.ckpt", meta,
+                            build_resnet18(in_channels=3, num_classes=3).state_arrays())
+        self._fails_on_one_line(["predict", "--checkpoint", "m.ckpt", "--calibration",
+                                 "nope.json", "--rgb", "a.png", "--rgnir", "b.png"],
+                                capsys, "cannot read calibration file nope.json")
+
     @pytest.mark.parametrize("raw", UNREADABLE_JSON)
     def test_unreadable_calibration_file(self, tmp_path, monkeypatch, capsys, raw):
         from paddyspec import nn
         from paddyspec.model import build_resnet18
         monkeypatch.chdir(tmp_path)
-        meta = {"arch": {"in_channels": 3, "num_classes": 3}, "input_mode": "rgb",
-                "input_size": 32, "fold": 0}
+        meta = {"input_mode": "rgb", "input_size": 32, "fold": 0}
         nn.write_checkpoint(tmp_path / "m.ckpt", meta,
                             build_resnet18(in_channels=3, num_classes=3).state_arrays())
         (tmp_path / "calib.json").write_bytes(raw)
@@ -873,8 +925,7 @@ class TestMalformedInputs:
         from paddyspec import nn, synthetic
         from paddyspec.model import build_resnet18
         monkeypatch.chdir(tmp_path)
-        meta = {"arch": {"in_channels": 4, "num_classes": 3}, "input_mode": "rgb_ndvi",
-                "input_size": 32, "fold": 0}
+        meta = {"input_mode": "rgb_ndvi", "input_size": 32, "fold": 0}
         nn.write_checkpoint(tmp_path / "m.ckpt", meta,
                             build_resnet18(in_channels=4, num_classes=3).state_arrays())
         rgb, rgnir, _ = synthetic.make_registration_pair(np.random.default_rng(13),
@@ -934,6 +985,7 @@ class TestPipeline:
         from paddyspec.dataset import LABELS
         from paddyspec.model import build_resnet18
         from paddyspec.spectral import load_fused
+        from paddyspec.training import INPUT_CHANNELS
         with open(fixture_workdir / "out" / "folds.csv") as fh:
             folds = {r["id"]: int(r["fold"]) for r in csvmod.DictReader(fh)}
         healthy_id = next(i for i in sorted(folds)
@@ -950,7 +1002,8 @@ class TestPipeline:
         assert abs(sum(probs.values()) - 1.0) < 1e-4
 
         meta, arrays = nn.read_checkpoint(ckpt)
-        model = build_resnet18(in_channels=meta["arch"]["in_channels"])
+        assert "arch" not in meta
+        model = build_resnet18(in_channels=INPUT_CHANNELS[meta["input_mode"]])
         model.load_state_arrays(arrays)
         fused = load_fused(fixture_workdir / "cache" / f"{healthy_id}.pspec")
         expected = model.predict_proba(nn.Tensor(fused[None, :model.in_channels]))[0]
@@ -991,14 +1044,14 @@ class TestPipeline:
         serial = chain(1, broken=True)
         assert serial[0] == [1, 1, 1]
         assert [line.split(":")[0] for line in serial[2].splitlines()] == [
-            "register", "calibrate", "paddyspec"], serial[2]
+            "register", "calibrate", "ndvi"], serial[2]
         assert chain(2, broken=True) == serial
 
     @staticmethod
     def _textureless_after_good_run(fixture_workdir, work, monkeypatch):
-        """Register and calibrate a copy of the fixture's data and config (and
-        nothing that other tests wrote beside them), then make blast000's photos
-        textureless."""
+        """Register, calibrate and fuse a copy of the fixture's data and config
+        (and nothing that other tests wrote beside them), then make blast000's
+        photos textureless."""
         shutil.copytree(fixture_workdir / "data", work / "data")
         shutil.copy(fixture_workdir / "config.json", work / "config.json")
         monkeypatch.chdir(work)
@@ -1006,6 +1059,7 @@ class TestPipeline:
         assert run(base + ["dataset", "build"]) == 0
         assert run(base + ["register", "--pairs", "out/manifest.csv"]) == 0
         assert run(base + ["calibrate", "--pairs", "out/manifest.csv"]) == 0
+        assert run(base + ["ndvi", "--pairs", "out/manifest.csv"]) == 0
         flat = ImageF(np.full((200, 200, 3), 0.5, dtype=np.float32), ("R", "G", "B"))
         save_image(flat, work / "data" / "blast" / "blast000_rgb.png")
         save_image(ImageF(flat.data, ("R", "G", "NIR")),
@@ -1028,14 +1082,26 @@ class TestPipeline:
     def test_failed_pair_leaves_no_registration_from_an_earlier_run(
             self, fixture_workdir, monkeypatch, capsys, tmp_path):
         base = self._textureless_after_good_run(fixture_workdir, tmp_path, monkeypatch)
-        registered = tmp_path / "out" / "registered"
-        assert (registered / "blast000_rgb.png").is_file()
+        registered, cache = tmp_path / "out" / "registered", tmp_path / "cache"
+        first = {p.name: p.read_bytes() for p in cache.glob("*.pspec")}
+        assert len(first) == 6 and (registered / "blast000_rgb.png").is_file()
         assert run(base + ["register", "--pairs", "out/manifest.csv"]) == 1
         assert "pair=blast000 FAILED" in (registered / "report.txt").read_text()
         assert not (registered / "blast000_rgb.png").exists()
         assert not (registered / "blast000_mask.png").exists()
-        # so ndvi cannot fuse the pair from its earlier registration
+        # so ndvi cannot fuse the pair from its earlier registration: it fails
+        # that pair alone, deletes its earlier sample and fuses the other five
         capsys.readouterr()
         assert run(base + ["ndvi", "--pairs", "out/manifest.csv"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("paddyspec: ") and "out/registered/blast000_rgb.png" in err, err
+        assert err.startswith("ndvi: pair blast000 failed: ") and err.count("\n") == 1, err
+        assert "out/registered/blast000_rgb.png" in err, err
+        del first["blast000.pspec"]
+        assert {p.name: p.read_bytes() for p in cache.glob("*.pspec")} == first
+        # and train finds no sample to pass for this run's
+        assert run(base + ["dataset", "split", "--k", "2"]) == 0
+        capsys.readouterr()
+        assert run(base + ["train", "--fold", "0", "--max-steps", "4"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("paddyspec: ") and err.count("\n") == 1, err
+        assert "blast000" in err, err

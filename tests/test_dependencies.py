@@ -1,7 +1,8 @@
 """The package imports nothing outside the standard library and numpy, reads
-no environment variable, every public function, class, method and property in
-it has a caller outside the tests, every dataclass field in it is read there,
-and every defaulted parameter in it is passed there."""
+no environment variable, checks no input file ahead of its reader, every
+public function, class, method and property in it has a caller outside the
+tests, every dataclass field in it is read there, and every defaulted
+parameter in it is passed there."""
 import ast
 import dataclasses
 import importlib
@@ -49,6 +50,28 @@ def test_no_environment_variable_is_read():
                 readers.append(f"{path.relative_to(SRC)}:{getattr(node, 'lineno', '?')}: "
                                f"{name}")
     assert not readers, readers
+
+
+# an input is checked where it is read; only a dry run, which reads nothing,
+# checks its files up front, in one helper
+PRE_CHECKS = {"is_file", "exists"}
+PRE_CHECK_HELPER = ("cli.py", "_require_files")
+
+
+def test_inputs_are_checked_where_they_are_read():
+    """No ``.is_file()`` or ``.exists()`` call in src/ outside ``cli._require_files``."""
+    calls = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        helper = {id(sub) for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  and (path.name, node.name) == PRE_CHECK_HELPER
+                  for sub in ast.walk(node)}
+        calls += [f"{path.relative_to(SRC)}:{node.lineno}: .{node.func.attr}()"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in PRE_CHECKS and id(node) not in helper]
+    assert not calls, calls
 
 
 def _program_sources():
